@@ -41,8 +41,8 @@ struct PhaseProfile {
   double detect_us = 0.0;      // anchor detector simulation
   double track_us = 0.0;       // tracker simulation run inline on this thread
   double defer_join_us = 0.0;  // waiting on deferred tracker halves
-  double eval_us = 0.0;        // per-video AP accumulation (runner)
-  double merge_us = 0.0;       // video-order merge + metric aggregation (runner)
+  double eval_us = 0.0;        // per-video AP matching, frame by frame (runner)
+  double merge_us = 0.0;       // video-order record append + mAP and stats (runner)
   double run_us = 0.0;         // whole RunVideo wall time
 
   long gofs = 0;

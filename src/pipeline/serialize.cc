@@ -1,5 +1,7 @@
 #include "src/pipeline/serialize.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
@@ -10,6 +12,8 @@ namespace litereconfig {
 namespace {
 
 constexpr uint64_t kMagic = 0x4c52434d30303034ull;  // "LRCM0004"
+// Longest stored array; also bounds layer widths, so width products cannot wrap.
+constexpr uint64_t kMaxArrayLength = 1ull << 28;
 
 void WriteU64(std::ostream& os, uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -30,20 +34,22 @@ bool ReadU64(std::istream& is, uint64_t& v) {
   return is.good();
 }
 
+// The double readers reject NaN and infinity: no stored parameter may hold one.
 bool ReadDouble(std::istream& is, double& v) {
   is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return is.good();
+  return is.good() && std::isfinite(v);
 }
 
 bool ReadDoubles(std::istream& is, std::vector<double>& v) {
   uint64_t n = 0;
-  if (!ReadU64(is, n) || n > (1ull << 28)) {
+  if (!ReadU64(is, n) || n > kMaxArrayLength) {
     return false;
   }
   v.resize(n);
   is.read(reinterpret_cast<char*>(v.data()),
           static_cast<std::streamsize>(n * sizeof(double)));
-  return is.good();
+  return is.good() &&
+         std::all_of(v.begin(), v.end(), [](double x) { return std::isfinite(x); });
 }
 
 }  // namespace
@@ -154,28 +160,33 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
     MlpConfig config;
     for (uint64_t d = 0; d < num_dims; ++d) {
       uint64_t dim = 0;
-      if (!ReadU64(is, dim)) {
+      if (!ReadU64(is, dim) || dim == 0 || dim > kMaxArrayLength) {
         return std::nullopt;
       }
       config.layer_dims.push_back(dim);
     }
-    AccuracyPredictor predictor(kind, config);
+    // Check the whole shape before building the predictor: its Mlp allocates it.
+    if (config.layer_dims.front() != AccuracyPredictor::InputDim(kind) ||
+        config.layer_dims.back() != space.size()) {
+      return std::nullopt;
+    }
     std::vector<Matrix> weights;
     std::vector<std::vector<double>> biases;
     for (size_t l = 0; l + 1 < config.layer_dims.size(); ++l) {
+      size_t in = config.layer_dims[l];
+      size_t out = config.layer_dims[l + 1];
       std::vector<double> wdata;
       std::vector<double> bdata;
-      if (!ReadDoubles(is, wdata) || !ReadDoubles(is, bdata)) {
+      if (!ReadDoubles(is, wdata) || wdata.size() != out * in ||
+          !ReadDoubles(is, bdata) || bdata.size() != out) {
         return std::nullopt;
       }
-      Matrix w(config.layer_dims[l + 1], config.layer_dims[l]);
-      if (wdata.size() != w.data().size() || bdata.size() != config.layer_dims[l + 1]) {
-        return std::nullopt;
-      }
+      Matrix w(out, in);
       w.data() = std::move(wdata);
       weights.push_back(std::move(w));
       biases.push_back(std::move(bdata));
     }
+    AccuracyPredictor predictor(kind, config);
     predictor.mutable_mlp().SetParameters(std::move(weights), std::move(biases));
     models.accuracy.emplace(kind, std::move(predictor));
   }

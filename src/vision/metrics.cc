@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace litereconfig {
 
@@ -9,33 +10,48 @@ ApEvaluator::ApEvaluator(double iou_threshold) : iou_threshold_(iou_threshold) {
 
 void ApEvaluator::AddFrame(const GroundTruthList& ground_truth,
                            const DetectionList& detections) {
-  size_t frame = frame_count_++;
+  ++frame_count_;
   for (const GroundTruthBox& gt : ground_truth) {
-    ClassData& data = classes_[gt.class_id];
-    data.ground_truth[frame].push_back(gt.box);
-    ++data.total_ground_truth;
+    ++classes_[gt.class_id].total_ground_truth;
   }
-  for (const Detection& det : detections) {
-    ClassData& data = classes_[det.class_id];
-    data.detections.push_back({det.score, frame, det.box});
+  // Stable rank by descending score; the reused vector allocates nothing.
+  auto higher = [&](size_t a, size_t b) {
+    return detections[a].score > detections[b].score;
+  };
+  order_.clear();
+  for (size_t i = 0; i < detections.size(); ++i) {
+    order_.insert(std::upper_bound(order_.begin(), order_.end(), i, higher), i);
+  }
+  claimed_.assign(ground_truth.size(), false);
+  for (size_t i : order_) {
+    const Detection& det = detections[i];
+    double best_iou = iou_threshold_;
+    size_t best = ground_truth.size();
+    for (size_t g = 0; g < ground_truth.size(); ++g) {
+      if (claimed_[g] || ground_truth[g].class_id != det.class_id) {
+        continue;
+      }
+      double iou = Iou(det.box, ground_truth[g].box);
+      if (iou >= best_iou) {
+        best_iou = iou;
+        best = g;
+      }
+    }
+    bool true_positive = best < ground_truth.size();
+    if (true_positive) {
+      claimed_[best] = true;
+    }
+    classes_[det.class_id].detections.push_back({det.score, true_positive});
   }
 }
 
 void ApEvaluator::Merge(const ApEvaluator& other) {
   assert(iou_threshold_ == other.iou_threshold_);
-  size_t offset = frame_count_;
   frame_count_ += other.frame_count_;
   for (const auto& [class_id, other_data] : other.classes_) {
     ClassData& data = classes_[class_id];
-    // Detection order per class stays (video order, then score-ranked later by
-    // a stable sort), so ties resolve exactly as in sequential accumulation.
-    for (const ScoredDetection& det : other_data.detections) {
-      data.detections.push_back({det.score, det.frame + offset, det.box});
-    }
-    for (const auto& [frame, boxes] : other_data.ground_truth) {
-      std::vector<Box>& merged = data.ground_truth[frame + offset];
-      merged.insert(merged.end(), boxes.begin(), boxes.end());
-    }
+    data.detections.insert(data.detections.end(), other_data.detections.begin(),
+                           other_data.detections.end());
     data.total_ground_truth += other_data.total_ground_truth;
   }
 }
@@ -46,41 +62,11 @@ double ApEvaluator::AveragePrecision(int class_id) const {
     return 0.0;
   }
   const ClassData& data = it->second;
-  std::vector<ScoredDetection> dets = data.detections;
+  std::vector<MatchedDetection> dets = data.detections;
   std::stable_sort(dets.begin(), dets.end(),
-                   [](const ScoredDetection& a, const ScoredDetection& b) {
+                   [](const MatchedDetection& a, const MatchedDetection& b) {
                      return a.score > b.score;
                    });
-  // Per frame, which ground-truth boxes are already claimed.
-  std::map<size_t, std::vector<bool>> claimed;
-  for (const auto& [frame, boxes] : data.ground_truth) {
-    claimed[frame].assign(boxes.size(), false);
-  }
-  std::vector<bool> is_tp(dets.size(), false);
-  for (size_t i = 0; i < dets.size(); ++i) {
-    auto gt_it = data.ground_truth.find(dets[i].frame);
-    if (gt_it == data.ground_truth.end()) {
-      continue;
-    }
-    const std::vector<Box>& gts = gt_it->second;
-    std::vector<bool>& used = claimed[dets[i].frame];
-    double best_iou = iou_threshold_;
-    int best_idx = -1;
-    for (size_t g = 0; g < gts.size(); ++g) {
-      if (used[g]) {
-        continue;
-      }
-      double iou = Iou(dets[i].box, gts[g]);
-      if (iou >= best_iou) {
-        best_iou = iou;
-        best_idx = static_cast<int>(g);
-      }
-    }
-    if (best_idx >= 0) {
-      used[static_cast<size_t>(best_idx)] = true;
-      is_tp[i] = true;
-    }
-  }
   // Precision-recall curve with the interpolated (monotone envelope) AP.
   double total_gt = static_cast<double>(data.total_ground_truth);
   std::vector<double> precision;
@@ -89,8 +75,8 @@ double ApEvaluator::AveragePrecision(int class_id) const {
   recall.reserve(dets.size());
   double tp = 0.0;
   double fp = 0.0;
-  for (size_t i = 0; i < dets.size(); ++i) {
-    if (is_tp[i]) {
+  for (const MatchedDetection& det : dets) {
+    if (det.true_positive) {
       tp += 1.0;
     } else {
       fp += 1.0;
@@ -113,16 +99,12 @@ double ApEvaluator::AveragePrecision(int class_id) const {
 }
 
 double ApEvaluator::MeanAveragePrecision() const {
+  std::vector<int> classes = GroundTruthClasses();
   double sum = 0.0;
-  size_t n = 0;
-  for (const auto& [class_id, data] : classes_) {
-    if (data.total_ground_truth == 0) {
-      continue;
-    }
+  for (int class_id : classes) {
     sum += AveragePrecision(class_id);
-    ++n;
   }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  return classes.empty() ? 0.0 : sum / static_cast<double>(classes.size());
 }
 
 std::vector<int> ApEvaluator::GroundTruthClasses() const {
@@ -138,7 +120,10 @@ std::vector<int> ApEvaluator::GroundTruthClasses() const {
 double MeanAveragePrecision(const std::vector<GroundTruthList>& ground_truth,
                             const std::vector<DetectionList>& detections,
                             double iou_threshold) {
-  assert(ground_truth.size() == detections.size());
+  if (ground_truth.size() != detections.size()) {
+    throw std::invalid_argument(
+        "MeanAveragePrecision: ground truth and detections differ in frame count");
+  }
   ApEvaluator eval(iou_threshold);
   for (size_t i = 0; i < ground_truth.size(); ++i) {
     eval.AddFrame(ground_truth[i], detections[i]);

@@ -4,7 +4,10 @@
 // class are ranked globally by confidence, greedily matched per frame against the
 // not-yet-claimed ground truth with IoU >= threshold, and AP is the area under the
 // interpolated precision-recall curve. mAP averages AP over classes that appear in
-// the ground truth.
+// the ground truth. A detection only competes within its own frame and class, so
+// AddFrame matches each frame on arrival, in the frame's stable score order, and
+// keeps one (score, true positive) record per detection: exactly the global
+// result (DESIGN.md, "Frame-local AP matching").
 #ifndef SRC_VISION_METRICS_H_
 #define SRC_VISION_METRICS_H_
 
@@ -20,8 +23,8 @@ class ApEvaluator {
  public:
   explicit ApEvaluator(double iou_threshold = 0.5);
 
-  // Adds one evaluated frame. Detections and ground truth must describe the same
-  // frame; frames are independent for matching purposes.
+  // Adds and matches one evaluated frame. Detections and ground truth must
+  // describe the same frame; frames are independent for matching purposes.
   void AddFrame(const GroundTruthList& ground_truth, const DetectionList& detections);
 
   // Appends another evaluator's frames after this one's, as if other's AddFrame
@@ -43,24 +46,25 @@ class ApEvaluator {
   size_t frame_count() const { return frame_count_; }
 
  private:
-  struct ScoredDetection {
+  struct MatchedDetection {
     double score = 0.0;
-    size_t frame = 0;
-    Box box;
+    bool true_positive = false;
   };
   struct ClassData {
-    std::vector<ScoredDetection> detections;
-    // Ground-truth boxes per frame index.
-    std::map<size_t, std::vector<Box>> ground_truth;
+    // Frame order, then each frame's stable score order.
+    std::vector<MatchedDetection> detections;
     size_t total_ground_truth = 0;
   };
 
   double iou_threshold_;
   size_t frame_count_ = 0;
   std::map<int, ClassData> classes_;
+  // AddFrame scratch, reused across frames.
+  std::vector<size_t> order_;
+  std::vector<bool> claimed_;
 };
 
-// Convenience single-shot evaluation of parallel frame sequences.
+// Single-shot mAP of equal-length frame sequences (else std::invalid_argument).
 double MeanAveragePrecision(const std::vector<GroundTruthList>& ground_truth,
                             const std::vector<DetectionList>& detections,
                             double iou_threshold = 0.5);

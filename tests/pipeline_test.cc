@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 
 #include "src/pipeline/litereconfig_protocol.h"
 #include "src/util/stats.h"
@@ -125,6 +128,60 @@ TEST(SerializeTest, RejectsMissingAndGarbageFiles) {
   }
   EXPECT_FALSE(LoadTrainedModels(path, 1, BranchSpace::Default()).has_value());
   std::remove(path.c_str());
+}
+
+// Saves the tiny bundle, overwrites 8 bytes at `offset` from the first accuracy
+// predictor's layer widths (kind and width count precede them), and loads it.
+template <typename T>
+std::optional<TrainedModels> LoadPatchedBundle(const std::string& name, size_t offset,
+                                               T value) {
+  const TrainedModels& models = TinyModels();
+  std::string path = std::filesystem::temp_directory_path() / name;
+  uint64_t fingerprint = TrainConfig::Tiny().Fingerprint();
+  EXPECT_TRUE(SaveTrainedModels(models, fingerprint, path));
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+  }
+  const auto& [kind, predictor] = *models.accuracy.begin();
+  const std::vector<size_t>& dims = predictor.mlp().config().layer_dims;
+  std::vector<uint64_t> header = {static_cast<uint64_t>(kind), dims.size()};
+  header.insert(header.end(), dims.begin(), dims.end());
+  size_t at = bytes.find(std::string(reinterpret_cast<const char*>(header.data()),
+                                     header.size() * sizeof(uint64_t)));
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "layer widths not found in the saved bundle";
+    return std::nullopt;
+  }
+  static_assert(sizeof(T) == sizeof(uint64_t));
+  std::memcpy(&bytes[at + 2 * sizeof(uint64_t) + offset], &value, sizeof(value));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  std::optional<TrainedModels> loaded;
+  EXPECT_NO_THROW(loaded = LoadTrainedModels(path, fingerprint, BranchSpace::Default()));
+  std::remove(path.c_str());
+  return loaded;
+}
+
+TEST(SerializeTest, RejectsHugeLayerWidthBeforeAllocating) {
+  // The first hidden width: 2^34 would make the net's constructor allocate
+  // terabytes and throw std::bad_alloc.
+  EXPECT_FALSE(LoadPatchedBundle("lrc_serialize_width.bin", sizeof(uint64_t),
+                                 uint64_t{1} << 34)
+                   .has_value());
+}
+
+TEST(SerializeTest, RejectsNonFiniteWeight) {
+  // Past the widths and the first weight array's length: its first weight.
+  size_t first_weight =
+      (TinyModels().accuracy.begin()->second.mlp().config().layer_dims.size() + 1) *
+      sizeof(uint64_t);
+  EXPECT_FALSE(LoadPatchedBundle("lrc_serialize_nan.bin", first_weight,
+                                 std::numeric_limits<double>::quiet_NaN())
+                   .has_value());
 }
 
 class ProtocolFixture : public ::testing::Test {

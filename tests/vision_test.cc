@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <utility>
+
 #include "src/util/rng.h"
 #include "src/vision/box.h"
 #include "src/vision/metrics.h"
+#include "tests/ap_reference.h"
 
 namespace litereconfig {
 namespace {
@@ -190,6 +194,97 @@ TEST(MeanAveragePrecisionTest, ConvenienceMatchesEvaluator) {
   std::vector<GroundTruthList> gts = {OneGt(0, 0, 10, 10, 2)};
   std::vector<DetectionList> dets = {{Det(0, 0, 10, 10, 2, 0.8)}};
   EXPECT_DOUBLE_EQ(MeanAveragePrecision(gts, dets), 1.0);
+}
+
+TEST(MeanAveragePrecisionTest, MismatchedFrameCountsThrow) {
+  std::vector<GroundTruthList> gts = {OneGt(0, 0, 10, 10, 2), OneGt(0, 0, 10, 10, 2)};
+  std::vector<DetectionList> dets = {{Det(0, 0, 10, 10, 2, 0.8)}};
+  EXPECT_THROW(MeanAveragePrecision(gts, dets), std::invalid_argument);
+  EXPECT_THROW(MeanAveragePrecision({}, dets), std::invalid_argument);
+}
+
+// Class 9 only ever appears in detections.
+constexpr int kDetectionOnlyClass = 9;
+
+// A random frame for the equivalence test below, drawn from its own seeded
+// stream. Integer coordinates keep every IoU exact: a shift by a third of the
+// width lands on IoU 0.5 exactly, half the width on 1/3. Scores come from a
+// four-value grid, so ties within and across frames are common.
+std::pair<GroundTruthList, DetectionList> RandomFrame(uint64_t seed) {
+  Pcg32 rng(seed);
+  GroundTruthList truth;
+  DetectionList dets;
+  uint32_t shape = rng.UniformInt(8);  // 0: empty, 1: truth only, 2: detections only
+  if (shape == 0) {
+    return {truth, dets};
+  }
+  auto score = [&] { return (1 + rng.UniformInt(4)) / 4.0; };
+  if (shape != 2) {
+    for (uint32_t n = 1 + rng.UniformInt(4); n > 0; --n) {
+      GroundTruthBox gt;
+      gt.box = Box{10.0 * rng.UniformInt(20), 10.0 * rng.UniformInt(20),
+                   30.0 * (1 + rng.UniformInt(3)), 10.0 * (2 + rng.UniformInt(3))};
+      gt.class_id = static_cast<int>(rng.UniformInt(3));
+      truth.push_back(gt);
+    }
+  }
+  if (shape != 1) {
+    for (const GroundTruthBox& gt : truth) {
+      // Zero to two detections of this object; two are duplicates.
+      for (uint32_t n = rng.UniformInt(3); n > 0; --n) {
+        Box box = gt.box;
+        switch (rng.UniformInt(4)) {
+          case 0: break;                                         // IoU 1
+          case 1: box.x += gt.box.w / 3.0; break;                // IoU exactly 0.5
+          case 2: box.x += gt.box.w / 2.0; break;                // IoU 1/3
+          default: box.y += 1.0 + rng.UniformInt(3); break;      // IoU in (0.5, 1)
+        }
+        int cls = rng.UniformInt(5) == 0 ? static_cast<int>(rng.UniformInt(3))
+                                         : gt.class_id;
+        dets.push_back(Det(box.x, box.y, box.w, box.h, cls, score()));
+      }
+    }
+    for (uint32_t n = rng.UniformInt(3); n > 0; --n) {
+      Box box{10.0 * rng.UniformInt(20), 10.0 * rng.UniformInt(20), 30, 20};
+      int cls = rng.UniformInt(4) == 0 ? kDetectionOnlyClass
+                                       : static_cast<int>(rng.UniformInt(3));
+      dets.push_back(Det(box.x, box.y, box.w, box.h, cls, score()));
+    }
+    for (size_t i = dets.size(); i > 1; --i) {
+      std::swap(dets[i - 1], dets[rng.UniformInt(static_cast<uint32_t>(i))]);
+    }
+  }
+  return {truth, dets};
+}
+
+// Frame-local matching must reproduce the global-matching reference bit for
+// bit, including after per-video evaluators are merged in order.
+TEST(ApEvaluatorTest, RandomizedMatchesGlobalReference) {
+  Pcg32 rng(20221);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    ReferenceApEvaluator reference;
+    ApEvaluator merged;
+    ApEvaluator video;
+    for (uint32_t frames = rng.UniformInt(30); frames > 0; --frames) {
+      if (rng.UniformInt(6) == 0) {
+        merged.Merge(video);
+        video = ApEvaluator();
+      }
+      auto [truth, dets] = RandomFrame(rng.NextU32());
+      reference.AddFrame(truth, dets);
+      video.AddFrame(truth, dets);
+    }
+    merged.Merge(video);
+
+    EXPECT_EQ(merged.frame_count(), reference.frame_count());
+    EXPECT_EQ(merged.GroundTruthClasses(), reference.GroundTruthClasses());
+    for (int class_id = 0; class_id <= kDetectionOnlyClass; ++class_id) {
+      EXPECT_EQ(merged.AveragePrecision(class_id), reference.AveragePrecision(class_id))
+          << "class " << class_id;
+    }
+    EXPECT_EQ(merged.MeanAveragePrecision(), reference.MeanAveragePrecision());
+  }
 }
 
 // Property sweep: mAP is monotone non-increasing in added localization error.

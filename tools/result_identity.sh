@@ -1,0 +1,101 @@
+#!/usr/bin/env bash
+# Result identity against a base revision.
+#
+# Builds the base revision and the working tree (both Release, targets
+# litereconfig_run and serve_run), trains each side's model cache cold in its
+# own directory, runs a fixed matrix of offline and serving configurations at
+# --threads=4 on both sides, and byte-compares every output: JSON, decision
+# trace, stdout, and the trained model caches. A change that must not alter
+# results (a refactor or an optimisation) passes only when every file is
+# identical.
+#
+# Usage: tools/result_identity.sh [BASE] [WORK_DIR]
+#   BASE      a git revision, checked out into a temporary git worktree, or a
+#             directory holding a source checkout to use as is
+#             (default: HEAD~1)
+#   WORK_DIR  builds, model caches and outputs (default: build-identity/ in
+#             the repository; builds are reused between runs)
+# JOBS sets the build parallelism (default: nproc). Exits 0 when identical.
+set -euo pipefail
+
+base=${1:-HEAD~1}
+repo=$(git rev-parse --show-toplevel)
+work=$(realpath -m "${2:-$repo/build-identity}")
+jobs=${JOBS:-$(nproc)}
+mkdir -p "$work"
+
+if [[ -d $base ]]; then
+  base_src=$(realpath "$base")
+else
+  base_src=$work/base-src
+  git -C "$repo" worktree remove --force "$base_src" 2>/dev/null || true
+  git -C "$repo" worktree add --detach "$base_src" "$base"
+  trap 'git -C "$repo" worktree remove --force "$base_src"' EXIT
+fi
+
+build() {  # build <source dir> <build dir>; the log goes to <build dir>.log
+  echo "== building $1"
+  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
+         cmake --build "$2" --target litereconfig_run serve_run -j "$jobs"; } \
+       >"$2.log" 2>&1; then
+    tail -n 40 "$2.log"
+    exit 1
+  fi
+}
+build "$base_src" "$work/base-build"
+build "$repo" "$work/head-build"
+
+# name|tool|flags. --json, --trace and --threads=4 are added below; approxdet
+# writes no decision trace.
+cases=(
+  "lrc_none|litereconfig_run|--protocol=litereconfig --faults=none"
+  "lrc_moderate_predictive|litereconfig_run|--protocol=litereconfig --faults=moderate --predictive=1"
+  "mincost_severe|litereconfig_run|--protocol=mincost --faults=severe"
+  "lrc_denied_moderate_cpu|litereconfig_run|--protocol=litereconfig --faults=denied_moderate --cpu_family=1"
+  "approxdet_moderate|litereconfig_run|--protocol=approxdet --faults=moderate"
+  "serve_64|serve_run|--streams=64"
+  "serve_severe|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe --fault_seed=7"
+  "serve_denied_cpu|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=denied_severe --fault_seed=17 --cpu_family=1"
+)
+
+run_side() {  # run_side <base|head>
+  local side=$1
+  local out=$work/$side-out
+  local cache=$work/$side-cache
+  rm -rf "$out" "$cache"
+  mkdir -p "$out" "$cache"
+  for entry in "${cases[@]}"; do
+    IFS='|' read -r name tool flags <<<"$entry"
+    local trace="--trace=$name.trace.jsonl"
+    [[ $flags == *approxdet* ]] && trace=""
+    echo "== $side: $name"
+    # Relative output paths keep the paths the tools print identical.
+    # shellcheck disable=SC2086
+    (cd "$out" && LITERECONFIG_CACHE_DIR=$cache "$work/$side-build/tools/$tool" \
+       --threads=4 $flags --json="$name.json" $trace >"$name.stdout")
+  done
+  cp "$cache"/*.bin "$out"/
+}
+run_side base
+run_side head
+
+status=0
+base_files=$(cd "$work/base-out" && ls)
+head_files=$(cd "$work/head-out" && ls)
+if [[ $base_files != "$head_files" ]]; then
+  echo "DIFFERENT file sets:"
+  diff <(echo "$base_files") <(echo "$head_files") || true
+  status=1
+fi
+for f in $base_files; do
+  if cmp -s "$work/base-out/$f" "$work/head-out/$f"; then
+    echo "identical  $f"
+  else
+    echo "DIFFERENT  $f"
+    status=1
+  fi
+done
+if [[ $status -eq 0 ]]; then
+  echo "result identity: every output is byte-identical to $base"
+fi
+exit $status
