@@ -14,7 +14,7 @@ namespace litereconfig {
 namespace {
 
 std::string ConfigLabel(const DetectorConfig& config) {
-  return "(" + std::to_string(config.shape) + "," + std::to_string(config.nprop) + ")";
+  return StrFormat("(%d,%d)", config.shape, config.nprop);
 }
 
 Branch BranchFor(const DetectorConfig& config) {

@@ -1,10 +1,11 @@
 // The perf-regression harness (CI perf-smoke job).
 //
 // Times the scheduler hot path (Decide and SelectFeatures, fast vs. the
-// retained reference implementation) and the end-to-end OnlineRunner::Run
-// (fast vs. reference scheduler, and intra-video pipelining on vs. off), then
-// writes the machine-readable BENCH_perf.json into the working directory (the
-// repo root in CI).
+// retained reference implementation), the accuracy-MLP forward (Mlp::Predict
+// vs. the single-chain oracle in tests/mlp_reference.h) and the end-to-end
+// OnlineRunner::Run (fast vs. reference scheduler, and intra-video pipelining
+// on vs. off), then writes the machine-readable BENCH_perf.json into the
+// working directory (the repo root in CI).
 //
 // Exit status doubles as the in-binary acceptance gate: the fast Decide path
 // must be at least 2x the reference in kFull mode, and the pipelined+batched
@@ -21,6 +22,7 @@
 //
 // Usage: bench_perf [--threads=N] [--out=PATH] [--profile]
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -36,6 +38,7 @@
 #include "src/sched/scheduler_session.h"
 #include "src/util/rng.h"
 #include "src/video/dataset.h"
+#include "tests/mlp_reference.h"
 
 namespace litereconfig {
 namespace {
@@ -150,6 +153,24 @@ double TimeDecideStreaks(const LiteReconfigScheduler& sched,
   return total_us / static_cast<double>(iters);
 }
 
+// Mean microseconds per forward over `iters` calls round-robining the inputs:
+// Mlp::Predict when `blocked`, the single-chain oracle otherwise.
+double TimeMlpForward(const Mlp& mlp, const std::vector<std::vector<double>>& inputs,
+                      int iters, bool blocked) {
+  double sink = 0.0;
+  WallTimer timer;
+  for (int i = 0; i < iters; ++i) {
+    const std::vector<double>& input = inputs[static_cast<size_t>(i) % inputs.size()];
+    sink += blocked ? mlp.Predict(input).back()
+                    : ReferenceMlpPredict(mlp, input).back();
+  }
+  double total_us = timer.ElapsedMicros();
+  if (std::isnan(sink)) {
+    std::cout << "";
+  }
+  return total_us / static_cast<double>(iters);
+}
+
 // One end-to-end OnlineRunner::Run variant: scheduler config + pipeline flag.
 struct RunVariant {
   SchedulerConfig sched;
@@ -241,6 +262,31 @@ int Run(int argc, char** argv) {
         return full.SelectFeaturesReference(light, light_pred, ctx);
       });
 
+  // The accuracy-MLP forward at the production heavy-model shape ({100, 96,
+  // 96, 96, 204}: TrainConfig's hidden width over the default branch space),
+  // best of interleaved reps.
+  Mlp heavy_mlp(AccuracyPredictor::DefaultMlpConfig(
+      FeatureKind::kResNet50, BranchSpace::Default().size(),
+      TrainConfig().hidden_width, /*epochs=*/1));
+  std::vector<std::vector<double>> mlp_inputs;
+  Pcg32 mlp_rng(HashKeys({0xf0dull, 0x8b10ull}));
+  for (int i = 0; i < 16; ++i) {
+    std::vector<double>& input = mlp_inputs.emplace_back(
+        heavy_mlp.config().layer_dims.front());
+    for (double& v : input) {
+      v = mlp_rng.Uniform(-1.0, 1.0);
+    }
+  }
+  constexpr int kMlpIters = 2000;
+  double mlp_fast_us = 0.0;
+  double mlp_ref_us = 0.0;
+  for (int r = 0; r < 5; ++r) {
+    double fast = TimeMlpForward(heavy_mlp, mlp_inputs, kMlpIters, /*blocked=*/true);
+    double ref = TimeMlpForward(heavy_mlp, mlp_inputs, kMlpIters, /*blocked=*/false);
+    mlp_fast_us = r == 0 ? fast : std::min(mlp_fast_us, fast);
+    mlp_ref_us = r == 0 ? ref : std::min(mlp_ref_us, ref);
+  }
+
   // The batched scheduler: persistent-session Decide vs the identical fresh
   // call pattern (repeated-context streaks; see TimeDecideStreaks).
   SchedulerSession reuse_session;
@@ -306,6 +352,9 @@ int Run(int argc, char** argv) {
                 FmtDouble(select_fast_us > 0.0 ? select_ref_us / select_fast_us
                                                : 0.0,
                           2)});
+  table.AddRow({"Mlp forward (heavy shape), us", FmtDouble(mlp_fast_us, 2),
+                FmtDouble(mlp_ref_us, 2),
+                FmtDouble(mlp_fast_us > 0.0 ? mlp_ref_us / mlp_fast_us : 0.0, 2)});
   table.AddRow({"Run e2e (sched fast/ref), ms", FmtDouble(run_fast_ms, 1),
                 FmtDouble(run_reference_ms, 1),
                 FmtDouble(run_fast_ms > 0.0 ? run_reference_ms / run_fast_ms
@@ -362,6 +411,7 @@ int Run(int argc, char** argv) {
        << ",\n";
   json << JsonSection("select_features", select_fast_us, select_ref_us, "us")
        << ",\n";
+  json << JsonSection("mlp_forward", mlp_fast_us, mlp_ref_us, "us") << ",\n";
   json << JsonSection("e2e_run", run_fast_ms, run_reference_ms, "ms") << ",\n";
   json << "  \"e2e_pipeline\": {\"on_ms\": " << run_fast_ms
        << ", \"off_ms\": " << run_serial_ms

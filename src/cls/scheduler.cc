@@ -76,7 +76,7 @@ ClsTrainedModels ClsTrainer::Train(const ClsTrainConfig& config, DeviceType devi
   for (FeatureKind kind : {FeatureKind::kLight, FeatureKind::kHoc}) {
     MlpConfig mlp_config = AccuracyPredictor::DefaultMlpConfig(
         kind, space.size(), config.hidden_width, config.epochs);
-    AccuracyPredictor predictor(kind, mlp_config);
+    AccuracyPredictor predictor(kind, Mlp(mlp_config));
     Matrix x(rows.size(), mlp_config.layer_dims.front());
     Matrix y(rows.size(), space.size());
     std::vector<double> light = {720.0 / 720.0, 1280.0 / 1280.0, 0.0, 0.0};

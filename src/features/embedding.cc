@@ -94,7 +94,7 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
   std::vector<double> hidden(kHiddenDim, 0.0);
   for (int h = 0; h < kHiddenDim; ++h) {
     double sum = 0.0;
-    const double* row = &weights.w1[static_cast<size_t>(h * kFrameLatentDim)];
+    const double* row = &weights.w1[static_cast<size_t>(h) * kFrameLatentDim];
     for (int i = 0; i < kFrameLatentDim; ++i) {
       sum += row[i] * latent[static_cast<size_t>(i)];
     }
@@ -108,10 +108,10 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
   std::vector<double> out(static_cast<size_t>(out_dim), 0.0);
   int o = 0;
   for (; o + 4 <= out_dim; o += 4) {
-    const double* r0 = &weights.w2[static_cast<size_t>((o + 0) * kHiddenDim)];
-    const double* r1 = &weights.w2[static_cast<size_t>((o + 1) * kHiddenDim)];
-    const double* r2 = &weights.w2[static_cast<size_t>((o + 2) * kHiddenDim)];
-    const double* r3 = &weights.w2[static_cast<size_t>((o + 3) * kHiddenDim)];
+    const double* r0 = &weights.w2[static_cast<size_t>(o + 0) * kHiddenDim];
+    const double* r1 = &weights.w2[static_cast<size_t>(o + 1) * kHiddenDim];
+    const double* r2 = &weights.w2[static_cast<size_t>(o + 2) * kHiddenDim];
+    const double* r3 = &weights.w2[static_cast<size_t>(o + 3) * kHiddenDim];
     double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
     for (int h = 0; h < kHiddenDim; ++h) {
       double hv = hidden[static_cast<size_t>(h)];
@@ -127,7 +127,7 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
   }
   for (; o < out_dim; ++o) {
     double sum = 0.0;
-    const double* row = &weights.w2[static_cast<size_t>(o * kHiddenDim)];
+    const double* row = &weights.w2[static_cast<size_t>(o) * kHiddenDim];
     for (int h = 0; h < kHiddenDim; ++h) {
       sum += row[h] * hidden[static_cast<size_t>(h)];
     }

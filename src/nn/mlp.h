@@ -1,6 +1,10 @@
 // Fully-connected network with ReLU hidden activations, trained with minibatch
 // SGD + momentum, MSE loss, and L2 regularization — exactly the recipe the paper
-// uses for its content-aware accuracy prediction model (Section 4).
+// uses for its content-aware accuracy prediction model (Section 4). The forward
+// pass (Predict, and Train's) computes eight output rows per pass over a
+// layer's input, each in its own accumulator and in the one-row-at-a-time
+// order, so every output is bit-identical to a single running sum per row
+// (DESIGN.md, "Blocked MLP forward").
 #ifndef SRC_NN_MLP_H_
 #define SRC_NN_MLP_H_
 
@@ -27,7 +31,13 @@ struct MlpConfig {
 
 class Mlp {
  public:
+  // A Xavier-initialised network, ready to Train.
   explicit Mlp(const MlpConfig& config);
+  // A network with the given parameters, e.g. read from the model cache. Throws
+  // std::invalid_argument unless every weights[l] is layer_dims[l+1] x
+  // layer_dims[l] and every biases[l] has layer_dims[l+1] entries.
+  Mlp(const MlpConfig& config, std::vector<Matrix> weights,
+      std::vector<std::vector<double>> biases);
 
   // X: n x input_dim, Y: n x output_dim. Returns the final epoch's mean MSE.
   double Train(const Matrix& x, const Matrix& y);
@@ -40,11 +50,9 @@ class Mlp {
 
   const MlpConfig& config() const { return config_; }
 
-  // Parameter access for serialization; SetParameters validates shapes.
+  // Parameter access for serialization.
   const std::vector<Matrix>& weights() const { return weights_; }
   const std::vector<std::vector<double>>& biases() const { return biases_; }
-  void SetParameters(std::vector<Matrix> weights,
-                     std::vector<std::vector<double>> biases);
 
  private:
   void Forward(const double* input, std::vector<std::vector<double>>& activations) const;
@@ -53,8 +61,6 @@ class Mlp {
   // weights_[l] has shape (dims[l+1] x dims[l]); biases_[l] has dims[l+1].
   std::vector<Matrix> weights_;
   std::vector<std::vector<double>> biases_;
-  std::vector<Matrix> weight_velocity_;
-  std::vector<std::vector<double>> bias_velocity_;
 };
 
 }  // namespace litereconfig

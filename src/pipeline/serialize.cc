@@ -165,7 +165,7 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
       }
       config.layer_dims.push_back(dim);
     }
-    // Check the whole shape before building the predictor: its Mlp allocates it.
+    // The net must map this kind's input to one output per branch.
     if (config.layer_dims.front() != AccuracyPredictor::InputDim(kind) ||
         config.layer_dims.back() != space.size()) {
       return std::nullopt;
@@ -186,9 +186,8 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
       weights.push_back(std::move(w));
       biases.push_back(std::move(bdata));
     }
-    AccuracyPredictor predictor(kind, config);
-    predictor.mutable_mlp().SetParameters(std::move(weights), std::move(biases));
-    models.accuracy.emplace(kind, std::move(predictor));
+    models.accuracy.emplace(kind, AccuracyPredictor(kind, Mlp(config, std::move(weights),
+                                                              std::move(biases))));
   }
 
   if (!ReadDoubles(is, models.mean_branch_accuracy) ||

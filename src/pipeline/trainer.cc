@@ -154,7 +154,7 @@ TrainedModels OfflineTrainer::Train(const TrainConfig& config,
             FeatureKind kind = static_cast<FeatureKind>(k);
             MlpConfig mlp_config = AccuracyPredictor::DefaultMlpConfig(
                 kind, space.size(), config.hidden_width, config.epochs);
-            AccuracyPredictor predictor(kind, mlp_config);
+            AccuracyPredictor predictor(kind, Mlp(mlp_config));
             Matrix x(fit_n, mlp_config.layer_dims.front());
             Matrix y(fit_n, space.size());
             for (size_t i = 0; i < fit_n; ++i) {

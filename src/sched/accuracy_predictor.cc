@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/features/light.h"
 #include "src/util/rng.h"
@@ -30,9 +31,9 @@ MlpConfig AccuracyPredictor::DefaultMlpConfig(FeatureKind kind, size_t num_branc
   return config;
 }
 
-AccuracyPredictor::AccuracyPredictor(FeatureKind kind, const MlpConfig& config)
-    : kind_(kind), mlp_(config) {
-  assert(config.layer_dims.front() == InputDim(kind));
+AccuracyPredictor::AccuracyPredictor(FeatureKind kind, Mlp mlp)
+    : kind_(kind), mlp_(std::move(mlp)) {
+  assert(mlp_.config().layer_dims.front() == InputDim(kind));
 }
 
 double AccuracyPredictor::Train(const Matrix& x, const Matrix& y) {

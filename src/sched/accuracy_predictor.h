@@ -29,7 +29,9 @@ class AccuracyPredictor {
   static MlpConfig DefaultMlpConfig(FeatureKind kind, size_t num_branches,
                                     size_t hidden_width, size_t epochs);
 
-  AccuracyPredictor(FeatureKind kind, const MlpConfig& config);
+  // Wraps a net for this kind: untrained (Mlp(config)) or restored from
+  // stored parameters.
+  AccuracyPredictor(FeatureKind kind, Mlp mlp);
 
   // Training rows: x = [light | hashed(content)] built with BuildInput;
   // y = per-branch snippet mAP labels. Returns the final training MSE.
@@ -45,7 +47,6 @@ class AccuracyPredictor {
 
   FeatureKind kind() const { return kind_; }
   const Mlp& mlp() const { return mlp_; }
-  Mlp& mutable_mlp() { return mlp_; }
 
  private:
   FeatureKind kind_;

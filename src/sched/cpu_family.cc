@@ -37,7 +37,6 @@ AccuracyPredictor ExtendPredictor(const AccuracyPredictor& base,
   assert(!config.layer_dims.empty() &&
          config.layer_dims.back() == base_space.size());
   config.layer_dims.back() = extended.size();
-  AccuracyPredictor predictor(base.kind(), config);
 
   std::vector<Matrix> weights = base.mlp().weights();
   std::vector<std::vector<double>> biases = base.mlp().biases();
@@ -60,8 +59,8 @@ AccuracyPredictor ExtendPredictor(const AccuracyPredictor& base,
   }
   weights.back() = std::move(out);
   biases.back() = std::move(bias);
-  predictor.mutable_mlp().SetParameters(std::move(weights), std::move(biases));
-  return predictor;
+  return AccuracyPredictor(base.kind(),
+                           Mlp(config, std::move(weights), std::move(biases)));
 }
 
 }  // namespace

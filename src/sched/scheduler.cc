@@ -278,7 +278,7 @@ SchedulerDecision LiteReconfigScheduler::Decide(const DecisionContext& ctx,
   DecisionCostTable local_table;
   const DecisionCostTable* table_ptr;
   if (session != nullptr) {
-    table_ptr = &session->TableFor(*models_, config_, ctx);
+    table_ptr = &session->TableFor(*models_, config_);
   } else {
     local_table = DecisionCostTable::Build(*models_, config_, ctx, light);
     table_ptr = &local_table;

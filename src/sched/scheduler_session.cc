@@ -72,8 +72,7 @@ void SchedulerSession::StoreDecision(const SchedulerDecision& decision) {
 }
 
 const DecisionCostTable& SchedulerSession::TableFor(const TrainedModels& models,
-                                                    const SchedulerConfig& config,
-                                                    const DecisionContext& ctx) {
+                                                    const SchedulerConfig& config) {
   const Key& key = pending_key_;
   if (table_valid_ && key == table_key_) {
     ++counters_.table_reuses;

@@ -98,8 +98,7 @@ class SchedulerSession {
   // LookupDecision (which fills the pending key). The reference stays valid
   // until the next TableFor call.
   const DecisionCostTable& TableFor(const TrainedModels& models,
-                                    const SchedulerConfig& config,
-                                    const DecisionContext& ctx);
+                                    const SchedulerConfig& config);
 
   const BranchSpace* space_ = nullptr;
   int max_gof_ = 0;

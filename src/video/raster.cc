@@ -14,16 +14,10 @@ uint8_t ToByte(double v) {
   return static_cast<uint8_t>(std::clamp(v, 0.0, 1.0) * 255.0 + 0.5);
 }
 
-// Maps a finished pixel hash to noise in [-0.5, 0.5).
+// Maps a finished pixel hash to noise in [-0.5, 0.5). A pixel's noise is
+// NoiseFromHash(HashKeys({seed, x, y, salt})).
 double NoiseFromHash(uint64_t h) {
   return static_cast<double>(h >> 11) * (1.0 / 9007199254740992.0) - 0.5;
-}
-
-// Cheap deterministic per-pixel noise in [-0.5, 0.5).
-double PixelNoise(uint64_t seed, int x, int y, int salt) {
-  uint64_t h = HashKeys({seed, static_cast<uint64_t>(x), static_cast<uint64_t>(y),
-                         static_cast<uint64_t>(salt)});
-  return NoiseFromHash(h);
 }
 
 }  // namespace
@@ -42,7 +36,7 @@ Image RenderFrame(const SyntheticVideo& video, int t) {
   // per-pixel grain whose amplitude follows the scene's clutter level (busy
   // backgrounds are textured everywhere, not just at the speckles).
   double grain_amp = 0.03 + 0.12 * params.clutter;
-  // The grain is PixelNoise(frame_seed, x, y, c) for every pixel — the render
+  // The grain is the pixel noise of (frame_seed, x, y, c) — the render
   // hot loop. The hash mixes its keys sequentially, so the (seed, x) prefix is
   // shared by a whole column and the (seed, x, y) prefix by a pixel's three
   // channels: checkpointing those prefixes drops the per-pixel work from
@@ -115,7 +109,7 @@ Image RenderFrame(const SyntheticVideo& video, int t) {
         if (dx * dx + dy * dy > 1.0) {
           continue;
         }
-        // PixelNoise(frame_seed, x, y, object_id) via the grain loop's
+        // The pixel noise of (frame_seed, x, y, object_id) via the grain loop's
         // (seed, x) column checkpoints: two key mixes instead of four.
         HashState px_state = col_prefix[static_cast<size_t>(x)];
         px_state.Mix(static_cast<uint64_t>(y));

@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <stdexcept>
 
 #include "src/nn/matrix.h"
 #include "src/nn/mlp.h"
 #include "src/nn/ridge.h"
 #include "src/util/rng.h"
+#include "tests/mlp_reference.h"
 
 namespace litereconfig {
 namespace {
@@ -215,7 +220,7 @@ TEST(MlpTest, ForwardMacsCountsProducts) {
   EXPECT_EQ(mlp.ForwardMacs(), 4u * 8u + 8u * 2u);
 }
 
-TEST(MlpTest, SetParametersRoundTrip) {
+TEST(MlpTest, ParameterConstructorRoundTrip) {
   MlpConfig config = SmallConfig({2, 4, 1}, 20);
   Mlp original(config);
   Matrix x(16, 2);
@@ -227,9 +232,120 @@ TEST(MlpTest, SetParametersRoundTrip) {
     y(i, 0) = x(i, 0) + x(i, 1);
   }
   original.Train(x, y);
-  Mlp copy(config);
-  copy.SetParameters(original.weights(), original.biases());
+  Mlp copy(config, original.weights(), original.biases());
   EXPECT_EQ(copy.Predict({0.4, -0.1}), original.Predict({0.4, -0.1}));
+}
+
+TEST(MlpTest, ParameterConstructorRejectsWrongShapes) {
+  MlpConfig config = SmallConfig({3, 5, 2}, 1);
+  std::vector<Matrix> weights = {Matrix(5, 3), Matrix(2, 5)};
+  std::vector<std::vector<double>> biases = {std::vector<double>(5, 0.0),
+                                             std::vector<double>(2, 0.0)};
+  EXPECT_NO_THROW(Mlp(config, weights, biases));
+
+  std::vector<Matrix> transposed = weights;
+  transposed[0] = Matrix(3, 5);
+  EXPECT_THROW(Mlp(config, transposed, biases), std::invalid_argument);
+  std::vector<Matrix> missing_layer = {weights[0]};
+  EXPECT_THROW(Mlp(config, missing_layer, biases), std::invalid_argument);
+
+  std::vector<std::vector<double>> short_bias = biases;
+  short_bias[1].pop_back();
+  EXPECT_THROW(Mlp(config, weights, short_bias), std::invalid_argument);
+}
+
+// Draws a value that is exactly 0.0 or -0.0 one time in eight each and
+// otherwise uniform in [-1, 1). Always two draws, so the stream stays aligned.
+double SparseValue(Pcg32& rng) {
+  uint32_t pick = rng.UniformInt(8);
+  double uniform = rng.Uniform(-1, 1);
+  return pick == 0 ? 0.0 : pick == 1 ? -0.0 : uniform;
+}
+
+// The blocked forward against the single-chain oracle, bit for bit, on random
+// architectures whose widths fall below, at and above the 8-row block and
+// leave remainder rows: exact-zero weights and inputs, negative inputs, and
+// strongly negative biases that keep some ReLU units dead.
+TEST(MlpTest, RandomizedForwardMatchesSingleChainReference) {
+  constexpr size_t kWidths[] = {1, 7, 8, 9, 17, 96, 204};
+  Pcg32 rng(20231);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    MlpConfig config;
+    size_t depth = 2 + rng.UniformInt(4);
+    for (size_t d = 0; d < depth; ++d) {
+      config.layer_dims.push_back(kWidths[rng.UniformInt(std::size(kWidths))]);
+    }
+    std::vector<Matrix> weights;
+    std::vector<std::vector<double>> biases;
+    for (size_t l = 0; l + 1 < depth; ++l) {
+      Matrix w(config.layer_dims[l + 1], config.layer_dims[l]);
+      for (double& v : w.data()) {
+        v = SparseValue(rng);
+      }
+      std::vector<double> b(config.layer_dims[l + 1]);
+      for (double& v : b) {
+        bool dead = rng.UniformInt(5) == 0;
+        double value = SparseValue(rng);
+        v = dead ? -10.0 : value;
+      }
+      weights.push_back(std::move(w));
+      biases.push_back(std::move(b));
+    }
+    Mlp mlp(config, std::move(weights), std::move(biases));
+    for (int sample = 0; sample < 3; ++sample) {
+      std::vector<double> input(config.layer_dims.front());
+      for (double& v : input) {
+        v = 4.0 * SparseValue(rng);
+      }
+      std::vector<double> got = mlp.Predict(input);
+      std::vector<double> want = ReferenceMlpPredict(mlp, input);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t o = 0; o < got.size(); ++o) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[o]), std::bit_cast<uint64_t>(want[o]))
+            << "output " << o << ": " << got[o] << " vs " << want[o];
+      }
+    }
+  }
+}
+
+// Folds the bit pattern of every weight and bias, layer by layer, into one hash.
+uint64_t ParameterHash(const Mlp& mlp) {
+  HashState h;
+  for (size_t l = 0; l < mlp.weights().size(); ++l) {
+    for (double v : mlp.weights()[l].data()) {
+      h.Mix(std::bit_cast<uint64_t>(v));
+    }
+    for (double v : mlp.biases()[l]) {
+      h.Mix(std::bit_cast<uint64_t>(v));
+    }
+  }
+  return h.Get();
+}
+
+// Pins the training arithmetic (forward, backprop, momentum SGD, L2, the
+// output-bias warm start and early stopping) to its exact bits. Widths 11 and
+// 17 straddle the forward's 8-row blocks; the labels use only +, - and * so
+// no libm result enters the pinned values.
+TEST(MlpTest, TrainingIsBitPinned) {
+  Pcg32 rng(41);
+  Matrix x(96, 6);
+  Matrix y(96, 3);
+  for (size_t i = 0; i < 96; ++i) {
+    for (size_t j = 0; j < 6; ++j) {
+      x(i, j) = rng.Uniform(-1, 1);
+    }
+    for (size_t o = 0; o < 3; ++o) {
+      y(i, o) = x(i, o) * x(i, o + 3) - 0.5 * x(i, o) + 0.1 * static_cast<double>(o);
+    }
+  }
+  MlpConfig config = SmallConfig({6, 11, 17, 3}, 40);
+  config.l2 = 1e-3;
+  config.early_stop_rel_tol = 1e-6;
+  Mlp mlp(config);
+  double loss = mlp.Train(x, y);
+  EXPECT_EQ(std::bit_cast<uint64_t>(loss), 0x3f91654c906066f5ull);
+  EXPECT_EQ(ParameterHash(mlp), 0x96d8406864a61178ull);
 }
 
 TEST(MlpTest, L2ShrinksWeights) {

@@ -94,7 +94,7 @@ TEST(AccuracyPredictorTest, InputDims) {
 TEST(AccuracyPredictorTest, PredictionsClampedToUnitRange) {
   MlpConfig config =
       AccuracyPredictor::DefaultMlpConfig(FeatureKind::kLight, 10, 8, 2);
-  AccuracyPredictor predictor(FeatureKind::kLight, config);
+  AccuracyPredictor predictor(FeatureKind::kLight, Mlp(config));
   std::vector<double> pred = predictor.Predict(LightVector(3, 0.2), {});
   ASSERT_EQ(pred.size(), 10u);
   for (double v : pred) {
@@ -109,7 +109,7 @@ TEST(AccuracyPredictorTest, LearnsBranchAccuracyFromLabels) {
   MlpConfig config = AccuracyPredictor::DefaultMlpConfig(FeatureKind::kLight,
                                                          num_branches, 24, 200);
   config.early_stop_rel_tol = 0.0;
-  AccuracyPredictor predictor(FeatureKind::kLight, config);
+  AccuracyPredictor predictor(FeatureKind::kLight, Mlp(config));
   Pcg32 rng(55);
   size_t n = 300;
   Matrix x(n, 4);

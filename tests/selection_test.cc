@@ -16,7 +16,6 @@ AccuracyPredictor ConstantPredictor(FeatureKind kind,
                                     const std::vector<double>& per_branch) {
   MlpConfig config =
       AccuracyPredictor::DefaultMlpConfig(kind, per_branch.size(), 8, 1);
-  AccuracyPredictor predictor(kind, config);
   std::vector<Matrix> weights;
   std::vector<std::vector<double>> biases;
   for (size_t l = 0; l + 1 < config.layer_dims.size(); ++l) {
@@ -24,8 +23,7 @@ AccuracyPredictor ConstantPredictor(FeatureKind kind,
     biases.emplace_back(config.layer_dims[l + 1], 0.0);
   }
   biases.back() = per_branch;
-  predictor.mutable_mlp().SetParameters(std::move(weights), std::move(biases));
-  return predictor;
+  return AccuracyPredictor(kind, Mlp(config, std::move(weights), std::move(biases)));
 }
 
 class SelectionFixture : public ::testing::Test {

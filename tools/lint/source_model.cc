@@ -184,9 +184,7 @@ MaskedSource StripWithMask(const std::string& content) {
           // Raw string literal: R"delim( ... )delim".
           size_t open = content.find('(', i + 1);
           if (open != std::string::npos) {
-            raw_delim = ")";
-            raw_delim += content.substr(i + 1, open - i - 1);
-            raw_delim += '"';
+            raw_delim = ')' + content.substr(i + 1, open - i - 1) + '"';
             state = State::kRaw;
           }
           out.stripped[i] = ' ';
