@@ -20,7 +20,9 @@
 #ifndef SRC_DET_DETECTOR_H_
 #define SRC_DET_DETECTOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 #include "src/video/synthetic_video.h"
 #include "src/vision/box.h"
@@ -45,6 +47,34 @@ inline constexpr int kDetectorNprops[] = {1, 10, 100};
 // Shapes offered by the CPU-only family (larger inputs are not real-time on
 // a mobile CPU).
 inline constexpr int kCpuDetectorShapes[] = {224, 320};
+
+// Dense index of a configuration over the offered knob values: the GPU family
+// shape-major over kDetectorShapes x kDetectorNprops (0-11), then the CPU
+// family by kCpuDetectorShapes (12-13; its nprop is not a knob). -1 for any
+// other configuration. Keys the per-knob latency tables of src/platform,
+// whose CPU-family terms do not depend on nprop.
+inline constexpr int kNumDetectorKnobs = 14;
+constexpr int DetectorKnobIndex(const DetectorConfig& config) {
+  auto slot = [](const auto& values, int value) {
+    for (size_t i = 0; i < std::size(values); ++i) {
+      if (values[i] == value) {
+        return static_cast<int>(i);
+      }
+    }
+    return -1;
+  };
+  constexpr int kNprops = static_cast<int>(std::size(kDetectorNprops));
+  constexpr int kGpuKnobs = static_cast<int>(std::size(kDetectorShapes)) * kNprops;
+  static_assert(kGpuKnobs + static_cast<int>(std::size(kCpuDetectorShapes)) ==
+                kNumDetectorKnobs);
+  if (config.cpu) {
+    int shape = slot(kCpuDetectorShapes, config.shape);
+    return shape < 0 ? -1 : kGpuKnobs + shape;
+  }
+  int shape = slot(kDetectorShapes, config.shape);
+  int nprop = slot(kDetectorNprops, config.nprop);
+  return shape < 0 || nprop < 0 ? -1 : shape * kNprops + nprop;
+}
 
 // Family-specific response-surface coefficients. Defaults model Faster R-CNN
 // with a ResNet-50 backbone (the MBEK's detector).

@@ -3,8 +3,10 @@
 #ifndef SRC_NN_MATRIX_H_
 #define SRC_NN_MATRIX_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace litereconfig {
@@ -43,6 +45,19 @@ class Matrix {
 // A is n x n, b is n. Returns the solution; requires A to be SPD after ridging.
 std::vector<double> CholeskySolve(const Matrix& a, const std::vector<double>& b,
                                   double ridge);
+
+// Whether no value is NaN or infinite. Integer-only and branch-free, so the
+// compiler can vectorize it: a model load checks every stored parameter.
+inline bool AllFinite(std::span<const double> values) {
+  constexpr uint64_t kExponent = 0x7ff0000000000000ull;
+  uint64_t carry = 0;
+  for (double v : values) {
+    // Adding one to the exponent field carries into the sign bit only from
+    // an all-ones exponent, i.e. from a NaN or an infinity.
+    carry |= (std::bit_cast<uint64_t>(v) & kExponent) + (uint64_t{1} << 52);
+  }
+  return (carry >> 63) == 0;
+}
 
 }  // namespace litereconfig
 

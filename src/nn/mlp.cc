@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 
 #include "src/util/rng.h"
@@ -33,67 +34,129 @@ Mlp::Mlp(const MlpConfig& config, std::vector<Matrix> weights,
   if (!ok) {
     throw std::invalid_argument("Mlp: parameter shapes do not match layer_dims");
   }
+  for (size_t l = 0; l < weights_.size(); ++l) {
+    if (!AllFinite(weights_[l].data()) || !AllFinite(biases_[l])) {
+      throw std::invalid_argument("Mlp: non-finite weight or bias");
+    }
+  }
 }
+
+namespace {
+
+// Two doubles in one SSE2 register (the GCC/Clang vector extension). Each lane
+// of an operation is the scalar IEEE operation on that lane, so one Double2
+// accumulator holds two independent single-chain sums.
+typedef double Double2 __attribute__((vector_size(16)));
+
+bool IsNegativeZero(double v) { return v == 0.0 && std::signbit(v); }
+
+// Whether any of rows [o, o + rows) starts its chain at -0.0, the one start
+// on which dropping a zero term can change the sum (DESIGN.md, "Dead-unit
+// skipping").
+bool AnyNegativeZero(const double* bias, size_t o, size_t rows) {
+  return std::any_of(bias + o, bias + o + rows, IsNegativeZero);
+}
+
+double Activate(double sum, bool relu) { return relu ? std::max(0.0, sum) : sum; }
+
+// Rows [o, o + 2 * kPairs) of one layer, two rows per Double2: each row is its
+// bias, then += w[r][i] * a[i] over the listed input indices, in list order.
+template <size_t kPairs>
+void ForwardRowPairs(const Matrix& w, const double* bias, size_t o,
+                     const double* a, std::span<const size_t> terms, bool relu,
+                     double* z) {
+  const size_t in = w.cols();
+  const double* w0 = w.RowPtr(o);
+  Double2 s[kPairs];
+  for (size_t p = 0; p < kPairs; ++p) {
+    Double2 b = {bias[o + 2 * p], bias[o + 2 * p + 1]};
+    s[p] = b;
+  }
+  for (size_t i : terms) {
+    Double2 ai = {a[i], a[i]};
+    for (size_t p = 0; p < kPairs; ++p) {
+      const double* wi = w0 + 2 * p * in + i;
+      Double2 wp = {wi[0], wi[in]};
+      s[p] += wp * ai;
+    }
+  }
+  for (size_t p = 0; p < kPairs; ++p) {
+    z[o + 2 * p] = Activate(s[p][0], relu);
+    z[o + 2 * p + 1] = Activate(s[p][1], relu);
+  }
+}
+
+// One row on a scalar chain over the listed input indices.
+void ForwardRow(const Matrix& w, const double* bias, size_t o, const double* a,
+                std::span<const size_t> terms, bool relu, double* z) {
+  const double* wrow = w.RowPtr(o);
+  double sum = bias[o];
+  for (size_t i : terms) {
+    sum += wrow[i] * a[i];
+  }
+  z[o] = Activate(sum, relu);
+}
+
+}  // namespace
 
 void Mlp::Forward(const double* input,
                   std::vector<std::vector<double>>& activations) const {
+  const std::vector<size_t>& dims = config_.layer_dims;
   size_t num_layers = weights_.size();
   activations.resize(num_layers + 1);
-  activations[0].assign(input, input + config_.layer_dims[0]);
+  activations[0].assign(input, input + dims[0]);
+  size_t max_in = *std::max_element(dims.begin(), dims.end() - 1);
+  // live: the input indices whose term remains; every: all of them, in order.
+  std::vector<size_t> live(max_in);
+  std::vector<size_t> every;
   for (size_t l = 0; l < num_layers; ++l) {
-    size_t in = config_.layer_dims[l];
-    size_t out = config_.layer_dims[l + 1];
+    size_t in = dims[l];
+    size_t out = dims[l + 1];
+    const Matrix& w = weights_[l];
     const double* a = activations[l].data();
     const double* bias = biases_[l].data();
     std::vector<double>& z = activations[l + 1];
     z.resize(out);
     // ReLU on hidden layers, identity on the output layer.
     bool relu = l + 1 < num_layers;
-    // Eight rows per pass over the input, each in its own accumulator and in
-    // the single-chain order (bias, then w[o][i] * a[i] for i = 0, 1, ...):
-    // bit-identical to one row at a time, with the add latency overlapped.
+    // Skip the exactly-zero inputs (ReLU-dead units, zero features): with
+    // finite weights their terms are +-0.0, which leave every sum unchanged
+    // unless the sum is -0.0 — only possible on a row whose bias is -0.0, so
+    // such rows keep every term.
+    size_t num_live = 0;
+    for (size_t i = 0; i < in; ++i) {
+      live[num_live] = i;
+      num_live += a[i] != 0.0 ? 1 : 0;
+    }
+    auto terms_for = [&](size_t o, size_t rows) {
+      if (!AnyNegativeZero(bias, o, rows)) {
+        return std::span<const size_t>(live.data(), num_live);
+      }
+      if (every.size() < in) {
+        every.resize(in);
+        std::iota(every.begin(), every.end(), size_t{0});
+      }
+      return std::span<const size_t>(every.data(), in);
+    };
+    // Eight rows per pass over the terms, then pairs, then a last odd row.
     size_t o = 0;
     for (; o + 8 <= out; o += 8) {
-      const double* w0 = weights_[l].RowPtr(o);
-      const double* w1 = w0 + in;
-      const double* w2 = w1 + in;
-      const double* w3 = w2 + in;
-      const double* w4 = w3 + in;
-      const double* w5 = w4 + in;
-      const double* w6 = w5 + in;
-      const double* w7 = w6 + in;
-      double s0 = bias[o], s1 = bias[o + 1], s2 = bias[o + 2], s3 = bias[o + 3];
-      double s4 = bias[o + 4], s5 = bias[o + 5], s6 = bias[o + 6], s7 = bias[o + 7];
-      for (size_t i = 0; i < in; ++i) {
-        double ai = a[i];
-        s0 += w0[i] * ai;
-        s1 += w1[i] * ai;
-        s2 += w2[i] * ai;
-        s3 += w3[i] * ai;
-        s4 += w4[i] * ai;
-        s5 += w5[i] * ai;
-        s6 += w6[i] * ai;
-        s7 += w7[i] * ai;
-      }
-      double sums[8] = {s0, s1, s2, s3, s4, s5, s6, s7};
-      for (size_t r = 0; r < 8; ++r) {
-        z[o + r] = relu ? std::max(0.0, sums[r]) : sums[r];
-      }
+      ForwardRowPairs<4>(w, bias, o, a, terms_for(o, 8), relu, z.data());
     }
-    // Leftover rows: the single chain.
-    for (; o < out; ++o) {
-      const double* wrow = weights_[l].RowPtr(o);
-      double sum = bias[o];
-      for (size_t i = 0; i < in; ++i) {
-        sum += wrow[i] * a[i];
-      }
-      z[o] = relu ? std::max(0.0, sum) : sum;
+    for (; o + 2 <= out; o += 2) {
+      ForwardRowPairs<1>(w, bias, o, a, terms_for(o, 2), relu, z.data());
+    }
+    if (o < out) {
+      ForwardRow(w, bias, o, a, terms_for(o, 1), relu, z.data());
     }
   }
 }
 
 std::vector<double> Mlp::Predict(const std::vector<double>& input) const {
-  assert(input.size() == config_.layer_dims.front());
+  if (input.size() != config_.layer_dims.front()) {
+    throw std::invalid_argument(
+        "Mlp::Predict: input width does not match layer_dims");
+  }
   std::vector<std::vector<double>> activations;
   Forward(input.data(), activations);
   return activations.back();

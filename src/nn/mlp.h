@@ -2,9 +2,10 @@
 // SGD + momentum, MSE loss, and L2 regularization — exactly the recipe the paper
 // uses for its content-aware accuracy prediction model (Section 4). The forward
 // pass (Predict, and Train's) computes eight output rows per pass over a
-// layer's input, each in its own accumulator and in the one-row-at-a-time
-// order, so every output is bit-identical to a single running sum per row
-// (DESIGN.md, "Blocked MLP forward").
+// layer's input, two rows per SSE2 register, each in its own lane and in the
+// one-row-at-a-time order, and skips the exactly-zero inputs (ReLU-dead
+// units), so every output is bit-identical to a single running sum per row
+// (DESIGN.md, "Blocked MLP forward" and "Dead-unit skipping").
 #ifndef SRC_NN_MLP_H_
 #define SRC_NN_MLP_H_
 
@@ -35,13 +36,15 @@ class Mlp {
   explicit Mlp(const MlpConfig& config);
   // A network with the given parameters, e.g. read from the model cache. Throws
   // std::invalid_argument unless every weights[l] is layer_dims[l+1] x
-  // layer_dims[l] and every biases[l] has layer_dims[l+1] entries.
+  // layer_dims[l], every biases[l] has layer_dims[l+1] entries, and every
+  // parameter is finite (the forward's dead-unit skip relies on it).
   Mlp(const MlpConfig& config, std::vector<Matrix> weights,
       std::vector<std::vector<double>> biases);
 
   // X: n x input_dim, Y: n x output_dim. Returns the final epoch's mean MSE.
   double Train(const Matrix& x, const Matrix& y);
 
+  // Throws std::invalid_argument unless input has layer_dims.front() entries.
   std::vector<double> Predict(const std::vector<double>& input) const;
 
   // Approximate multiply-accumulate count of one forward pass (used by the

@@ -40,6 +40,8 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
   struct PerVideo {
     VideoRunStats stats;
     ApEvaluator eval;
+    // stats.frames.size(): the detection lists are freed once matched.
+    size_t frame_count = 0;
   };
   std::vector<PerVideo> per_video(videos.size());
   ThreadPool::Shared().ParallelFor(
@@ -55,6 +57,10 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
           pv.eval.AddFrame(videos[i].frame(static_cast<int>(t)).VisibleGroundTruth(),
                            pv.stats.frames[t]);
         }
+        // The merge reads only the count: free every detection list now
+        // rather than keep all videos' lists alive until it runs.
+        pv.frame_count = pv.stats.frames.size();
+        std::vector<DetectionList>().swap(pv.stats.frames);
       },
       env.threads);
 
@@ -82,7 +88,7 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
     }
     evaluator.Merge(per_video[v].eval);
     result.phases.Merge(stats.phases);
-    result.frames += stats.frames.size();
+    result.frames += per_video[v].frame_count;
     result.gof_frame_ms.insert(result.gof_frame_ms.end(), stats.gof_frame_ms.begin(),
                                stats.gof_frame_ms.end());
     branches.insert(stats.branches_used.begin(), stats.branches_used.end());

@@ -1,11 +1,13 @@
 #include "src/pipeline/serialize.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <vector>
+
+#include "src/nn/matrix.h"
 
 namespace litereconfig {
 
@@ -29,27 +31,42 @@ void WriteDoubles(std::ostream& os, const std::vector<double>& v) {
            static_cast<std::streamsize>(v.size() * sizeof(double)));
 }
 
-bool ReadU64(std::istream& is, uint64_t& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return is.good();
+// A model-cache file being read, with the bytes left in it: every stored
+// length is checked against them before anything is allocated for it.
+struct CacheInput {
+  std::istream& stream;
+  uint64_t bytes_left = 0;
+};
+
+bool ReadBytes(CacheInput& in, void* out, uint64_t n) {
+  if (n > in.bytes_left) {
+    return false;
+  }
+  in.bytes_left -= n;
+  in.stream.read(static_cast<char*>(out), static_cast<std::streamsize>(n));
+  return in.stream.good();
 }
 
-// The double readers reject NaN and infinity: no stored parameter may hold one.
-bool ReadDouble(std::istream& is, double& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(v));
-  return is.good() && std::isfinite(v);
-}
+bool ReadU64(CacheInput& in, uint64_t& v) { return ReadBytes(in, &v, sizeof(v)); }
 
-bool ReadDoubles(std::istream& is, std::vector<double>& v) {
+// An array as stored, NaN and infinity included: for the accuracy nets, whose
+// constructor rejects them (one pass over ~300k parameters, not two).
+bool ReadDoublesUnchecked(CacheInput& in, std::vector<double>& v) {
   uint64_t n = 0;
-  if (!ReadU64(is, n) || n > kMaxArrayLength) {
+  if (!ReadU64(in, n) || n > kMaxArrayLength || n > in.bytes_left / sizeof(double)) {
     return false;
   }
   v.resize(n);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  return is.good() &&
-         std::all_of(v.begin(), v.end(), [](double x) { return std::isfinite(x); });
+  return ReadBytes(in, v.data(), n * sizeof(double));
+}
+
+// The double readers reject NaN and infinity: no stored parameter may hold one.
+bool ReadDouble(CacheInput& in, double& v) {
+  return ReadBytes(in, &v, sizeof(v)) && std::isfinite(v);
+}
+
+bool ReadDoubles(CacheInput& in, std::vector<double>& v) {
+  return ReadDoublesUnchecked(in, v) && AllFinite(v);
 }
 
 }  // namespace
@@ -109,10 +126,12 @@ bool SaveTrainedModels(const TrainedModels& models, uint64_t fingerprint,
 std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
                                                uint64_t fingerprint,
                                                const BranchSpace& space) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  std::streamoff size = file ? static_cast<std::streamoff>(file.tellg()) : -1;
+  if (size < 0 || !file.seekg(0)) {
     return std::nullopt;
   }
+  CacheInput is{file, static_cast<uint64_t>(size)};
   uint64_t magic = 0;
   uint64_t stored_fingerprint = 0;
   uint64_t device = 0;
@@ -177,8 +196,8 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
       size_t out = config.layer_dims[l + 1];
       std::vector<double> wdata;
       std::vector<double> bdata;
-      if (!ReadDoubles(is, wdata) || wdata.size() != out * in ||
-          !ReadDoubles(is, bdata) || bdata.size() != out) {
+      if (!ReadDoublesUnchecked(is, wdata) || wdata.size() != out * in ||
+          !ReadDoublesUnchecked(is, bdata) || bdata.size() != out) {
         return std::nullopt;
       }
       Matrix w(out, in);
@@ -186,8 +205,13 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
       weights.push_back(std::move(w));
       biases.push_back(std::move(bdata));
     }
-    models.accuracy.emplace(kind, AccuracyPredictor(kind, Mlp(config, std::move(weights),
-                                                              std::move(biases))));
+    try {
+      models.accuracy.emplace(
+          kind, AccuracyPredictor(kind, Mlp(config, std::move(weights),
+                                            std::move(biases))));
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;  // a NaN or infinite weight or bias
+    }
   }
 
   if (!ReadDoubles(is, models.mean_branch_accuracy) ||

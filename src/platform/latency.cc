@@ -1,7 +1,10 @@
 #include "src/platform/latency.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
+#include <vector>
 
 namespace litereconfig {
 
@@ -35,6 +38,77 @@ constexpr double kTrackerDsExponent = 1.1;
 
 constexpr double kExecutionNoiseSigma = 0.05;
 
+// The closed forms of the pow-based terms, and their only definitions: the
+// tables below are filled by calling them.
+
+// Mean detector invocation on the TX2 at zero contention, before the device,
+// contention and thermal scaling of GpuMs/CpuMs.
+double DetectorTx2Ms(const DetectorConfig& config) {
+  if (config.cpu) {
+    double shape_term = std::pow(config.shape / 576.0, kCpuShapeExponent);
+    return kCpuDetectorBaseMs + kCpuDetectorSpanMs * shape_term;
+  }
+  double shape_term = std::pow(config.shape / 576.0, kShapeExponent);
+  double nprop_term =
+      kNpropFloor +
+      (1.0 - kNpropFloor) * std::pow(config.nprop / 100.0, kNpropExponent);
+  return kDetectorBaseMs + kDetectorSpanMs * shape_term * nprop_term;
+}
+
+// Per-frame tracker speed-up from feeding it a downsampled frame.
+double DownsampleGain(int downsample) {
+  return kTrackerDsBaseMs /
+         std::pow(static_cast<double>(downsample), kTrackerDsExponent);
+}
+
+// DetectorTx2Ms and DownsampleGain for every knob value the branch spaces
+// offer (14 detector configurations, 3 downsample ratios), computed once, so
+// pricing a branch calls no pow. The knob values are read from the branch
+// space at run time: every entry is the libm result a call of the closed form
+// returns, never a compile-time fold of it.
+struct KnobTerms {
+  // By DetectorKnobIndex: the space offers every indexed configuration.
+  std::array<double, kNumDetectorKnobs> detector_tx2_ms{};
+  // (downsample ratio, gain) pairs.
+  std::vector<std::pair<int, double>> downsample_gain;
+};
+
+const KnobTerms& Terms() {
+  static const KnobTerms terms = [] {
+    KnobTerms t;
+    const BranchSpace& space = BranchSpace::WithCpuFamily();
+    for (const DetectorConfig& config : space.detector_configs()) {
+      t.detector_tx2_ms[static_cast<size_t>(DetectorKnobIndex(config))] =
+          DetectorTx2Ms(config);
+    }
+    for (const Branch& branch : space.branches()) {
+      int ds = branch.tracker.downsample;
+      if (branch.has_tracker &&
+          std::none_of(t.downsample_gain.begin(), t.downsample_gain.end(),
+                       [ds](const auto& entry) { return entry.first == ds; })) {
+        t.downsample_gain.emplace_back(ds, DownsampleGain(ds));
+      }
+    }
+    return t;
+  }();
+  return terms;
+}
+
+double TabledDetectorTx2Ms(const DetectorConfig& config) {
+  int index = DetectorKnobIndex(config);
+  return index >= 0 ? Terms().detector_tx2_ms[static_cast<size_t>(index)]
+                    : DetectorTx2Ms(config);
+}
+
+double TabledDownsampleGain(int downsample) {
+  for (const auto& [ds, gain] : Terms().downsample_gain) {
+    if (ds == downsample) {
+      return gain;
+    }
+  }
+  return DownsampleGain(downsample);
+}
+
 }  // namespace
 
 LatencyModel::LatencyModel(DeviceType device, double gpu_contention_level)
@@ -50,23 +124,15 @@ double LatencyModel::CpuMs(double tx2_ms) const {
 }
 
 double LatencyModel::DetectorMs(const DetectorConfig& config) const {
-  if (config.cpu) {
-    // CPU-only family: prices through the CPU clock, so GPU contention leaves
-    // it untouched (thermal throttling still applies — DVFS slows the SoC).
-    double shape_term = std::pow(config.shape / 576.0, kCpuShapeExponent);
-    return CpuMs(kCpuDetectorBaseMs + kCpuDetectorSpanMs * shape_term);
-  }
-  double shape_term = std::pow(config.shape / 576.0, kShapeExponent);
-  double nprop_term =
-      kNpropFloor +
-      (1.0 - kNpropFloor) * std::pow(config.nprop / 100.0, kNpropExponent);
-  return GpuMs(kDetectorBaseMs + kDetectorSpanMs * shape_term * nprop_term);
+  // The CPU-only family prices through the CPU clock, so GPU contention leaves
+  // it untouched (thermal throttling still applies — DVFS slows the SoC).
+  double tx2_ms = TabledDetectorTx2Ms(config);
+  return config.cpu ? CpuMs(tx2_ms) : GpuMs(tx2_ms);
 }
 
 double LatencyModel::TrackerMs(const TrackerConfig& config, int num_objects) const {
   const TrackerTraits& traits = GetTrackerTraits(config.type);
-  double ds_gain = kTrackerDsBaseMs /
-                   std::pow(static_cast<double>(config.downsample), kTrackerDsExponent);
+  double ds_gain = TabledDownsampleGain(config.downsample);
   double per_frame = traits.cost_factor *
                      (kTrackerFixedMs + kTrackerPerObjectMs * num_objects) * ds_gain;
   return CpuMs(per_frame);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <utility>
 
 namespace litereconfig {
 
@@ -14,17 +16,11 @@ constexpr double kTrackerChangeMs = 0.6;
 constexpr double kOutlierBaseProbability = 0.02;
 constexpr double kOutlierDecayPerSwitch = 0.05;
 
-}  // namespace
-
-SwitchingCostModel::SwitchingCostModel(DeviceType device) : device_(device) {}
-
-double SwitchingCostModel::DetectorHeaviness(const DetectorConfig& config) {
-  double shape_term = std::pow(config.shape / 576.0, 2.0);
-  double nprop_term = std::pow(config.nprop / 100.0, 0.6);
-  return 0.5 * shape_term + 0.5 * nprop_term;
-}
-
-double SwitchingCostModel::OfflineCostMs(const Branch& from, const Branch& to) const {
+// The offline switch cost from -> to, given the heaviness of a detector: the
+// one expression behind OfflineCostMs and OfflineCostRow.
+template <typename HeavinessFn>
+double SwitchCostMs(DeviceType device, const Branch& from, const Branch& to,
+                    const HeavinessFn& heaviness) {
   bool same_detector = from.detector == to.detector;
   bool same_tracker = from.has_tracker == to.has_tracker &&
                       (!from.has_tracker || from.tracker == to.tracker);
@@ -38,8 +34,8 @@ double SwitchingCostModel::OfflineCostMs(const Branch& from, const Branch& to) c
       // to bind): switching onto it is a pipeline handoff, not a re-bind.
       cost += kBaseMs;
     } else {
-      double dest = DetectorHeaviness(to.detector);
-      double source = DetectorHeaviness(from.detector);
+      double dest = heaviness(to.detector);
+      double source = heaviness(from.detector);
       cost += kBaseMs + kDestinationWeightMs * dest +
               kSourceLightnessWeightMs * (1.0 - source);
     }
@@ -47,7 +43,44 @@ double SwitchingCostModel::OfflineCostMs(const Branch& from, const Branch& to) c
   if (!same_tracker) {
     cost += kTrackerChangeMs;
   }
-  return cost / GetDeviceProfile(device_).gpu_scale;
+  return cost / GetDeviceProfile(device).gpu_scale;
+}
+
+}  // namespace
+
+SwitchingCostModel::SwitchingCostModel(DeviceType device) : device_(device) {}
+
+double SwitchingCostModel::DetectorHeaviness(const DetectorConfig& config) {
+  double shape_term = std::pow(config.shape / 576.0, 2.0);
+  double nprop_term = std::pow(config.nprop / 100.0, 0.6);
+  return 0.5 * shape_term + 0.5 * nprop_term;
+}
+
+double SwitchingCostModel::OfflineCostMs(const Branch& from, const Branch& to) const {
+  return SwitchCostMs(device_, from, to, DetectorHeaviness);
+}
+
+void SwitchingCostModel::OfflineCostRow(const Branch& from,
+                                        const std::vector<Branch>& to,
+                                        std::vector<double>& row) const {
+  // The source's heaviness once, and each destination's once per run of
+  // branches sharing its detector: the spaces enumerate branches
+  // detector-major, so that is once per configuration.
+  const double source = DetectorHeaviness(from.detector);
+  std::optional<std::pair<DetectorConfig, double>> last;
+  auto heaviness = [&](const DetectorConfig& config) {
+    if (config == from.detector) {
+      return source;
+    }
+    if (!last.has_value() || !(last->first == config)) {
+      last.emplace(config, DetectorHeaviness(config));
+    }
+    return last->second;
+  };
+  row.resize(to.size());
+  for (size_t b = 0; b < to.size(); ++b) {
+    row[b] = SwitchCostMs(device_, from, to[b], heaviness);
+  }
 }
 
 double SwitchingCostModel::OnlineCostMs(const Branch& from, const Branch& to,

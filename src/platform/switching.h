@@ -12,6 +12,8 @@
 #ifndef SRC_PLATFORM_SWITCHING_H_
 #define SRC_PLATFORM_SWITCHING_H_
 
+#include <vector>
+
 #include "src/mbek/branch.h"
 #include "src/platform/device.h"
 #include "src/util/rng.h"
@@ -25,6 +27,14 @@ class SwitchingCostModel {
   // Deterministic offline estimate of switching from -> to, in ms. Zero when the
   // detector configuration and tracker are unchanged.
   double OfflineCostMs(const Branch& from, const Branch& to) const;
+
+  // The offline costs of switching from `from` to every branch of `to`:
+  // row[b] == OfflineCostMs(from, to[b]), bit for bit. Each destination
+  // detector's heaviness is computed once per run of branches that share it,
+  // not once per branch; the scheduler's cost tables build their switch rows
+  // through this.
+  void OfflineCostRow(const Branch& from, const std::vector<Branch>& to,
+                      std::vector<double>& row) const;
 
   // One observed online switching cost: the offline mean with multiplicative
   // noise, plus a rare cold-miss outlier whose probability decays with the

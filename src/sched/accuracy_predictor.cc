@@ -1,7 +1,7 @@
 #include "src/sched/accuracy_predictor.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "src/features/light.h"
@@ -33,7 +33,10 @@ MlpConfig AccuracyPredictor::DefaultMlpConfig(FeatureKind kind, size_t num_branc
 
 AccuracyPredictor::AccuracyPredictor(FeatureKind kind, Mlp mlp)
     : kind_(kind), mlp_(std::move(mlp)) {
-  assert(mlp_.config().layer_dims.front() == InputDim(kind));
+  if (mlp_.config().layer_dims.front() != InputDim(kind)) {
+    throw std::invalid_argument(
+        "AccuracyPredictor: net input width is not InputDim(kind)");
+  }
 }
 
 double AccuracyPredictor::Train(const Matrix& x, const Matrix& y) {
@@ -43,7 +46,10 @@ double AccuracyPredictor::Train(const Matrix& x, const Matrix& y) {
 std::vector<double> AccuracyPredictor::BuildInput(
     const std::vector<double>& light_features,
     const std::vector<double>& content_feature) const {
-  assert(light_features.size() == kLightFeatureDim);
+  if (light_features.size() != kLightFeatureDim) {
+    throw std::invalid_argument(
+        "AccuracyPredictor: light features are not kLightFeatureDim wide");
+  }
   std::vector<double> input = light_features;
   if (kind_ != FeatureKind::kLight) {
     size_t content_dim = std::min(FeatureDimension(kind_), kHashedFeatureDim);

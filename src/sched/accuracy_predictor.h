@@ -30,14 +30,16 @@ class AccuracyPredictor {
                                     size_t hidden_width, size_t epochs);
 
   // Wraps a net for this kind: untrained (Mlp(config)) or restored from
-  // stored parameters.
+  // stored parameters. Throws std::invalid_argument unless the net's input
+  // width is InputDim(kind).
   AccuracyPredictor(FeatureKind kind, Mlp mlp);
 
   // Training rows: x = [light | hashed(content)] built with BuildInput;
   // y = per-branch snippet mAP labels. Returns the final training MSE.
   double Train(const Matrix& x, const Matrix& y);
 
-  // Assembles a net input from the raw feature vectors.
+  // Assembles a net input from the raw feature vectors. Throws
+  // std::invalid_argument unless light_features has kLightFeatureDim entries.
   std::vector<double> BuildInput(const std::vector<double>& light_features,
                                  const std::vector<double>& content_feature) const;
 

@@ -24,42 +24,58 @@ DecisionCostTable DecisionCostTable::Build(const TrainedModels& models,
                                            const DecisionContext& ctx,
                                            const std::vector<double>& light) {
   const BranchSpace& space = *models.space;
+  const size_t n = space.size();
   DecisionCostTable table;
-  table.branch_ms_.reserve(space.size());
-  table.switch_ms_.reserve(space.size());
-  table.gof_.reserve(space.size());
   table.slo_limit_ms_ = SloLimitMs(config, ctx);
-  // The same conservative count headroom the reference FrameCostMs applies:
-  // the tracked-object population can grow by the time the GoF runs, so the
-  // tracker cost is predicted at count + 1.
-  std::vector<double> conservative = light;
-  conservative[2] += 1.0 / 8.0;
   const Branch* current = ctx.current_branch.has_value()
                               ? &space.at(*ctx.current_branch)
                               : nullptr;
   const bool charge_switch = config.use_switching_cost && current != nullptr &&
                              models.switching.has_value();
-  for (size_t b = 0; b < space.size(); ++b) {
-    const Branch& branch = space.at(b);
-    int effective_gof = branch.gof;
+  std::vector<int> effective_gof(n);
+  table.gof_.resize(n);
+  for (size_t b = 0; b < n; ++b) {
+    effective_gof[b] = space.at(b).gof;
     if (ctx.frames_remaining > 0) {
-      effective_gof = std::min(effective_gof, ctx.frames_remaining);
+      effective_gof[b] = std::min(effective_gof[b], ctx.frames_remaining);
     }
-    // Availability mask: with the GPU denied, GPU-backed branches price as
-    // +inf — present in the table but infeasible and never cheapest while any
-    // finite-cost branch exists. inf + finite = inf keeps CostMs bit-identical
-    // to the reference FrameCostMs, which applies the same mask.
-    double branch_ms =
-        (!ctx.gpu_available && !branch.detector.cpu)
-            ? std::numeric_limits<double>::infinity()
-            : models.latency.PredictFrameMs(b, conservative, ctx.gpu_cal,
-                                            ctx.cpu_cal, effective_gof);
-    table.branch_ms_.push_back(branch_ms);
-    table.switch_ms_.push_back(
-        charge_switch ? models.switching->OfflineCostMs(*current, branch) : 0.0);
-    table.gof_.push_back(static_cast<double>(effective_gof));
+    table.gof_[b] = static_cast<double>(effective_gof[b]);
   }
+  if (charge_switch) {
+    models.switching->OfflineCostRow(*current, space.branches(), table.switch_ms_);
+  } else {
+    table.switch_ms_.assign(n, 0.0);
+  }
+  table.PriceBranches(models, light, ctx.gpu_cal, ctx.cpu_cal, ctx.gpu_available,
+                      effective_gof);
   return table;
+}
+
+void DecisionCostTable::PriceBranches(const TrainedModels& models,
+                                      const std::vector<double>& light,
+                                      double gpu_cal, double cpu_cal,
+                                      bool gpu_available,
+                                      const std::vector<int>& effective_gof) {
+  // The same conservative count headroom the reference FrameCostMs applies:
+  // the tracked-object population can grow by the time the GoF runs, so the
+  // tracker cost is predicted at count + 1.
+  std::vector<double> conservative = light;
+  conservative[2] += 1.0 / 8.0;
+  models.latency.PredictAllFrameMs(conservative, gpu_cal, cpu_cal, effective_gof,
+                                   branch_ms_);
+  if (gpu_available) {
+    return;
+  }
+  // Availability mask: with the GPU denied, GPU-backed branches price as +inf
+  // — present in the table but infeasible and never cheapest while any
+  // finite-cost branch exists. inf + finite = inf keeps CostMs bit-identical
+  // to the reference FrameCostMs, which applies the same mask.
+  const BranchSpace& space = *models.space;
+  for (size_t b = 0; b < branch_ms_.size(); ++b) {
+    if (!space.at(b).detector.cpu) {
+      branch_ms_[b] = std::numeric_limits<double>::infinity();
+    }
+  }
 }
 
 size_t DecisionCostTable::Cheapest(double sched_ms) const {

@@ -71,6 +71,15 @@ class DecisionCostTable {
   // inputs did not change) under the same bit-exactness contract as Build.
   friend class SchedulerSession;
 
+  // Fills branch_ms_, the one per-branch pricing loop behind Build and
+  // SchedulerSession::TableFor: every branch's conservative latency
+  // prediction from `light` under (gpu_cal, cpu_cal) at its effective GoF
+  // length, +inf for GPU-backed branches while the GPU is denied.
+  void PriceBranches(const TrainedModels& models,
+                     const std::vector<double>& light, double gpu_cal,
+                     double cpu_cal, bool gpu_available,
+                     const std::vector<int>& effective_gof);
+
   std::vector<double> branch_ms_;
   std::vector<double> switch_ms_;
   // Effective GoF lengths as doubles (the amortization denominators).

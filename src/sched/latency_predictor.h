@@ -34,6 +34,17 @@ class LatencyPredictor {
                         double gpu_cal, double cpu_cal,
                         int effective_gof = 0) const;
 
+  // PredictFrameMs for every branch at once, bit for bit: frame_ms[b] =
+  // PredictFrameMs(b, light_features, gpu_cal, cpu_cal, effective_gof[b]).
+  // Each distinct tracker regression is evaluated once: the per-branch
+  // regressions hold one parameter set per tracker configuration, and the
+  // branches that share one are grouped when the predictor is profiled or
+  // restored.
+  void PredictAllFrameMs(const std::vector<double>& light_features,
+                         double gpu_cal, double cpu_cal,
+                         const std::vector<int>& effective_gof,
+                         std::vector<double>& frame_ms) const;
+
   // The profiled detector-invocation cost of a branch (GPU part, uncalibrated).
   double DetectorMs(size_t index) const { return detector_ms_[index]; }
 
@@ -49,10 +60,25 @@ class LatencyPredictor {
                std::vector<RidgeRegression> tracker_models);
 
  private:
+  // Groups the branches whose regressions are bit-identical.
+  void GroupTrackerModels();
+
+  // The amortized per-frame cost of branch `index`, given its calibrated
+  // tracker term: `track()` returns max(0, regression) * cpu_cal and is called
+  // only for a branch that tracks over more than one frame. The one
+  // expression behind PredictFrameMs and PredictAllFrameMs.
+  template <typename TrackFn>
+  double FrameMs(size_t index, double gpu_cal, double cpu_cal, int effective_gof,
+                 const TrackFn& track) const;
+
   const BranchSpace* space_ = nullptr;
   std::vector<double> detector_ms_;
   // One regression per branch; identically-zero model for detector-only branches.
   std::vector<RidgeRegression> tracker_models_;
+  // tracker_group_[b] indexes group_models_, the first branch of each group of
+  // bit-identical regressions.
+  std::vector<size_t> tracker_group_;
+  std::vector<size_t> group_models_;
 };
 
 }  // namespace litereconfig

@@ -1,7 +1,6 @@
 #include "src/sched/scheduler_session.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace litereconfig {
 
@@ -105,10 +104,8 @@ const DecisionCostTable& SchedulerSession::TableFor(const TrainedModels& models,
     ++counters_.switch_row_reuses;
   } else {
     if (charge_switch) {
-      const Branch& current = space.at(key.current_branch);
-      for (size_t b = 0; b < n; ++b) {
-        switch_row_[b] = models.switching->OfflineCostMs(current, space.at(b));
-      }
+      models.switching->OfflineCostRow(space.at(key.current_branch),
+                                       space.branches(), switch_row_);
     } else {
       std::fill(switch_row_.begin(), switch_row_.end(), 0.0);
     }
@@ -117,23 +114,14 @@ const DecisionCostTable& SchedulerSession::TableFor(const TrainedModels& models,
     switch_row_current_ = key.current_branch;
   }
 
-  // Assemble the table in place (vectors keep their capacity across rebuilds).
-  // Every expression matches DecisionCostTable::Build term for term on the
-  // same doubles — the bit-exactness contract of the fast path.
-  conservative_ = key.light;
-  conservative_[2] += 1.0 / 8.0;
+  // Assemble the table in place (vectors keep their capacity across rebuilds)
+  // through the pricing routine DecisionCostTable::Build uses, on the same
+  // doubles — the bit-exactness contract of the fast path.
   table_.slo_limit_ms_ = key.slo_limit_ms;
   table_.switch_ms_ = switch_row_;
   table_.gof_ = gof_ms_;
-  table_.branch_ms_.resize(n);
-  for (size_t b = 0; b < n; ++b) {
-    const Branch& branch = space.at(b);
-    table_.branch_ms_[b] =
-        (!key.gpu_available && !branch.detector.cpu)
-            ? std::numeric_limits<double>::infinity()
-            : models.latency.PredictFrameMs(b, conservative_, key.gpu_cal,
-                                            key.cpu_cal, gof_int_[b]);
-  }
+  table_.PriceBranches(models, key.light, key.gpu_cal, key.cpu_cal,
+                       key.gpu_available, gof_int_);
   table_key_ = key;
   table_valid_ = true;
   return table_;

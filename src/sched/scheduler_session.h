@@ -7,9 +7,8 @@
 // decisions, the pieces of the scheduler pass whose inputs did not change and
 // replays them instead of recomputing:
 //
-//   * the offline switch-cost row     — keyed on the current branch (the
-//     dominant DecisionCostTable::Build cost: one SwitchingCostModel::
-//     OfflineCostMs, i.e. four pow() calls, per branch);
+//   * the offline switch-cost row     — keyed on the current branch (one
+//     SwitchingCostModel::OfflineCostRow);
 //   * the effective-GoF denominators  — keyed on the frames-remaining clamp;
 //   * the whole DecisionCostTable     — keyed on the full invalidation key;
 //   * the whole SchedulerDecision     — same key, but only when the decision
@@ -126,9 +125,6 @@ class SchedulerSession {
   bool decision_valid_ = false;
   Key decision_key_;
   SchedulerDecision decision_;
-
-  // Scratch for the conservative light-feature copy (count + 1 headroom).
-  std::vector<double> conservative_;
 
   Counters counters_;
 };

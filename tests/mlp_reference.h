@@ -3,8 +3,9 @@
 //
 // Each output is bias, then += w[o][i] * a[i] for i = 0, 1, ..., in that
 // order, with ReLU on hidden layers and the identity on the output layer.
-// Mlp::Predict (src/nn/mlp.h) computes eight rows per pass over the input
-// instead; tests compare the two bit for bit.
+// Mlp::Predict (src/nn/mlp.h) computes eight rows per pass over the input,
+// two per register, and skips the exactly-zero inputs instead; tests compare
+// the two bit for bit.
 #ifndef TESTS_MLP_REFERENCE_H_
 #define TESTS_MLP_REFERENCE_H_
 

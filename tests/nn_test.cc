@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <stdexcept>
 
 #include "src/nn/matrix.h"
@@ -252,6 +254,52 @@ TEST(MlpTest, ParameterConstructorRejectsWrongShapes) {
   std::vector<std::vector<double>> short_bias = biases;
   short_bias[1].pop_back();
   EXPECT_THROW(Mlp(config, weights, short_bias), std::invalid_argument);
+}
+
+TEST(MlpTest, ParameterConstructorRejectsNonFiniteParameters) {
+  MlpConfig config = SmallConfig({3, 5, 2}, 1);
+  std::vector<Matrix> weights = {Matrix(5, 3), Matrix(2, 5)};
+  std::vector<std::vector<double>> biases = {std::vector<double>(5, 0.0),
+                                             std::vector<double>(2, 0.0)};
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    std::vector<Matrix> bad_weights = weights;
+    bad_weights[1](1, 4) = bad;
+    EXPECT_THROW(Mlp(config, bad_weights, biases), std::invalid_argument);
+    std::vector<std::vector<double>> bad_biases = biases;
+    bad_biases[0][2] = bad;
+    EXPECT_THROW(Mlp(config, weights, bad_biases), std::invalid_argument);
+  }
+}
+
+TEST(MlpTest, PredictRejectsWrongInputWidth) {
+  Mlp mlp(SmallConfig({3, 5, 2}, 1));
+  EXPECT_NO_THROW(mlp.Predict({0.1, 0.2, 0.3}));
+  EXPECT_THROW(mlp.Predict({0.1, 0.2}), std::invalid_argument);
+  EXPECT_THROW(mlp.Predict({0.1, 0.2, 0.3, 0.4}), std::invalid_argument);
+}
+
+// A chain that starts at -0.0 is the one a zero term can change: -0.0 + 0.0
+// is +0.0. Rows with a -0.0 bias keep every term, so the output sign matches
+// the single chain; the +0.0-bias row may skip its zero terms.
+TEST(MlpTest, NegativeZeroBiasKeepsEveryTerm) {
+  for (size_t width : {1u, 2u, 9u}) {
+    MlpConfig config = SmallConfig({2, width}, 1);
+    Matrix w(width, 2);
+    std::fill(w.data().begin(), w.data().end(), 1.0);
+    std::vector<double> bias(width, -0.0);
+    bias[0] = 0.0;
+    Mlp mlp(config, {w}, {bias});
+    std::vector<double> got = mlp.Predict({0.0, 0.0});
+    std::vector<double> want = ReferenceMlpPredict(mlp, {0.0, 0.0});
+    ASSERT_EQ(got.size(), width);
+    for (size_t o = 0; o < width; ++o) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got[o]), std::bit_cast<uint64_t>(want[o]))
+          << "width " << width << " output " << o;
+      EXPECT_FALSE(std::signbit(got[o])) << "width " << width << " output " << o;
+    }
+  }
 }
 
 // Draws a value that is exactly 0.0 or -0.0 one time in eight each and

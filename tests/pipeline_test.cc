@@ -7,6 +7,8 @@
 #include <iterator>
 #include <limits>
 
+#include <sys/resource.h>
+
 #include "src/pipeline/litereconfig_protocol.h"
 #include "src/util/stats.h"
 #include "src/pipeline/runner.h"
@@ -182,6 +184,42 @@ TEST(SerializeTest, RejectsNonFiniteWeight) {
   EXPECT_FALSE(LoadPatchedBundle("lrc_serialize_nan.bin", first_weight,
                                  std::numeric_limits<double>::quiet_NaN())
                    .has_value());
+}
+
+// Peak resident set of this process so far, in KiB (Linux ru_maxrss units).
+long PeakRssKib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+TEST(SerializeTest, RejectsTruncatedArrayBeforeAllocating) {
+  // A valid header, then a latency table that claims 2^28 doubles (2 GiB)
+  // followed by only eight of them: the length exceeds the bytes left, so the
+  // loader must refuse before it allocates the array.
+  const TrainedModels& models = TinyModels();
+  std::string path = std::filesystem::temp_directory_path() /
+                     "lrc_serialize_truncated.bin";
+  uint64_t fingerprint = TrainConfig::Tiny().Fingerprint();
+  ASSERT_TRUE(SaveTrainedModels(models, fingerprint, path));
+  std::string bytes;
+  {
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(bytes.size(), 3 * sizeof(uint64_t) + 64);
+  bytes.resize(3 * sizeof(uint64_t));  // magic, fingerprint, device
+  uint64_t claimed = uint64_t{1} << 28;
+  bytes.append(reinterpret_cast<const char*>(&claimed), sizeof(claimed));
+  bytes.append(std::string(8 * sizeof(double), '\0'));
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
+  }
+  long peak_before = PeakRssKib();
+  EXPECT_FALSE(LoadTrainedModels(path, fingerprint, BranchSpace::Default()).has_value());
+  EXPECT_LT(PeakRssKib() - peak_before, 256L * 1024L);
+  std::remove(path.c_str());
 }
 
 class ProtocolFixture : public ::testing::Test {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "src/platform/device.h"
 #include "src/platform/latency.h"
 #include "src/platform/switching.h"
 #include "src/util/stats.h"
+#include "tests/pricing_reference.h"
 
 namespace litereconfig {
 namespace {
@@ -219,6 +225,90 @@ TEST(SwitchingTest, HeavinessInUnitRange) {
   }
   EXPECT_GT(SwitchingCostModel::DetectorHeaviness({576, 100}),
             SwitchingCostModel::DetectorHeaviness({224, 1}));
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// The per-knob pricing tables against the closed forms (tests/
+// pricing_reference.h), bit for bit, for every branch of both spaces on both
+// devices, calm and contended, at nominal and throttled clocks; plus knob
+// values outside the tables, which price through the closed forms.
+TEST(PricingTableTest, TabledCostsMatchClosedForms) {
+  for (const BranchSpace* space :
+       {&BranchSpace::Default(), &BranchSpace::WithCpuFamily()}) {
+    for (DeviceType device : {DeviceType::kTx2, DeviceType::kXavier}) {
+      for (double level : {0.0, 0.6}) {
+        LatencyModel model(device, level);
+        for (double thermal : {1.0, 1.3}) {
+          model.set_thermal_scale(thermal);
+          for (const Branch& branch : space->branches()) {
+            EXPECT_EQ(Bits(model.DetectorMs(branch.detector)),
+                      Bits(ReferenceDetectorMs(model, branch.detector)))
+                << branch.Id();
+            for (int objects : {0, 1, 3, 8}) {
+              EXPECT_EQ(Bits(model.TrackerMs(branch.tracker, objects)),
+                        Bits(ReferenceTrackerMs(model, branch.tracker, objects)))
+                  << branch.Id();
+              EXPECT_EQ(Bits(model.BranchFrameMs(branch, objects)),
+                        Bits(ReferenceBranchFrameMs(model, branch, objects)))
+                  << branch.Id();
+            }
+          }
+        }
+      }
+    }
+  }
+  LatencyModel model(DeviceType::kTx2, 0.3);
+  for (DetectorConfig config : {DetectorConfig{400, 50}, DetectorConfig{448, 5},
+                                DetectorConfig{448, 1, true}}) {
+    EXPECT_EQ(DetectorKnobIndex(config), -1);
+    EXPECT_EQ(Bits(model.DetectorMs(config)),
+              Bits(ReferenceDetectorMs(model, config)));
+  }
+  TrackerConfig off_table = {TrackerType::kKcf, 3};
+  EXPECT_EQ(Bits(model.TrackerMs(off_table, 2)),
+            Bits(ReferenceTrackerMs(model, off_table, 2)));
+}
+
+// A switch-cost row equals the pairwise costs bit for bit, from every branch
+// of both spaces on both devices: over the detector-major space order, over
+// that order reversed and interleaved (the heaviness memo then sees short
+// runs and revisits), and with a destination off the knob grid.
+TEST(SwitchingTest, OfflineCostRowMatchesPairwiseCosts) {
+  for (const BranchSpace* space :
+       {&BranchSpace::Default(), &BranchSpace::WithCpuFamily()}) {
+    std::vector<Branch> forward = space->branches();
+    std::vector<Branch> shuffled(forward.rbegin(), forward.rend());
+    for (size_t i = 0; i + 1 < shuffled.size(); i += 3) {
+      std::swap(shuffled[i], shuffled[shuffled.size() - 1 - i]);
+    }
+    Branch off_grid = forward.back();
+    off_grid.detector = {400, 50};
+    shuffled.push_back(off_grid);
+    for (DeviceType device : {DeviceType::kTx2, DeviceType::kXavier}) {
+      SwitchingCostModel model(device);
+      std::vector<double> row;
+      for (const std::vector<Branch>* to : {&forward, &shuffled}) {
+        for (const Branch& from : space->branches()) {
+          model.OfflineCostRow(from, *to, row);
+          ASSERT_EQ(row.size(), to->size());
+          for (size_t b = 0; b < to->size(); ++b) {
+            EXPECT_EQ(Bits(row[b]), Bits(model.OfflineCostMs(from, (*to)[b])))
+                << from.Id() << " -> " << (*to)[b].Id();
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PricingTableTest, DetectorKnobIndexIsDenseOverOfferedConfigs) {
+  const std::vector<DetectorConfig>& configs =
+      BranchSpace::WithCpuFamily().detector_configs();
+  ASSERT_EQ(configs.size(), static_cast<size_t>(kNumDetectorKnobs));
+  for (size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(DetectorKnobIndex(configs[i]), static_cast<int>(i));
+  }
 }
 
 }  // namespace

@@ -5,12 +5,17 @@
 // hysteresis, switching costs, and the headroom-first degradation stage.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
 #include "src/features/light.h"
 #include "src/mbek/kernel.h"
 #include "src/sched/cost_table.h"
+#include "src/sched/latency_predictor.h"
 #include "src/sched/scheduler.h"
 #include "src/sched/scheduler_session.h"
 #include "src/util/rng.h"
@@ -271,6 +276,84 @@ TEST(SchedFastPathTest, CostTableReproducesFrameCostExpression) {
   size_t cheapest = table.Cheapest(2.0);
   for (size_t b = 0; b < table.size(); ++b) {
     EXPECT_LE(table.CostMs(cheapest, 2.0), table.CostMs(b, 2.0));
+  }
+}
+
+// LiteReconfigScheduler::FrameCostMs, the reference expression: the latency
+// predictor evaluated branch by branch, ungrouped.
+double ReferenceFrameCostMs(const TrainedModels& models,
+                            const SchedulerConfig& config,
+                            const DecisionContext& ctx,
+                            const std::vector<double>& light, size_t index,
+                            double sched_ms) {
+  const Branch& branch = models.space->at(index);
+  int effective_gof = branch.gof;
+  if (ctx.frames_remaining > 0) {
+    effective_gof = std::min(effective_gof, ctx.frames_remaining);
+  }
+  std::vector<double> conservative = light;
+  conservative[2] += 1.0 / 8.0;
+  double frame_ms =
+      (!ctx.gpu_available && !branch.detector.cpu)
+          ? std::numeric_limits<double>::infinity()
+          : models.latency.PredictFrameMs(index, conservative, ctx.gpu_cal,
+                                          ctx.cpu_cal, effective_gof);
+  double switch_ms = 0.0;
+  if (config.use_switching_cost && ctx.current_branch.has_value() &&
+      models.switching.has_value()) {
+    switch_ms = models.switching->OfflineCostMs(
+        models.space->at(*ctx.current_branch), branch);
+  }
+  return frame_ms + (sched_ms + switch_ms) / static_cast<double>(effective_gof);
+}
+
+// Every row of a table priced with grouped tracker regressions equals the
+// reference FrameCostMs bit for bit, on both spaces and on a predictor
+// restored from its stored parameters (which regroups them), across
+// calibrations, GoF tails, switching charges and GPU denial.
+TEST(SchedFastPathTest, GroupedTableRowsMatchFrameCost) {
+  const Dataset& dataset = TinyValidation();
+  Pcg32 rng(HashKeys({0x9f0ull, 0x7bull}));
+  for (const TrainedModels* base : {&TinyModels(), &TinyCpuFamilyModels()}) {
+    TrainedModels restored = *base;
+    restored.latency = LatencyPredictor();
+    restored.latency.Restore(*base->space, base->latency.detector_ms(),
+                             base->latency.tracker_models());
+    const TrainedModels* restored_ptr = &restored;
+    for (const TrainedModels* models : {base, restored_ptr}) {
+      const BranchSpace& space = *models->space;
+      for (int trial = 0; trial < 40; ++trial) {
+        const SyntheticVideo& video = dataset.videos[trial % dataset.videos.size()];
+        int frame = static_cast<int>(rng.NextU32() % 50);
+        DetectionList anchor = ExecutionKernel::DetectAnchor(
+            video, frame, space.at(rng.NextU32() % space.size()), trial);
+        std::vector<double> light = ComputeLightFeatures(
+            video.spec().width, video.spec().height, anchor);
+        SchedulerConfig config;
+        config.use_switching_cost = rng.NextU32() % 4 != 0;
+        DecisionContext ctx;
+        ctx.slo_ms = 10.0 + rng.NextDouble() * 90.0;
+        ctx.gpu_cal = 0.5 + rng.NextDouble() * 2.5;
+        ctx.cpu_cal = 0.5 + rng.NextDouble() * 2.5;
+        ctx.frames_remaining = rng.NextU32() % 2 == 0
+                                   ? 1 + static_cast<int>(rng.NextU32() % 60)
+                                   : video.frame_count() - frame;
+        ctx.gpu_available = rng.NextU32() % 4 != 0;
+        if (rng.NextU32() % 3 != 0) {
+          ctx.current_branch = rng.NextU32() % space.size();
+        }
+        DecisionCostTable table =
+            DecisionCostTable::Build(*models, config, ctx, light);
+        ASSERT_EQ(table.size(), space.size());
+        double sched_ms = rng.NextDouble() * 5.0;
+        for (size_t b = 0; b < table.size(); ++b) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(table.CostMs(b, sched_ms)),
+                    std::bit_cast<uint64_t>(ReferenceFrameCostMs(
+                        *models, config, ctx, light, b, sched_ms)))
+              << "trial " << trial << " branch " << space.at(b).Id();
+        }
+      }
+    }
   }
 }
 

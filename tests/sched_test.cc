@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "src/features/light.h"
 #include "src/sched/accuracy_predictor.h"
@@ -101,6 +102,28 @@ TEST(AccuracyPredictorTest, PredictionsClampedToUnitRange) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
+}
+
+// Input widths are checked in every build, not only where assert is on: the
+// forward indexes the configured width, so a short input would read out of
+// bounds.
+TEST(AccuracyPredictorTest, RejectsWrongInputWidths) {
+  MlpConfig light_config =
+      AccuracyPredictor::DefaultMlpConfig(FeatureKind::kLight, 10, 8, 2);
+  EXPECT_THROW(AccuracyPredictor(FeatureKind::kHog, Mlp(light_config)),
+               std::invalid_argument);
+  AccuracyPredictor light(FeatureKind::kLight, Mlp(light_config));
+  EXPECT_THROW(light.Predict({1.0, 1.0, 0.25}, {}), std::invalid_argument);
+  EXPECT_THROW(light.BuildInput({1.0, 1.0, 0.25, 0.2, 0.1}, {}),
+               std::invalid_argument);
+
+  MlpConfig hoc_config =
+      AccuracyPredictor::DefaultMlpConfig(FeatureKind::kHoc, 10, 8, 2);
+  AccuracyPredictor hoc(FeatureKind::kHoc, Mlp(hoc_config));
+  std::vector<double> content(
+      static_cast<size_t>(FeatureDimension(FeatureKind::kHoc)), 0.5);
+  EXPECT_NO_THROW(hoc.Predict(LightVector(3, 0.2), content));
+  EXPECT_THROW(hoc.Predict({1.0}, content), std::invalid_argument);
 }
 
 TEST(AccuracyPredictorTest, LearnsBranchAccuracyFromLabels) {
