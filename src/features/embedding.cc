@@ -1,7 +1,12 @@
 #include "src/features/embedding.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 
+#include "src/nn/dense.h"
+#include "src/nn/matrix.h"
 #include "src/util/rng.h"
 #include "src/video/classes.h"
 #include "src/video/latent.h"
@@ -53,31 +58,30 @@ double FixedWeight(uint64_t seed, int row, int col, double limit) {
   return (2.0 * u - 1.0) * limit;
 }
 
-// The fixed projection matrices of one embedding backbone. The weights are a
-// pure function of the weight seed (one hash per entry), so each backbone
-// materializes them exactly once (thread-safe magic static in its Compute*
-// entry point) instead of re-hashing ~out_dim x hidden entries per frame —
-// the former extraction hot loop.
+// The fixed projection matrices of one embedding backbone, input-major for
+// the dense kernel (src/nn/dense.h). The weights are a pure function of the
+// weight seed (one hash per entry), so each backbone materializes them
+// exactly once (thread-safe magic static in its Compute* entry point) instead
+// of re-hashing ~out_dim x hidden entries per frame.
 struct EmbeddingWeights {
-  std::vector<double> w1;  // kHiddenDim rows x kFrameLatentDim cols
-  std::vector<double> w2;  // out_dim rows x kHiddenDim cols
+  Matrix w1;  // kFrameLatentDim x kHiddenDim: w1(i, h) maps latent i to unit h
+  Matrix w2;  // kHiddenDim x out_dim: w2(h, o) maps unit h to output o
 };
 
 EmbeddingWeights MakeWeights(uint64_t weight_seed, int out_dim) {
-  EmbeddingWeights w;
+  EmbeddingWeights w{Matrix(kFrameLatentDim, kHiddenDim),
+                     Matrix(kHiddenDim, static_cast<size_t>(out_dim))};
   double limit1 = std::sqrt(3.0 / kFrameLatentDim);
-  w.w1.resize(static_cast<size_t>(kHiddenDim * kFrameLatentDim));
   for (int h = 0; h < kHiddenDim; ++h) {
     for (int i = 0; i < kFrameLatentDim; ++i) {
-      w.w1[static_cast<size_t>(h * kFrameLatentDim + i)] =
+      w.w1(static_cast<size_t>(i), static_cast<size_t>(h)) =
           FixedWeight(weight_seed, h, i, limit1);
     }
   }
   double limit2 = std::sqrt(3.0 / kHiddenDim);
-  w.w2.resize(static_cast<size_t>(out_dim * kHiddenDim));
   for (int o = 0; o < out_dim; ++o) {
     for (int h = 0; h < kHiddenDim; ++h) {
-      w.w2[static_cast<size_t>(o * kHiddenDim + h)] =
+      w.w2(static_cast<size_t>(h), static_cast<size_t>(o)) =
           FixedWeight(weight_seed + 1, o, h, limit2);
     }
   }
@@ -90,49 +94,23 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
                                   const EmbeddingWeights& weights) {
   std::vector<double> latent = ComputeFrameLatent(video, t);
   ApplyMask(latent, mask);
-  // Hidden layer.
-  std::vector<double> hidden(kHiddenDim, 0.0);
-  for (int h = 0; h < kHiddenDim; ++h) {
-    double sum = 0.0;
-    const double* row = &weights.w1[static_cast<size_t>(h) * kFrameLatentDim];
-    for (int i = 0; i < kFrameLatentDim; ++i) {
-      sum += row[i] * latent[static_cast<size_t>(i)];
-    }
-    hidden[static_cast<size_t>(h)] = std::tanh(3.0 * sum);
+  // Both layers are one +0.0-start chain per output in input order, run by
+  // the dense kernel; tanh and the noise follow in separate output-order
+  // passes, so the RNG stream is untouched.
+  std::array<uint32_t, std::max(kFrameLatentDim, kHiddenDim)> live{};
+  std::vector<double> hidden(kHiddenDim);
+  DenseForward({.weights = &weights.w1,
+                .input = latent.data(),
+                .live = live.data(),
+                .output = hidden.data()});
+  for (double& h : hidden) {
+    h = std::tanh(3.0 * h);
   }
-  // Output layer with observation noise. The matrix-vector product runs four
-  // output rows at a time: each row's sum still accumulates in the exact
-  // per-row order (bit-identical), but the four independent chains overlap
-  // the FP-add latency that serializes a single running sum. The noise is
-  // applied in a separate output-order pass so the RNG stream is untouched.
-  std::vector<double> out(static_cast<size_t>(out_dim), 0.0);
-  int o = 0;
-  for (; o + 4 <= out_dim; o += 4) {
-    const double* r0 = &weights.w2[static_cast<size_t>(o + 0) * kHiddenDim];
-    const double* r1 = &weights.w2[static_cast<size_t>(o + 1) * kHiddenDim];
-    const double* r2 = &weights.w2[static_cast<size_t>(o + 2) * kHiddenDim];
-    const double* r3 = &weights.w2[static_cast<size_t>(o + 3) * kHiddenDim];
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (int h = 0; h < kHiddenDim; ++h) {
-      double hv = hidden[static_cast<size_t>(h)];
-      s0 += r0[h] * hv;
-      s1 += r1[h] * hv;
-      s2 += r2[h] * hv;
-      s3 += r3[h] * hv;
-    }
-    out[static_cast<size_t>(o + 0)] = s0;
-    out[static_cast<size_t>(o + 1)] = s1;
-    out[static_cast<size_t>(o + 2)] = s2;
-    out[static_cast<size_t>(o + 3)] = s3;
-  }
-  for (; o < out_dim; ++o) {
-    double sum = 0.0;
-    const double* row = &weights.w2[static_cast<size_t>(o) * kHiddenDim];
-    for (int h = 0; h < kHiddenDim; ++h) {
-      sum += row[h] * hidden[static_cast<size_t>(h)];
-    }
-    out[static_cast<size_t>(o)] = sum;
-  }
+  std::vector<double> out(static_cast<size_t>(out_dim));
+  DenseForward({.weights = &weights.w2,
+                .input = hidden.data(),
+                .live = live.data(),
+                .output = out.data()});
   Pcg32 noise(HashKeys({video.spec().seed, static_cast<uint64_t>(t), weight_seed,
                         0x4e4e4eull}));
   for (int i = 0; i < out_dim; ++i) {

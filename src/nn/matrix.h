@@ -6,14 +6,39 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace litereconfig {
 
+// std::allocator, except that growing a vector without a value leaves the new
+// elements default-initialised, i.e. a double uninitialised: storage that is
+// written in full straight away is not zero-filled first.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
 class Matrix {
  public:
+  using Storage = std::vector<double, DefaultInitAllocator<double>>;
+
   Matrix() = default;
+  // Zero-filled.
   Matrix(size_t rows, size_t cols) : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
 
   size_t rows() const { return rows_; }
@@ -25,12 +50,15 @@ class Matrix {
   double* RowPtr(size_t r) { return data_.data() + r * cols_; }
   const double* RowPtr(size_t r) const { return data_.data() + r * cols_; }
 
-  const std::vector<double>& data() const { return data_; }
-  std::vector<double>& data() { return data_; }
+  const Storage& data() const { return data_; }
+  Storage& data() { return data_; }
 
   // out = this * other. Requires cols() == other.rows().
   Matrix MatMul(const Matrix& other) const;
   Matrix Transposed() const;
+  // The cols x rows transpose of the row-major rows x cols array `src`,
+  // written straight into fresh storage that is not zero-filled first.
+  static Matrix TransposeOf(std::span<const double> src, size_t rows, size_t cols);
 
   // Xavier/Glorot uniform initialization, deterministic in the seed.
   static Matrix XavierUniform(size_t rows, size_t cols, uint64_t seed);
@@ -38,7 +66,7 @@ class Matrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<double> data_;
+  Storage data_;
 };
 
 // Solves (A + ridge*I) x = b for symmetric positive definite A via Cholesky.

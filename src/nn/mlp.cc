@@ -1,34 +1,73 @@
 #include "src/nn/mlp.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 #include <span>
 #include <stdexcept>
 
+#include "src/nn/dense.h"
 #include "src/util/rng.h"
 
 namespace litereconfig {
 
 Mlp::Mlp(const MlpConfig& config) : config_(config) {
-  assert(config_.layer_dims.size() >= 2);
+  if (config_.layer_dims.size() < 2) {
+    throw std::invalid_argument("Mlp: layer_dims needs an input and an output width");
+  }
   for (size_t l = 0; l + 1 < config_.layer_dims.size(); ++l) {
     size_t in = config_.layer_dims[l];
     size_t out = config_.layer_dims[l + 1];
-    weights_.push_back(Matrix::XavierUniform(out, in, HashKeys({config_.seed, l})));
+    // Drawn row-major (the draw order fixes every initial weight, so trained
+    // weights and the model-cache bytes depend on it), then stored
+    // input-major.
+    weights_.push_back(
+        Matrix::XavierUniform(out, in, HashKeys({config_.seed, l})).Transposed());
     biases_.emplace_back(out, 0.0);
   }
 }
 
-Mlp::Mlp(const MlpConfig& config, std::vector<Matrix> weights,
+namespace {
+
+// The input-major copy of row-major layer weights; throws unless weights[l]
+// is dims[l+1] x dims[l] for every layer.
+std::vector<Matrix> InputMajorCopy(const std::vector<size_t>& dims,
+                                   const std::vector<Matrix>& weights) {
+  bool ok = dims.size() >= 2 && weights.size() + 1 == dims.size();
+  for (size_t l = 0; ok && l < weights.size(); ++l) {
+    ok = weights[l].rows() == dims[l + 1] && weights[l].cols() == dims[l];
+  }
+  if (!ok) {
+    throw std::invalid_argument("Mlp: parameter shapes do not match layer_dims");
+  }
+  std::vector<Matrix> input_major;
+  input_major.reserve(weights.size());
+  for (const Matrix& w : weights) {
+    input_major.push_back(w.Transposed());
+  }
+  return input_major;
+}
+
+}  // namespace
+
+Mlp::Mlp(const MlpConfig& config, const std::vector<Matrix>& weights,
          std::vector<std::vector<double>> biases)
+    : Mlp(config, InputMajorCopy(config.layer_dims, weights), std::move(biases),
+          InputMajor{}) {}
+
+Mlp Mlp::FromInputMajor(const MlpConfig& config, std::vector<Matrix> weights,
+                        std::vector<std::vector<double>> biases) {
+  return Mlp(config, std::move(weights), std::move(biases), InputMajor{});
+}
+
+Mlp::Mlp(const MlpConfig& config, std::vector<Matrix> weights,
+         std::vector<std::vector<double>> biases, InputMajor)
     : config_(config), weights_(std::move(weights)), biases_(std::move(biases)) {
   const std::vector<size_t>& dims = config_.layer_dims;
   bool ok = dims.size() >= 2 && weights_.size() + 1 == dims.size() &&
             biases_.size() == weights_.size();
   for (size_t l = 0; ok && l < weights_.size(); ++l) {
-    ok = weights_[l].rows() == dims[l + 1] && weights_[l].cols() == dims[l] &&
+    ok = weights_[l].rows() == dims[l] && weights_[l].cols() == dims[l + 1] &&
          biases_[l].size() == dims[l + 1];
   }
   if (!ok) {
@@ -41,6 +80,15 @@ Mlp::Mlp(const MlpConfig& config, std::vector<Matrix> weights,
   }
 }
 
+std::vector<Matrix> Mlp::weights() const {
+  std::vector<Matrix> row_major;
+  row_major.reserve(weights_.size());
+  for (const Matrix& w : weights_) {
+    row_major.push_back(w.Transposed());
+  }
+  return row_major;
+}
+
 namespace {
 
 // Two doubles in one SSE2 register (the GCC/Clang vector extension). Each lane
@@ -48,53 +96,58 @@ namespace {
 // accumulator holds two independent single-chain sums.
 typedef double Double2 __attribute__((vector_size(16)));
 
-bool IsNegativeZero(double v) { return v == 0.0 && std::signbit(v); }
-
-// Whether any of rows [o, o + rows) starts its chain at -0.0, the one start
-// on which dropping a zero term can change the sum (DESIGN.md, "Dead-unit
-// skipping").
-bool AnyNegativeZero(const double* bias, size_t o, size_t rows) {
-  return std::any_of(bias + o, bias + o + rows, IsNegativeZero);
-}
-
-double Activate(double sum, bool relu) { return relu ? std::max(0.0, sum) : sum; }
-
-// Rows [o, o + 2 * kPairs) of one layer, two rows per Double2: each row is its
-// bias, then += w[r][i] * a[i] over the listed input indices, in list order.
+// Rows [r, r + 2 * kPairs) of m times d, two rows per Double2: each row is
+// +0.0, then += m(r, c) * d[c] over the listed columns c, in list order.
 template <size_t kPairs>
-void ForwardRowPairs(const Matrix& w, const double* bias, size_t o,
-                     const double* a, std::span<const size_t> terms, bool relu,
-                     double* z) {
-  const size_t in = w.cols();
-  const double* w0 = w.RowPtr(o);
+void RowPairs(const Matrix& m, size_t r, const double* d,
+              std::span<const uint32_t> terms, double* out) {
+  const size_t cols = m.cols();
+  const double* m0 = m.RowPtr(r);
   Double2 s[kPairs];
   for (size_t p = 0; p < kPairs; ++p) {
-    Double2 b = {bias[o + 2 * p], bias[o + 2 * p + 1]};
-    s[p] = b;
+    s[p] = Double2{0.0, 0.0};
   }
-  for (size_t i : terms) {
-    Double2 ai = {a[i], a[i]};
+  for (size_t c : terms) {
+    Double2 dc = {d[c], d[c]};
     for (size_t p = 0; p < kPairs; ++p) {
-      const double* wi = w0 + 2 * p * in + i;
-      Double2 wp = {wi[0], wi[in]};
-      s[p] += wp * ai;
+      const double* mc = m0 + 2 * p * cols + c;
+      Double2 mp = {mc[0], mc[cols]};
+      s[p] += mp * dc;
     }
   }
   for (size_t p = 0; p < kPairs; ++p) {
-    z[o + 2 * p] = Activate(s[p][0], relu);
-    z[o + 2 * p + 1] = Activate(s[p][1], relu);
+    out[r + 2 * p] = s[p][0];
+    out[r + 2 * p + 1] = s[p][1];
   }
 }
 
-// One row on a scalar chain over the listed input indices.
-void ForwardRow(const Matrix& w, const double* bias, size_t o, const double* a,
-                std::span<const size_t> terms, bool relu, double* z) {
-  const double* wrow = w.RowPtr(o);
-  double sum = bias[o];
-  for (size_t i : terms) {
-    sum += wrow[i] * a[i];
+// out = m d, each row one +0.0-start chain over the non-zero entries of d in
+// order, eight rows per pass over them. Backprop runs it on an input-major
+// weight matrix, whose rows are the layer's inputs: out is W^T d, each entry
+// the sum the row-major W gave column by column, term for term.
+void RowProduct(const Matrix& m, const double* d, std::vector<uint32_t>& live,
+                double* out) {
+  size_t num_live = 0;
+  for (size_t c = 0; c < m.cols(); ++c) {
+    live[num_live] = static_cast<uint32_t>(c);
+    num_live += d[c] != 0.0 ? 1 : 0;
   }
-  z[o] = Activate(sum, relu);
+  std::span<const uint32_t> terms(live.data(), num_live);
+  size_t r = 0;
+  for (; r + 8 <= m.rows(); r += 8) {
+    RowPairs<4>(m, r, d, terms, out);
+  }
+  for (; r + 2 <= m.rows(); r += 2) {
+    RowPairs<1>(m, r, d, terms, out);
+  }
+  if (r < m.rows()) {
+    const double* mrow = m.RowPtr(r);
+    double sum = 0.0;
+    for (size_t c : terms) {
+      sum += mrow[c] * d[c];
+    }
+    out[r] = sum;
+  }
 }
 
 }  // namespace
@@ -105,50 +158,16 @@ void Mlp::Forward(const double* input,
   size_t num_layers = weights_.size();
   activations.resize(num_layers + 1);
   activations[0].assign(input, input + dims[0]);
-  size_t max_in = *std::max_element(dims.begin(), dims.end() - 1);
-  // live: the input indices whose term remains; every: all of them, in order.
-  std::vector<size_t> live(max_in);
-  std::vector<size_t> every;
+  std::vector<uint32_t> live(*std::max_element(dims.begin(), dims.end() - 1));
   for (size_t l = 0; l < num_layers; ++l) {
-    size_t in = dims[l];
-    size_t out = dims[l + 1];
-    const Matrix& w = weights_[l];
-    const double* a = activations[l].data();
-    const double* bias = biases_[l].data();
-    std::vector<double>& z = activations[l + 1];
-    z.resize(out);
+    activations[l + 1].resize(dims[l + 1]);
     // ReLU on hidden layers, identity on the output layer.
-    bool relu = l + 1 < num_layers;
-    // Skip the exactly-zero inputs (ReLU-dead units, zero features): with
-    // finite weights their terms are +-0.0, which leave every sum unchanged
-    // unless the sum is -0.0 — only possible on a row whose bias is -0.0, so
-    // such rows keep every term.
-    size_t num_live = 0;
-    for (size_t i = 0; i < in; ++i) {
-      live[num_live] = i;
-      num_live += a[i] != 0.0 ? 1 : 0;
-    }
-    auto terms_for = [&](size_t o, size_t rows) {
-      if (!AnyNegativeZero(bias, o, rows)) {
-        return std::span<const size_t>(live.data(), num_live);
-      }
-      if (every.size() < in) {
-        every.resize(in);
-        std::iota(every.begin(), every.end(), size_t{0});
-      }
-      return std::span<const size_t>(every.data(), in);
-    };
-    // Eight rows per pass over the terms, then pairs, then a last odd row.
-    size_t o = 0;
-    for (; o + 8 <= out; o += 8) {
-      ForwardRowPairs<4>(w, bias, o, a, terms_for(o, 8), relu, z.data());
-    }
-    for (; o + 2 <= out; o += 2) {
-      ForwardRowPairs<1>(w, bias, o, a, terms_for(o, 2), relu, z.data());
-    }
-    if (o < out) {
-      ForwardRow(w, bias, o, a, terms_for(o, 1), relu, z.data());
-    }
+    DenseForward({.weights = &weights_[l],
+                  .bias = biases_[l].data(),
+                  .input = activations[l].data(),
+                  .relu = l + 1 < num_layers,
+                  .live = live.data(),
+                  .output = activations[l + 1].data()});
   }
 }
 
@@ -171,9 +190,15 @@ size_t Mlp::ForwardMacs() const {
 }
 
 double Mlp::Train(const Matrix& x, const Matrix& y) {
-  assert(x.cols() == config_.layer_dims.front());
-  assert(y.cols() == config_.layer_dims.back());
-  assert(x.rows() == y.rows());
+  if (x.cols() != config_.layer_dims.front()) {
+    throw std::invalid_argument("Mlp::Train: x width does not match layer_dims");
+  }
+  if (y.cols() != config_.layer_dims.back()) {
+    throw std::invalid_argument("Mlp::Train: y width does not match layer_dims");
+  }
+  if (x.rows() != y.rows()) {
+    throw std::invalid_argument("Mlp::Train: x and y row counts differ");
+  }
   size_t n = x.rows();
   if (n == 0) {
     return 0.0;
@@ -203,7 +228,11 @@ double Mlp::Train(const Matrix& x, const Matrix& y) {
   std::vector<std::vector<double>> activations;
   // Per-layer error terms (dL/dz).
   std::vector<std::vector<double>> deltas(num_layers);
-  // Minibatch gradient accumulators.
+  std::vector<uint32_t> live(
+      *std::max_element(config_.layer_dims.begin(), config_.layer_dims.end()));
+  // Minibatch gradient accumulators, row-major (out x in) so that a sample's
+  // gradient adds along contiguous rows; the velocities are input-major like
+  // the weights they update.
   std::vector<Matrix> grad_w;
   std::vector<std::vector<double>> grad_b;
   std::vector<Matrix> weight_velocity;
@@ -211,7 +240,7 @@ double Mlp::Train(const Matrix& x, const Matrix& y) {
   for (size_t l = 0; l < num_layers; ++l) {
     grad_w.emplace_back(config_.layer_dims[l + 1], config_.layer_dims[l]);
     grad_b.emplace_back(config_.layer_dims[l + 1], 0.0);
-    weight_velocity.emplace_back(config_.layer_dims[l + 1], config_.layer_dims[l]);
+    weight_velocity.emplace_back(config_.layer_dims[l], config_.layer_dims[l + 1]);
     bias_velocity.emplace_back(config_.layer_dims[l + 1], 0.0);
   }
 
@@ -243,22 +272,12 @@ double Mlp::Train(const Matrix& x, const Matrix& y) {
           deltas[num_layers - 1][o] = 2.0 * diff / static_cast<double>(out_dim);
           epoch_loss += diff * diff / static_cast<double>(out_dim);
         }
-        // Backpropagate.
+        // Backpropagate: deltas[l] = W[l+1]^T deltas[l+1], a product whose
+        // rows are the rows of the input-major W[l+1].
         for (size_t l = num_layers - 1; l-- > 0;) {
           size_t dim = config_.layer_dims[l + 1];
-          deltas[l].assign(dim, 0.0);
-          const Matrix& w_next = weights_[l + 1];
-          const std::vector<double>& delta_next = deltas[l + 1];
-          for (size_t o = 0; o < delta_next.size(); ++o) {
-            double d = delta_next[o];
-            if (d == 0.0) {
-              continue;
-            }
-            const double* wrow = w_next.RowPtr(o);
-            for (size_t i = 0; i < dim; ++i) {
-              deltas[l][i] += d * wrow[i];
-            }
-          }
+          deltas[l].resize(dim);
+          RowProduct(weights_[l + 1], deltas[l + 1].data(), live, deltas[l].data());
           // ReLU derivative.
           for (size_t i = 0; i < dim; ++i) {
             if (activations[l + 1][i] <= 0.0) {
@@ -284,13 +303,17 @@ double Mlp::Train(const Matrix& x, const Matrix& y) {
       }
       // SGD with momentum and L2 weight decay.
       for (size_t l = 0; l < num_layers; ++l) {
-        std::vector<double>& wdata = weights_[l].data();
-        std::vector<double>& vdata = weight_velocity[l].data();
-        const std::vector<double>& gdata = grad_w[l].data();
-        for (size_t i = 0; i < wdata.size(); ++i) {
-          double grad = gdata[i] / batch_n + config_.l2 * wdata[i];
-          vdata[i] = config_.momentum * vdata[i] - config_.learning_rate * grad;
-          wdata[i] += vdata[i];
+        Matrix& w = weights_[l];
+        Matrix& velocity = weight_velocity[l];
+        const Matrix& g = grad_w[l];
+        for (size_t i = 0; i < w.rows(); ++i) {
+          double* wrow = w.RowPtr(i);
+          double* vrow = velocity.RowPtr(i);
+          for (size_t o = 0; o < w.cols(); ++o) {
+            double grad = g(o, i) / batch_n + config_.l2 * wrow[o];
+            vrow[o] = config_.momentum * vrow[o] - config_.learning_rate * grad;
+            wrow[o] += vrow[o];
+          }
         }
         for (size_t o = 0; o < biases_[l].size(); ++o) {
           double grad = grad_b[l][o] / batch_n;

@@ -1,11 +1,10 @@
 // Fully-connected network with ReLU hidden activations, trained with minibatch
 // SGD + momentum, MSE loss, and L2 regularization — exactly the recipe the paper
-// uses for its content-aware accuracy prediction model (Section 4). The forward
-// pass (Predict, and Train's) computes eight output rows per pass over a
-// layer's input, two rows per SSE2 register, each in its own lane and in the
-// one-row-at-a-time order, and skips the exactly-zero inputs (ReLU-dead
-// units), so every output is bit-identical to a single running sum per row
-// (DESIGN.md, "Blocked MLP forward" and "Dead-unit skipping").
+// uses for its content-aware accuracy prediction model (Section 4). Each layer
+// is stored input-major, and the forward pass (Predict, and Train's) runs it
+// through the output-lane dense kernel (src/nn/dense.h): every output is
+// bit-identical to a single running sum per output in input order (DESIGN.md,
+// "Blocked MLP forward" and "Dead-unit skipping").
 #ifndef SRC_NN_MLP_H_
 #define SRC_NN_MLP_H_
 
@@ -32,16 +31,24 @@ struct MlpConfig {
 
 class Mlp {
  public:
-  // A Xavier-initialised network, ready to Train.
+  // A Xavier-initialised network, ready to Train. Throws
+  // std::invalid_argument unless layer_dims has at least two widths.
   explicit Mlp(const MlpConfig& config);
-  // A network with the given parameters, e.g. read from the model cache. Throws
+  // A network with the given row-major parameters. Throws
   // std::invalid_argument unless every weights[l] is layer_dims[l+1] x
   // layer_dims[l], every biases[l] has layer_dims[l+1] entries, and every
   // parameter is finite (the forward's dead-unit skip relies on it).
-  Mlp(const MlpConfig& config, std::vector<Matrix> weights,
+  Mlp(const MlpConfig& config, const std::vector<Matrix>& weights,
       std::vector<std::vector<double>> biases);
+  // The same from input-major weights, the net's own layout, taken as they
+  // are (the model-cache loader): every weights[l] must be layer_dims[l] x
+  // layer_dims[l+1].
+  static Mlp FromInputMajor(const MlpConfig& config, std::vector<Matrix> weights,
+                            std::vector<std::vector<double>> biases);
 
   // X: n x input_dim, Y: n x output_dim. Returns the final epoch's mean MSE.
+  // Throws std::invalid_argument unless x has input_dim columns, y has
+  // output_dim columns and both have the same number of rows.
   double Train(const Matrix& x, const Matrix& y);
 
   // Throws std::invalid_argument unless input has layer_dims.front() entries.
@@ -53,15 +60,21 @@ class Mlp {
 
   const MlpConfig& config() const { return config_; }
 
-  // Parameter access for serialization.
-  const std::vector<Matrix>& weights() const { return weights_; }
+  // The weights exported row-major (weights()[l] is layer_dims[l+1] x
+  // layer_dims[l]), a copy: for the model-cache writer, the CPU-family graft
+  // and tests, never a hot path.
+  std::vector<Matrix> weights() const;
   const std::vector<std::vector<double>>& biases() const { return biases_; }
 
  private:
+  struct InputMajor {};
+  Mlp(const MlpConfig& config, std::vector<Matrix> weights,
+      std::vector<std::vector<double>> biases, InputMajor);
+
   void Forward(const double* input, std::vector<std::vector<double>>& activations) const;
 
   MlpConfig config_;
-  // weights_[l] has shape (dims[l+1] x dims[l]); biases_[l] has dims[l+1].
+  // weights_[l] is input-major, dims[l] x dims[l+1]; biases_[l] has dims[l+1].
   std::vector<Matrix> weights_;
   std::vector<std::vector<double>> biases_;
 };

@@ -2,10 +2,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "src/nn/matrix.h"
 
@@ -25,7 +31,7 @@ void WriteDouble(std::ostream& os, double v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteDoubles(std::ostream& os, const std::vector<double>& v) {
+void WriteDoubles(std::ostream& os, std::span<const double> v) {
   WriteU64(os, v.size());
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size() * sizeof(double)));
@@ -49,15 +55,40 @@ bool ReadBytes(CacheInput& in, void* out, uint64_t n) {
 
 bool ReadU64(CacheInput& in, uint64_t& v) { return ReadBytes(in, &v, sizeof(v)); }
 
+// An array's stored length, if it is at most kMaxArrayLength and the bytes
+// left can hold that many doubles.
+bool ReadLength(CacheInput& in, uint64_t& n) {
+  return ReadU64(in, n) && n <= kMaxArrayLength && n <= in.bytes_left / sizeof(double);
+}
+
 // An array as stored, NaN and infinity included: for the accuracy nets, whose
 // constructor rejects them (one pass over ~300k parameters, not two).
 bool ReadDoublesUnchecked(CacheInput& in, std::vector<double>& v) {
   uint64_t n = 0;
-  if (!ReadU64(in, n) || n > kMaxArrayLength || n > in.bytes_left / sizeof(double)) {
+  if (!ReadLength(in, n)) {
     return false;
   }
   v.resize(n);
   return ReadBytes(in, v.data(), n * sizeof(double));
+}
+
+// One accuracy-net layer's weights, stored row-major (rows = outputs), read
+// into `w` input-major: through `scratch`, reused across layers and nets,
+// then transposed into storage that is not zero-filled first.
+bool ReadInputMajorWeights(CacheInput& in, size_t rows, size_t cols,
+                           std::vector<double>& scratch, Matrix& w) {
+  uint64_t n = 0;
+  if (!ReadLength(in, n) || n != rows * cols) {
+    return false;
+  }
+  if (scratch.size() < n) {
+    scratch.resize(n);
+  }
+  if (!ReadBytes(in, scratch.data(), n * sizeof(double))) {
+    return false;
+  }
+  w = Matrix::TransposeOf(std::span<const double>(scratch.data(), n), rows, cols);
+  return true;
 }
 
 // The double readers reject NaN and infinity: no stored parameter may hold one.
@@ -71,8 +102,10 @@ bool ReadDoubles(CacheInput& in, std::vector<double>& v) {
 
 }  // namespace
 
-bool SaveTrainedModels(const TrainedModels& models, uint64_t fingerprint,
-                       const std::string& path) {
+namespace {
+
+bool WriteBundle(const TrainedModels& models, uint64_t fingerprint,
+                 const std::string& path) {
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) {
     return false;
@@ -98,8 +131,10 @@ bool SaveTrainedModels(const TrainedModels& models, uint64_t fingerprint,
     for (size_t dim : config.layer_dims) {
       WriteU64(os, dim);
     }
-    for (size_t l = 0; l + 1 < config.layer_dims.size(); ++l) {
-      WriteDoubles(os, predictor.mlp().weights()[l].data());
+    // Stored row-major, as Mlp::weights() exports them.
+    std::vector<Matrix> weights = predictor.mlp().weights();
+    for (size_t l = 0; l < weights.size(); ++l) {
+      WriteDoubles(os, weights[l].data());
       WriteDoubles(os, predictor.mlp().biases()[l]);
     }
   }
@@ -120,7 +155,31 @@ bool SaveTrainedModels(const TrainedModels& models, uint64_t fingerprint,
   for (double v : models.feature_predict_ms) {
     WriteDouble(os, v);
   }
-  return os.good();
+  os.close();
+  return !os.fail();
+}
+
+}  // namespace
+
+bool SaveTrainedModels(const TrainedModels& models, uint64_t fingerprint,
+                       const std::string& path) {
+  // Written to a uniquely named file beside the target, then renamed over it:
+  // a reader (another bench loading the cache) sees the old bundle or the new
+  // one, never a half-written file.
+  std::string temp = path + ".tmp.XXXXXX";
+  int fd = mkstemp(temp.data());
+  if (fd < 0) {
+    return false;
+  }
+  // mkstemp creates the file owner-only; keep the usual cache permissions.
+  bool ok = fchmod(fd, 0644) == 0;
+  ok = close(fd) == 0 && ok;
+  ok = ok && WriteBundle(models, fingerprint, temp) &&
+       std::rename(temp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    std::remove(temp.c_str());
+  }
+  return ok;
 }
 
 std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
@@ -168,6 +227,7 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
   if (!ReadU64(is, num_predictors) || num_predictors > kNumFeatureKinds) {
     return std::nullopt;
   }
+  std::vector<double> scratch;
   for (uint64_t p = 0; p < num_predictors; ++p) {
     uint64_t kind_raw = 0;
     uint64_t num_dims = 0;
@@ -189,26 +249,21 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
         config.layer_dims.back() != space.size()) {
       return std::nullopt;
     }
-    std::vector<Matrix> weights;
-    std::vector<std::vector<double>> biases;
-    for (size_t l = 0; l + 1 < config.layer_dims.size(); ++l) {
+    size_t num_layers = config.layer_dims.size() - 1;
+    std::vector<Matrix> weights(num_layers);
+    std::vector<std::vector<double>> biases(num_layers);
+    for (size_t l = 0; l < num_layers; ++l) {
       size_t in = config.layer_dims[l];
       size_t out = config.layer_dims[l + 1];
-      std::vector<double> wdata;
-      std::vector<double> bdata;
-      if (!ReadDoublesUnchecked(is, wdata) || wdata.size() != out * in ||
-          !ReadDoublesUnchecked(is, bdata) || bdata.size() != out) {
+      if (!ReadInputMajorWeights(is, out, in, scratch, weights[l]) ||
+          !ReadDoublesUnchecked(is, biases[l]) || biases[l].size() != out) {
         return std::nullopt;
       }
-      Matrix w(out, in);
-      w.data() = std::move(wdata);
-      weights.push_back(std::move(w));
-      biases.push_back(std::move(bdata));
     }
     try {
       models.accuracy.emplace(
-          kind, AccuracyPredictor(kind, Mlp(config, std::move(weights),
-                                            std::move(biases))));
+          kind, AccuracyPredictor(kind, Mlp::FromInputMajor(config, std::move(weights),
+                                                            std::move(biases))));
     } catch (const std::invalid_argument&) {
       return std::nullopt;  // a NaN or infinite weight or bias
     }

@@ -14,7 +14,8 @@
 
 namespace litereconfig {
 
-// Writes the bundle; returns false on I/O failure.
+// Writes the bundle to a temporary file in path's directory and renames it
+// over path; returns false, leaving no temporary behind, on I/O failure.
 bool SaveTrainedModels(const TrainedModels& models, uint64_t fingerprint,
                        const std::string& path);
 

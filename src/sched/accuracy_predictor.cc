@@ -9,12 +9,40 @@
 
 namespace litereconfig {
 
+namespace {
+
+// The hashed content feature's width: the kind's own width, capped.
+int ContentDim(FeatureKind kind) {
+  return std::min(FeatureDimension(kind), kHashedFeatureDim);
+}
+
+uint64_t ContentHashSeed(FeatureKind kind) {
+  return HashKeys({0x4a54ull, static_cast<uint64_t>(kind)});
+}
+
+// The hashing projection of each kind's content feature at its full width,
+// built once per process.
+const HashProjection& ContentProjection(FeatureKind kind) {
+  static const std::vector<HashProjection> projections = [] {
+    std::vector<HashProjection> p;
+    p.reserve(kNumFeatureKinds);
+    for (int k = 0; k < kNumFeatureKinds; ++k) {
+      FeatureKind kind_k = static_cast<FeatureKind>(k);
+      p.emplace_back(static_cast<size_t>(FeatureDimension(kind_k)),
+                     ContentDim(kind_k), ContentHashSeed(kind_k));
+    }
+    return p;
+  }();
+  return projections[static_cast<size_t>(kind)];
+}
+
+}  // namespace
+
 size_t AccuracyPredictor::InputDim(FeatureKind kind) {
   if (kind == FeatureKind::kLight) {
     return kLightFeatureDim;
   }
-  size_t content_dim = std::min(FeatureDimension(kind), kHashedFeatureDim);
-  return kLightFeatureDim + content_dim;
+  return static_cast<size_t>(kLightFeatureDim + ContentDim(kind));
 }
 
 MlpConfig AccuracyPredictor::DefaultMlpConfig(FeatureKind kind, size_t num_branches,
@@ -52,10 +80,11 @@ std::vector<double> AccuracyPredictor::BuildInput(
   }
   std::vector<double> input = light_features;
   if (kind_ != FeatureKind::kLight) {
-    size_t content_dim = std::min(FeatureDimension(kind_), kHashedFeatureDim);
+    const HashProjection& projection = ContentProjection(kind_);
     std::vector<double> hashed =
-        HashProject(content_feature, static_cast<int>(content_dim),
-                    HashKeys({0x4a54ull, static_cast<uint64_t>(kind_)}));
+        content_feature.size() == projection.in_dim()
+            ? projection.Project(content_feature)
+            : HashProject(content_feature, ContentDim(kind_), ContentHashSeed(kind_));
     input.insert(input.end(), hashed.begin(), hashed.end());
   }
   return input;

@@ -59,8 +59,7 @@ AccuracyPredictor ExtendPredictor(const AccuracyPredictor& base,
   }
   weights.back() = std::move(out);
   biases.back() = std::move(bias);
-  return AccuracyPredictor(base.kind(),
-                           Mlp(config, std::move(weights), std::move(biases)));
+  return AccuracyPredictor(base.kind(), Mlp(config, weights, std::move(biases)));
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 
 #include "src/features/costs.h"
@@ -10,8 +13,12 @@
 #include "src/features/hoc.h"
 #include "src/features/hog.h"
 #include "src/features/light.h"
+#include "src/util/rng.h"
 #include "src/video/classes.h"
+#include "src/video/dataset.h"
 #include "src/video/raster.h"
+#include "tests/embedding_reference.h"
+#include "tests/hash_reference.h"
 
 namespace litereconfig {
 namespace {
@@ -170,6 +177,36 @@ TEST(EmbeddingTest, CarriesContentSignal) {
   EXPECT_GT(L2Distance(slow0, fast0), L2Distance(slow0, slow1));
 }
 
+// Both projections run on the dense kernel against the row-major oracle, bit
+// for bit, on every frame of a few validation videos.
+TEST(EmbeddingTest, MatchesRowMajorReference) {
+  DatasetSpec spec;
+  spec.base_seed = 3;
+  spec.num_videos = 3;
+  spec.frames_per_video = 60;
+  Dataset dataset = BuildDataset(spec, DatasetSplit::kVal);
+  for (const SyntheticVideo& video : dataset.videos) {
+    for (int t = 0; t < video.frame_count(); ++t) {
+      SCOPED_TRACE(testing::Message() << "video " << video.spec().seed << " frame " << t);
+      std::vector<double> resnet = ComputeResNetFeature(video, t);
+      std::vector<double> resnet_want = ReferenceResNetFeature(video, t);
+      std::vector<double> mobilenet = ComputeMobileNetFeature(video, t);
+      std::vector<double> mobilenet_want = ReferenceMobileNetFeature(video, t);
+      ASSERT_EQ(resnet.size(), resnet_want.size());
+      ASSERT_EQ(mobilenet.size(), mobilenet_want.size());
+      for (size_t o = 0; o < resnet.size(); ++o) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(resnet[o]), std::bit_cast<uint64_t>(resnet_want[o]))
+            << "resnet output " << o;
+      }
+      for (size_t o = 0; o < mobilenet.size(); ++o) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(mobilenet[o]),
+                  std::bit_cast<uint64_t>(mobilenet_want[o]))
+            << "mobilenet output " << o;
+      }
+    }
+  }
+}
+
 TEST(EmbeddingTest, CpopReflectsDetectedClasses) {
   SyntheticVideo video = MakeVideo(11, SceneArchetype::kSparse);
   Detection det;
@@ -204,6 +241,45 @@ TEST(HashingTest, DeterministicAndSeedSensitive) {
   }
   EXPECT_EQ(HashProject(input, 32, 1), HashProject(input, 32, 1));
   EXPECT_NE(HashProject(input, 32, 1), HashProject(input, 32, 2));
+}
+
+// The tabled projection against the hashing loop, bit for bit, at every
+// heavy kind's full width (the widths AccuracyPredictor tables), on inputs
+// with +-0.0 among uniform values, plus NaNs in one sample and infinities
+// of both signs in another. No sample mixes two NaN bit patterns (an input
+// NaN and the one inf + -inf makes): where two different NaNs meet in one
+// add, IEEE 754 leaves the result to the operand order, which is the
+// compiler's choice (it differs between -march=x86-64 and x86-64-v3).
+TEST(HashingTest, ProjectionMatchesHashingLoop) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Pcg32 rng(0x4a5e);
+  for (FeatureKind kind : kHeavyFeatures) {
+    size_t width = static_cast<size_t>(FeatureDimension(kind));
+    int out_dim = std::min(FeatureDimension(kind), kHashedFeatureDim);
+    uint64_t seed = HashKeys({0x4a54ull, static_cast<uint64_t>(kind)});
+    HashProjection projection(width, out_dim, seed);
+    for (int sample = 0; sample < 4; ++sample) {
+      std::vector<double> input(width);
+      for (double& v : input) {
+        uint32_t pick = rng.UniformInt(16);
+        double value = rng.Uniform(-2.0, 2.0);
+        v = pick == 0   ? 0.0
+            : pick == 1 ? -0.0
+            : pick == 2 && sample == 2 ? nan
+            : pick == 3 && sample == 3 ? (rng.UniformInt(2) == 0 ? inf : -inf)
+                                      : value;
+      }
+      std::vector<double> got = projection.Project(input);
+      std::vector<double> want = ReferenceHashProject(input, out_dim, seed);
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t o = 0; o < got.size(); ++o) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[o]), std::bit_cast<uint64_t>(want[o]))
+            << FeatureName(kind) << " sample " << sample << " bucket " << o;
+      }
+      EXPECT_EQ(HashProject(input, out_dim, seed).size(), want.size());
+    }
+  }
 }
 
 TEST(HashingTest, LinearInInput) {

@@ -1,11 +1,12 @@
-// Reference MLP forward for tests and the perf-smoke floor: one running sum
-// per output row.
+// Reference dense layer and MLP forward for tests and the perf-smoke floor:
+// one running sum per output row.
 //
-// Each output is bias, then += w[o][i] * a[i] for i = 0, 1, ..., in that
-// order, with ReLU on hidden layers and the identity on the output layer.
-// Mlp::Predict (src/nn/mlp.h) computes eight rows per pass over the input,
-// two per register, and skips the exactly-zero inputs instead; tests compare
-// the two bit for bit.
+// Each output is its bias (+0.0 without one), then += w[o][i] * a[i] for
+// i = 0, 1, ..., in that order, with ReLU on hidden layers and the identity
+// on the output layer. Mlp::Predict (src/nn/mlp.h) runs input-major weights
+// through the output-lane dense kernel (src/nn/dense.h), several outputs per
+// vector, and skips the exactly-zero inputs instead; tests compare the two
+// bit for bit.
 #ifndef TESTS_MLP_REFERENCE_H_
 #define TESTS_MLP_REFERENCE_H_
 
@@ -17,29 +18,39 @@
 
 namespace litereconfig {
 
+// One layer over row-major weights (w is out x in); `bias` is null for a
+// +0.0 start on every output.
+inline std::vector<double> ReferenceDenseLayer(const Matrix& w, const double* bias,
+                                               const std::vector<double>& a,
+                                               bool relu) {
+  std::vector<double> z(w.rows(), 0.0);
+  for (size_t o = 0; o < w.rows(); ++o) {
+    const double* wrow = w.RowPtr(o);
+    double sum = bias != nullptr ? bias[o] : 0.0;
+    for (size_t i = 0; i < w.cols(); ++i) {
+      sum += wrow[i] * a[i];
+    }
+    z[o] = relu ? std::max(0.0, sum) : sum;
+  }
+  return z;
+}
+
+// The forward over row-major weights (weights[l] is out x in) and biases, as
+// Mlp::weights() and Mlp::biases() export them.
+inline std::vector<double> ReferenceMlpPredict(
+    const std::vector<Matrix>& weights, const std::vector<std::vector<double>>& biases,
+    const std::vector<double>& input) {
+  std::vector<double> a = input;
+  for (size_t l = 0; l < weights.size(); ++l) {
+    // ReLU on hidden layers, identity on the output layer.
+    a = ReferenceDenseLayer(weights[l], biases[l].data(), a, l + 1 < weights.size());
+  }
+  return a;
+}
+
 inline std::vector<double> ReferenceMlpPredict(const Mlp& mlp,
                                                const std::vector<double>& input) {
-  const std::vector<size_t>& dims = mlp.config().layer_dims;
-  size_t num_layers = mlp.weights().size();
-  std::vector<std::vector<double>> activations(num_layers + 1);
-  activations[0] = input;
-  for (size_t l = 0; l < num_layers; ++l) {
-    size_t in = dims[l];
-    size_t out = dims[l + 1];
-    std::vector<double>& z = activations[l + 1];
-    z.assign(out, 0.0);
-    const std::vector<double>& a = activations[l];
-    for (size_t o = 0; o < out; ++o) {
-      const double* wrow = mlp.weights()[l].RowPtr(o);
-      double sum = mlp.biases()[l][o];
-      for (size_t i = 0; i < in; ++i) {
-        sum += wrow[i] * a[i];
-      }
-      // ReLU on hidden layers, identity on the output layer.
-      z[o] = (l + 1 < num_layers) ? std::max(0.0, sum) : sum;
-    }
-  }
-  return activations.back();
+  return ReferenceMlpPredict(mlp.weights(), mlp.biases(), input);
 }
 
 }  // namespace litereconfig

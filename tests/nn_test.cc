@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 
+#include "src/nn/dense.h"
 #include "src/nn/matrix.h"
 #include "src/nn/mlp.h"
 #include "src/nn/ridge.h"
@@ -360,8 +361,9 @@ TEST(MlpTest, RandomizedForwardMatchesSingleChainReference) {
 // Folds the bit pattern of every weight and bias, layer by layer, into one hash.
 uint64_t ParameterHash(const Mlp& mlp) {
   HashState h;
-  for (size_t l = 0; l < mlp.weights().size(); ++l) {
-    for (double v : mlp.weights()[l].data()) {
+  std::vector<Matrix> weights = mlp.weights();
+  for (size_t l = 0; l < weights.size(); ++l) {
+    for (double v : weights[l].data()) {
       h.Mix(std::bit_cast<uint64_t>(v));
     }
     for (double v : mlp.biases()[l]) {
@@ -396,6 +398,133 @@ TEST(MlpTest, TrainingIsBitPinned) {
   EXPECT_EQ(ParameterHash(mlp), 0x96d8406864a61178ull);
 }
 
+// The same pin on widths that are no multiple of any kernel block: hidden 45
+// and 21 and output 37 leave whole-vector tails and single leftover outputs
+// at both vector widths, and odd rows in backprop. The values were computed
+// with row-major weights and the eight-rows-per-pass forward.
+TEST(MlpTest, TrainingIsBitPinnedAtRaggedWidths) {
+  Pcg32 rng(43);
+  Matrix x(128, 7);
+  Matrix y(128, 37);
+  for (size_t i = 0; i < 128; ++i) {
+    for (size_t j = 0; j < 7; ++j) {
+      x(i, j) = rng.Uniform(-1, 1);
+    }
+    for (size_t o = 0; o < 37; ++o) {
+      y(i, o) = x(i, o % 7) * x(i, (o + 3) % 7) - 0.25 * x(i, (o + 1) % 7) +
+                0.01 * static_cast<double>(o);
+    }
+  }
+  MlpConfig config = SmallConfig({7, 45, 21, 37}, 25);
+  config.l2 = 1e-3;
+  config.early_stop_rel_tol = 1e-6;
+  Mlp mlp(config);
+  double loss = mlp.Train(x, y);
+  EXPECT_EQ(std::bit_cast<uint64_t>(loss), 0x3fb9aca3a2be5228ull);
+  EXPECT_EQ(ParameterHash(mlp), 0x46fc4545fe5e0997ull);
+}
+
+TEST(MlpTest, ConfigConstructorRejectsFewerThanTwoWidths) {
+  EXPECT_THROW(Mlp(SmallConfig({})), std::invalid_argument);
+  EXPECT_THROW(Mlp(SmallConfig({4})), std::invalid_argument);
+  EXPECT_NO_THROW(Mlp(SmallConfig({4, 1})));
+}
+
+TEST(MlpTest, TrainRejectsWrongInputWidth) {
+  Mlp mlp(SmallConfig({3, 5, 2}, 1));
+  EXPECT_THROW(mlp.Train(Matrix(4, 2), Matrix(4, 2)), std::invalid_argument);
+  EXPECT_THROW(mlp.Train(Matrix(4, 4), Matrix(4, 2)), std::invalid_argument);
+}
+
+TEST(MlpTest, TrainRejectsWrongOutputWidth) {
+  Mlp mlp(SmallConfig({3, 5, 2}, 1));
+  EXPECT_THROW(mlp.Train(Matrix(4, 3), Matrix(4, 1)), std::invalid_argument);
+  EXPECT_THROW(mlp.Train(Matrix(4, 3), Matrix(4, 3)), std::invalid_argument);
+}
+
+TEST(MlpTest, TrainRejectsMismatchedRowCounts) {
+  Mlp mlp(SmallConfig({3, 5, 2}, 1));
+  EXPECT_THROW(mlp.Train(Matrix(4, 3), Matrix(5, 2)), std::invalid_argument);
+  EXPECT_NO_THROW(mlp.Train(Matrix(4, 3), Matrix(4, 2)));
+}
+
+// Runs one kernel instantiation against the single-chain reference, bit for
+// bit, over output widths below, at and above every block and vector of both
+// widths, with and without biases (a +0.0 start). Trials put a -0.0 bias at
+// each position of a block of the widest kernel, so every block shape meets
+// the dense chain; inputs are +-0.0 one time in four each (all of them in
+// some samples, where only the signs of zeros decide a -0.0 chain), negative
+// or positive otherwise, and biases of -10 keep ReLU units dead.
+void ExpectKernelMatchesReference(void (*kernel)(const DenseArgs&)) {
+  constexpr size_t kOutWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12,
+                                   13, 14, 15, 16, 17, 96, 204};
+  constexpr size_t kInWidths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 35, 100};
+  constexpr size_t kWidestBlock = 32;  // eight four-lane vectors
+  Pcg32 rng(20251);
+  for (size_t out : kOutWidths) {
+    for (size_t in : kInWidths) {
+      for (size_t zero_at = 0; zero_at <= kWidestBlock; ++zero_at) {
+        SCOPED_TRACE(testing::Message() << "out " << out << " in " << in
+                                        << " -0.0 bias at " << zero_at);
+        Matrix w(out, in);  // row-major, for the reference
+        for (double& v : w.data()) {
+          v = SparseValue(rng);
+        }
+        std::vector<double> bias(out);
+        for (double& v : bias) {
+          v = rng.UniformInt(5) == 0 ? -10.0 : SparseValue(rng);
+        }
+        // zero_at == kWidestBlock: no -0.0 placed.
+        for (size_t o = zero_at; zero_at < kWidestBlock && o < out; o += kWidestBlock) {
+          bias[o] = -0.0;
+        }
+        Matrix input_major = w.Transposed();
+        std::vector<uint32_t> live(in);
+        for (int sample = 0; sample < 3; ++sample) {
+          bool all_zero = sample == 0;
+          std::vector<double> a(in);
+          for (double& v : a) {
+            uint32_t pick = rng.UniformInt(4);
+            double value = 3.0 * rng.Uniform(-1, 1);
+            v = all_zero || pick == 0 ? (rng.UniformInt(2) == 0 ? 0.0 : -0.0)
+                : pick == 1           ? -0.0
+                                      : value;
+          }
+          for (bool relu : {false, true}) {
+            for (const double* b : {static_cast<const double*>(bias.data()),
+                                    static_cast<const double*>(nullptr)}) {
+              std::vector<double> got(out);
+              kernel({.weights = &input_major,
+                      .bias = b,
+                      .input = a.data(),
+                      .relu = relu,
+                      .live = live.data(),
+                      .output = got.data()});
+              std::vector<double> want = ReferenceDenseLayer(w, b, a, relu);
+              for (size_t o = 0; o < out; ++o) {
+                ASSERT_EQ(std::bit_cast<uint64_t>(got[o]), std::bit_cast<uint64_t>(want[o]))
+                    << "output " << o << " relu " << relu << " bias "
+                    << (b != nullptr) << ": " << got[o] << " vs " << want[o];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseKernelTest, Sse2MatchesSingleChainReference) {
+  ExpectKernelMatchesReference(DenseForwardSse2);
+}
+
+TEST(DenseKernelTest, Avx2MatchesSingleChainReference) {
+  if (!CpuHasAvx2()) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  ExpectKernelMatchesReference(DenseForwardAvx2);
+}
+
 TEST(MlpTest, L2ShrinksWeights) {
   Pcg32 rng(37);
   Matrix x(128, 2);
@@ -414,10 +543,13 @@ TEST(MlpTest, L2ShrinksWeights) {
   strong.Train(x, y);
   double weak_norm = 0.0;
   double strong_norm = 0.0;
-  for (double v : weak.weights()[0].data()) {
+  // weights() is a copy: keep it alive across the loop.
+  std::vector<Matrix> weak_weights = weak.weights();
+  std::vector<Matrix> strong_weights = strong.weights();
+  for (double v : weak_weights[0].data()) {
     weak_norm += v * v;
   }
-  for (double v : strong.weights()[0].data()) {
+  for (double v : strong_weights[0].data()) {
     strong_norm += v * v;
   }
   EXPECT_LT(strong_norm, weak_norm);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -107,6 +108,67 @@ TEST(SerializeTest, RoundTripPreservesPredictions) {
   EXPECT_DOUBLE_EQ(loaded->ben.Ben(FeatureKind::kHoc, 33.3),
                    models.ben.Ben(FeatureKind::kHoc, 33.3));
   std::remove(path.c_str());
+}
+
+// A fresh, empty directory under the temp directory.
+std::filesystem::path FreshDirectory(const std::string& name) {
+  std::filesystem::path dir = std::filesystem::temp_directory_path() / name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directory(dir);
+  return dir;
+}
+
+std::vector<std::string> DirectoryEntries(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// The save goes through a temporary file and a rename; what lands is the
+// bundle the loader reads back, every accuracy net predicting bit for bit.
+TEST(SerializeTest, AtomicSaveRoundTripsThroughLoad) {
+  const TrainedModels& models = TinyModels();
+  std::filesystem::path dir = FreshDirectory("lrc_serialize_atomic_roundtrip");
+  std::string path = dir / "models.bin";
+  uint64_t fingerprint = TrainConfig::Tiny().Fingerprint();
+  ASSERT_TRUE(SaveTrainedModels(models, fingerprint, path));
+  auto loaded = LoadTrainedModels(path, fingerprint, BranchSpace::Default());
+  ASSERT_TRUE(loaded.has_value());
+  std::vector<double> light = {1.0, 1.0, 0.375, 0.2};
+  for (const auto& [kind, predictor] : models.accuracy) {
+    std::vector<double> content(
+        kind == FeatureKind::kLight ? 0 : static_cast<size_t>(FeatureDimension(kind)),
+        0.25);
+    EXPECT_EQ(loaded->accuracy.at(kind).Predict(light, content),
+              predictor.Predict(light, content))
+        << FeatureName(kind);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SerializeTest, AtomicSaveLeavesNoTemporaryFile) {
+  const TrainedModels& models = TinyModels();
+  std::filesystem::path dir = FreshDirectory("lrc_serialize_atomic_temp");
+  std::string path = dir / "models.bin";
+  // The second save replaces the first.
+  ASSERT_TRUE(SaveTrainedModels(models, 7, path));
+  ASSERT_TRUE(SaveTrainedModels(models, 7, path));
+  EXPECT_EQ(DirectoryEntries(dir), std::vector<std::string>{"models.bin"});
+  EXPECT_TRUE(LoadTrainedModels(path, 7, BranchSpace::Default()).has_value());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(SerializeTest, SaveIntoMissingDirectoryFailsAndCreatesNothing) {
+  const TrainedModels& models = TinyModels();
+  std::filesystem::path parent = FreshDirectory("lrc_serialize_atomic_missing");
+  std::filesystem::path missing = parent / "absent";
+  EXPECT_FALSE(SaveTrainedModels(models, 7, missing / "models.bin"));
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  EXPECT_TRUE(DirectoryEntries(parent).empty());
+  std::filesystem::remove_all(parent);
 }
 
 TEST(SerializeTest, RejectsWrongFingerprint) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 
 #include "src/features/light.h"
@@ -9,6 +12,7 @@
 #include "src/sched/latency_predictor.h"
 #include "src/sched/scheduler.h"
 #include "src/util/rng.h"
+#include "tests/hash_reference.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -124,6 +128,39 @@ TEST(AccuracyPredictorTest, RejectsWrongInputWidths) {
       static_cast<size_t>(FeatureDimension(FeatureKind::kHoc)), 0.5);
   EXPECT_NO_THROW(hoc.Predict(LightVector(3, 0.2), content));
   EXPECT_THROW(hoc.Predict({1.0}, content), std::invalid_argument);
+}
+
+// Every heavy kind's net input is the light features, then its content
+// feature through the once-per-process table, bit for bit what the hashing
+// loop gives; a content vector of another width takes the same hashing.
+TEST(AccuracyPredictorTest, BuildInputMatchesHashingLoop) {
+  Pcg32 rng(0xb1d);
+  std::vector<double> light = LightVector(3, 0.2);
+  for (FeatureKind kind : kHeavyFeatures) {
+    AccuracyPredictor predictor(
+        kind, Mlp(AccuracyPredictor::DefaultMlpConfig(kind, 10, 8, 1)));
+    int out_dim = static_cast<int>(AccuracyPredictor::InputDim(kind) - light.size());
+    uint64_t seed = HashKeys({0x4a54ull, static_cast<uint64_t>(kind)});
+    for (size_t width : {static_cast<size_t>(FeatureDimension(kind)), size_t{500}}) {
+      std::vector<double> content(width);
+      for (double& v : content) {
+        uint32_t pick = rng.UniformInt(8);
+        double value = rng.Uniform(-1.0, 1.0);
+        v = pick == 0   ? -0.0
+            : pick == 1 ? std::numeric_limits<double>::quiet_NaN()
+                        : value;
+      }
+      std::vector<double> got = predictor.BuildInput(light, content);
+      std::vector<double> want = light;
+      std::vector<double> hashed = ReferenceHashProject(content, out_dim, seed);
+      want.insert(want.end(), hashed.begin(), hashed.end());
+      ASSERT_EQ(got.size(), want.size());
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(got[i]), std::bit_cast<uint64_t>(want[i]))
+            << FeatureName(kind) << " width " << width << " input " << i;
+      }
+    }
+  }
 }
 
 TEST(AccuracyPredictorTest, LearnsBranchAccuracyFromLabels) {
