@@ -1,24 +1,21 @@
 // The perf-regression harness (CI perf-smoke job).
 //
-// Times the scheduler hot path (Decide and SelectFeatures, fast vs. the
-// retained reference implementation), the accuracy-MLP forward (Mlp::Predict
-// vs. the single-chain oracle in tests/mlp_reference.h) and the end-to-end
-// OnlineRunner::Run (fast vs. reference scheduler, and intra-video pipelining
-// on vs. off), then writes the machine-readable BENCH_perf.json into the
-// working directory (the repo root in CI).
+// Times the scheduler hot path (Decide and SelectFeatures against the
+// reference scheduler in tests/decide_reference.h), the accuracy-MLP forward
+// (Mlp::Predict vs. the single-chain oracle in tests/mlp_reference.h) and the
+// end-to-end OnlineRunner::Run, then writes the machine-readable
+// BENCH_perf.json into the working directory (the repo root in CI).
 //
-// Exit status doubles as the in-binary acceptance gate: the fast Decide path
-// must be at least 2x the reference in kFull mode, and the pipelined+batched
-// execution plan must not run slower than the serial reference executor
-// (e2e_pipeline speedup >= 1.0). The ratios are machine-independent (both
-// sides run on the same host in the same process); CI additionally compares
-// the absolute numbers against bench/perf_baseline.json to catch regressions
-// over time.
+// Exit status doubles as the in-binary acceptance gate: Decide must be at
+// least 2x the reference in kFull mode. The ratio is machine-independent
+// (both sides run on the same host in the same process); CI additionally
+// compares the absolute numbers against bench/perf_baseline.json to catch
+// regressions over time.
 //
-// --profile additionally runs one instrumented pass of the pipelined e2e
-// variant and reports where its wall time goes phase by phase
-// (decide/detect/track/defer-join/eval/merge), as a table and a "profile"
-// section in the JSON.
+// --profile additionally runs one instrumented pass of the e2e run and
+// reports where its wall time goes phase by phase
+// (decide/detect/track/eval/merge), as a table and a "profile" section in the
+// JSON.
 //
 // Usage: bench_perf [--threads=N] [--out=PATH] [--profile]
 #include <algorithm>
@@ -35,9 +32,9 @@
 #include "src/features/light.h"
 #include "src/mbek/kernel.h"
 #include "src/pipeline/trainer.h"
-#include "src/sched/scheduler_session.h"
 #include "src/util/rng.h"
 #include "src/video/dataset.h"
+#include "tests/decide_reference.h"
 #include "tests/mlp_reference.h"
 
 namespace litereconfig {
@@ -130,29 +127,6 @@ double TimeSelect(const TrainedModels& models,
   return total_us / static_cast<double>(iters);
 }
 
-// Mean microseconds per Decide over repeated-context streaks: 16 consecutive
-// decisions share one context, the shape of a stream in a stable regime (same
-// branch, slowly-moving calibration). With a persistent SchedulerSession the
-// 15 repeats replay the cached cost table (and, for heavy-feature-free
-// decisions, the whole decision); `session == nullptr` times the fresh path
-// on the identical call pattern.
-double TimeDecideStreaks(const LiteReconfigScheduler& sched,
-                         const std::vector<DecisionCase>& cases, int iters,
-                         SchedulerSession* session) {
-  size_t sink = 0;
-  WallTimer timer;
-  for (int i = 0; i < iters; ++i) {
-    size_t streak = static_cast<size_t>(i) / 16;
-    const DecisionCase& c = cases[streak % cases.size()];
-    sink += sched.Decide(MakeContext(c, streak % 7), session).branch_index;
-  }
-  double total_us = timer.ElapsedMicros();
-  if (sink == static_cast<size_t>(-1)) {
-    std::cout << "";
-  }
-  return total_us / static_cast<double>(iters);
-}
-
 // Mean microseconds per forward over `iters` calls round-robining the inputs:
 // Mlp::Predict when `blocked`, the single-chain oracle otherwise. The oracle
 // reads the weights exported before the timer starts, so the ratio times the
@@ -174,34 +148,24 @@ double TimeMlpForward(const Mlp& mlp, const std::vector<std::vector<double>>& in
   return total_us / static_cast<double>(iters);
 }
 
-// One end-to-end OnlineRunner::Run variant: scheduler config + pipeline flag.
-struct RunVariant {
-  SchedulerConfig sched;
-  bool pipeline = true;
-};
-
-// Best-of-reps wall clock per variant, with the variants interleaved within
-// each rep so clock-frequency drift hits all of them alike.
-std::vector<double> TimeRuns(const TrainedModels& models, const Dataset& dataset,
-                             int threads, const std::vector<RunVariant>& variants,
-                             int reps) {
-  std::vector<double> best_ms(variants.size(), 0.0);
+// Best-of-reps wall clock of the end-to-end LiteReconfig evaluation.
+double TimeRun(const TrainedModels& models, const Dataset& dataset, int threads,
+               int reps) {
+  double best_ms = 0.0;
   for (int r = 0; r < reps; ++r) {
-    for (size_t v = 0; v < variants.size(); ++v) {
-      LiteReconfigProtocol protocol(&models, variants[v].sched, "LiteReconfig");
-      EvalConfig config;
-      config.slo_ms = 33.3;
-      config.threads = threads;
-      config.pipeline = variants[v].pipeline;
-      WallTimer timer;
-      EvalResult result = OnlineRunner::Run(protocol, dataset, config);
-      double ms = timer.ElapsedMs();
-      if (result.frames == 0) {
-        std::cerr << "bench_perf: empty evaluation result\n";
-        std::exit(2);
-      }
-      best_ms[v] = r == 0 ? ms : std::min(best_ms[v], ms);
+    LiteReconfigProtocol protocol(&models, LiteReconfigProtocol::FullConfig(),
+                                  "LiteReconfig");
+    EvalConfig config;
+    config.slo_ms = 33.3;
+    config.threads = threads;
+    WallTimer timer;
+    EvalResult result = OnlineRunner::Run(protocol, dataset, config);
+    double ms = timer.ElapsedMs();
+    if (result.frames == 0) {
+      std::cerr << "bench_perf: empty evaluation result\n";
+      std::exit(2);
     }
+    best_ms = r == 0 ? ms : std::min(best_ms, ms);
   }
   return best_ms;
 }
@@ -236,21 +200,23 @@ int Run(int argc, char** argv) {
   std::vector<DecisionCase> cases = MakeCases(models);
 
   constexpr int kDecideIters = 300;
-  LiteReconfigScheduler full(&models, LiteReconfigProtocol::FullConfig());
+  const SchedulerConfig full_config = LiteReconfigProtocol::FullConfig();
+  LiteReconfigScheduler full(&models, full_config);
   double full_fast_us = TimeDecide(cases, kDecideIters, [&](const DecisionContext& ctx) {
     return full.Decide(ctx);
   });
   double full_ref_us = TimeDecide(cases, kDecideIters, [&](const DecisionContext& ctx) {
-    return full.DecideReference(ctx);
+    return DecideReference(models, full_config, ctx);
   });
 
-  LiteReconfigScheduler mincost(&models, LiteReconfigProtocol::MinCostConfig());
+  const SchedulerConfig mincost_config = LiteReconfigProtocol::MinCostConfig();
+  LiteReconfigScheduler mincost(&models, mincost_config);
   double mincost_fast_us =
       TimeDecide(cases, kDecideIters,
                  [&](const DecisionContext& ctx) { return mincost.Decide(ctx); });
-  double mincost_ref_us = TimeDecide(
-      cases, kDecideIters,
-      [&](const DecisionContext& ctx) { return mincost.DecideReference(ctx); });
+  double mincost_ref_us = TimeDecide(cases, kDecideIters, [&](const DecisionContext& ctx) {
+    return DecideReference(models, mincost_config, ctx);
+  });
 
   double select_fast_us = TimeSelect(
       models, cases, kDecideIters,
@@ -262,7 +228,7 @@ int Run(int argc, char** argv) {
       models, cases, kDecideIters,
       [&](const std::vector<double>& light, const std::vector<double>& light_pred,
           const DecisionContext& ctx) {
-        return full.SelectFeaturesReference(light, light_pred, ctx);
+        return SelectFeaturesReference(models, full_config, light, light_pred, ctx);
       });
 
   // The accuracy-MLP forward at the production heavy-model shape ({100, 96,
@@ -290,51 +256,25 @@ int Run(int argc, char** argv) {
     mlp_ref_us = r == 0 ? ref : std::min(mlp_ref_us, ref);
   }
 
-  // The batched scheduler: persistent-session Decide vs the identical fresh
-  // call pattern (repeated-context streaks; see TimeDecideStreaks).
-  SchedulerSession reuse_session;
-  double reuse_session_us =
-      TimeDecideStreaks(full, cases, kDecideIters, &reuse_session);
-  double reuse_fresh_us = TimeDecideStreaks(full, cases, kDecideIters, nullptr);
-  const SchedulerSession::Counters& reuse = reuse_session.counters();
-
-  // Fewer videos than workers: idle workers can absorb the deferred tracker
-  // halves, which is the production-shaped case of a stream count below the
-  // core count. The headline e2e comparison is fast-path vs reference
-  // scheduler (the scheduler pass dominates the per-GoF cost); pipeline on/off
-  // is reported alongside it.
+  // Fewer videos than workers, one of them HOG-heavy: the shape CI has timed
+  // since the fast scheduler landed.
   DatasetSpec e2e_spec;
   e2e_spec.base_seed = 33;
   e2e_spec.num_videos = 2;
   e2e_spec.frames_per_video = 360;
   Dataset e2e_dataset = BuildDataset(e2e_spec, DatasetSplit::kVal);
-  RunVariant run_fast{LiteReconfigProtocol::FullConfig(), /*pipeline=*/true};
-  RunVariant run_reference = run_fast;
-  run_reference.sched.use_fast_path = false;
-  RunVariant run_serial = run_fast;
-  run_serial.pipeline = false;
-  std::vector<double> run_ms = TimeRuns(
-      models, e2e_dataset, threads, {run_fast, run_reference, run_serial},
-      /*reps=*/9);
-  double run_fast_ms = run_ms[0];
-  double run_reference_ms = run_ms[1];
-  double run_serial_ms = run_ms[2];
+  double run_ms = TimeRun(models, e2e_dataset, threads, /*reps=*/9);
 
   double decide_speedup = full_fast_us > 0.0 ? full_ref_us / full_fast_us : 0.0;
-  double pipeline_speedup =
-      run_fast_ms > 0.0 ? run_serial_ms / run_fast_ms : 0.0;
-  double reuse_speedup =
-      reuse_session_us > 0.0 ? reuse_fresh_us / reuse_session_us : 0.0;
 
-  // One instrumented pass of the pipelined variant: where the wall time goes.
+  // One instrumented pass of the e2e run: where the wall time goes.
   PhaseProfile phases;
   double profile_wall_ms = 0.0;
   if (profile) {
-    LiteReconfigProtocol protocol(&models, run_fast.sched, "LiteReconfig");
+    LiteReconfigProtocol protocol(&models, full_config, "LiteReconfig");
     EvalConfig config;
     config.slo_ms = 33.3;
     config.threads = threads;
-    config.pipeline = true;
     config.now_us = NowMicros;
     WallTimer timer;
     EvalResult result = OnlineRunner::Run(protocol, e2e_dataset, config);
@@ -358,21 +298,11 @@ int Run(int argc, char** argv) {
   table.AddRow({"Mlp forward (heavy shape), us", FmtDouble(mlp_fast_us, 2),
                 FmtDouble(mlp_ref_us, 2),
                 FmtDouble(mlp_fast_us > 0.0 ? mlp_ref_us / mlp_fast_us : 0.0, 2)});
-  table.AddRow({"Run e2e (sched fast/ref), ms", FmtDouble(run_fast_ms, 1),
-                FmtDouble(run_reference_ms, 1),
-                FmtDouble(run_fast_ms > 0.0 ? run_reference_ms / run_fast_ms
-                                            : 0.0,
-                          2)});
-  table.AddRow({"Run e2e (pipeline on/off), ms", FmtDouble(run_fast_ms, 1),
-                FmtDouble(run_serial_ms, 1), FmtDouble(pipeline_speedup, 2)});
-  table.AddRow({"Decide streaks (session/fresh), us",
-                FmtDouble(reuse_session_us, 1), FmtDouble(reuse_fresh_us, 1),
-                FmtDouble(reuse_speedup, 2)});
+  table.AddRow({"Run e2e, ms", FmtDouble(run_ms, 1), "-", "-"});
   table.Print(std::cout);
 
   if (profile) {
-    double accounted_us = phases.decide_us + phases.detect_us +
-                          phases.track_us + phases.defer_join_us +
+    double accounted_us = phases.decide_us + phases.detect_us + phases.track_us +
                           phases.eval_us + phases.merge_us;
     TablePrinter prof({"phase", "ms", "share"});
     auto share = [&](double us) {
@@ -388,8 +318,6 @@ int Run(int argc, char** argv) {
                  share(phases.detect_us)});
     prof.AddRow({"track", FmtDouble(phases.track_us / 1000.0, 2),
                  share(phases.track_us)});
-    prof.AddRow({"defer-join", FmtDouble(phases.defer_join_us / 1000.0, 2),
-                 share(phases.defer_join_us)});
     prof.AddRow({"eval", FmtDouble(phases.eval_us / 1000.0, 2),
                  share(phases.eval_us)});
     prof.AddRow({"merge", FmtDouble(phases.merge_us / 1000.0, 2),
@@ -398,12 +326,9 @@ int Run(int argc, char** argv) {
                  share(profile_wall_ms * 1000.0 - accounted_us)});
     prof.AddRow({"total wall", FmtDouble(profile_wall_ms, 2), "100.0%"});
     prof.Print(std::cout);
-    std::cout << "[bench] profile: " << phases.gofs << " gofs ("
-              << phases.deferred_gofs << " deferred, " << phases.inline_gofs
-              << " inline), " << phases.decisions << " session decisions ("
-              << phases.decision_reuses << " replayed, " << phases.table_reuses
-              << " table reuses, " << phases.table_builds << " builds, "
-              << phases.switch_row_reuses << " switch-row reuses)\n";
+    std::cout << "[bench] profile: " << phases.gofs << " gofs, " << phases.decisions
+              << " decisions (" << phases.switch_row_reuses
+              << " switch-row reuses)\n";
   }
 
   std::ofstream json(out_path);
@@ -415,45 +340,23 @@ int Run(int argc, char** argv) {
   json << JsonSection("select_features", select_fast_us, select_ref_us, "us")
        << ",\n";
   json << JsonSection("mlp_forward", mlp_fast_us, mlp_ref_us, "us") << ",\n";
-  json << JsonSection("e2e_run", run_fast_ms, run_reference_ms, "ms") << ",\n";
-  json << "  \"e2e_pipeline\": {\"on_ms\": " << run_fast_ms
-       << ", \"off_ms\": " << run_serial_ms
-       << ", \"speedup\": " << pipeline_speedup << "},\n";
-  json << "  \"cost_table_reuse\": {\"session_us\": " << reuse_session_us
-       << ", \"fresh_us\": " << reuse_fresh_us
-       << ", \"speedup\": " << reuse_speedup
-       << ", \"decision_reuses\": " << reuse.decision_reuses
-       << ", \"table_reuses\": " << reuse.table_reuses
-       << ", \"table_builds\": " << reuse.table_builds
-       << ", \"switch_row_reuses\": " << reuse.switch_row_reuses
-       << ", \"decisions\": " << reuse.decisions << "}";
+  json << "  \"e2e_run\": {\"fast_ms\": " << run_ms << "}";
   if (profile) {
     json << ",\n  \"profile\": {\"wall_ms\": " << profile_wall_ms
          << ", \"decide_ms\": " << phases.decide_us / 1000.0
          << ", \"detect_ms\": " << phases.detect_us / 1000.0
          << ", \"track_ms\": " << phases.track_us / 1000.0
-         << ", \"defer_join_ms\": " << phases.defer_join_us / 1000.0
          << ", \"eval_ms\": " << phases.eval_us / 1000.0
          << ", \"merge_ms\": " << phases.merge_us / 1000.0
-         << ", \"gofs\": " << phases.gofs
-         << ", \"deferred_gofs\": " << phases.deferred_gofs
-         << ", \"inline_gofs\": " << phases.inline_gofs << "}";
+         << ", \"gofs\": " << phases.gofs << "}";
   }
   json << "\n}\n";
   json.close();
   std::cout << "[bench] wrote " << out_path << "\n";
 
   if (decide_speedup < 2.0) {
-    std::cerr << "bench_perf: Decide (kFull) fast path is only "
-              << FmtDouble(decide_speedup, 2)
+    std::cerr << "bench_perf: Decide (kFull) is only " << FmtDouble(decide_speedup, 2)
               << "x the reference; the acceptance gate is 2x\n";
-    return 1;
-  }
-  if (pipeline_speedup < 1.0) {
-    std::cerr << "bench_perf: the pipelined+batched plan is "
-              << FmtDouble(pipeline_speedup, 2)
-              << "x the serial reference executor; the acceptance gate is "
-                 "1.0x (pipelining must never cost throughput)\n";
     return 1;
   }
   return 0;

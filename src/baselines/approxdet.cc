@@ -122,14 +122,12 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
       choice = Decide(light, gpu_cal, /*cpu_cal=*/1.0, env.slo_ms,
                       video.frame_count() - t, &feasible);
     }
-    if (!feasible && current.has_value() && video.frame_count() - t <= 12 &&
+    if (!feasible && current.has_value() && video.frame_count() - t <= kTailFrames &&
         !stats.frames.empty()) {
       // Tail continuation (see LiteReconfigProtocol): ride out the last frames
       // on the tracker instead of paying an unamortizable detector pass.
       const Branch& cur_branch = space.at(*current);
-      TrackerConfig tail_tracker = cur_branch.has_tracker
-                                       ? cur_branch.tracker
-                                       : TrackerConfig{TrackerType::kMedianFlow, 4};
+      TrackerConfig tail_tracker = CoastTracker(cur_branch);
       const DetectionList& last_frame = stats.frames.back();
       std::vector<DetectionList> tail = ExecutionKernel::TrackOnly(
           video, t, video.frame_count() - t, tail_tracker, last_frame, env.run_salt);
@@ -165,9 +163,7 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
       // tracking from the last emitted outputs.
       const Branch& coast_branch =
           current.has_value() ? space.at(*current) : branch;
-      TrackerConfig coast_tracker = coast_branch.has_tracker
-                                        ? coast_branch.tracker
-                                        : TrackerConfig{TrackerType::kMedianFlow, 4};
+      TrackerConfig coast_tracker = CoastTracker(coast_branch);
       int length = std::min(coast_branch.has_tracker ? coast_branch.gof : branch.gof,
                             video.frame_count() - t);
       length = std::max(length, 1);

@@ -30,6 +30,24 @@ struct Branch {
   std::string Id() const;
 };
 
+// Degradation rules shared by every runtime that executes branches.
+//
+// When no branch fits and at most this many frames are left in the stream,
+// too few to amortize another detector pass, the runtime rides out the tail
+// on the tracker instead.
+inline constexpr int kTailFrames = 12;
+// Object count assumed when a runtime ranks branches by cost without a live
+// count (the watchdog fallback and the cheapest-branch probes).
+inline constexpr int kFallbackObjectCount = 3;
+// The tracker a stream coasts on after a detector-only branch.
+inline constexpr TrackerConfig kDefaultCoastTracker{TrackerType::kMedianFlow, 4};
+
+// The tracker that extends a stream from `branch` without running the
+// detector (coast mode and tail continuation).
+inline TrackerConfig CoastTracker(const Branch& branch) {
+  return branch.has_tracker ? branch.tracker : kDefaultCoastTracker;
+}
+
 // The curated branch space used throughout the reproduction: 12 detector
 // configurations x (detector-only + 4 GoF sizes x 4 tracker configurations).
 class BranchSpace {

@@ -39,9 +39,7 @@ class ExecutionKernel {
 
   // The remainder half of RunGof: the per-frame outputs for frames
   // (start, start + min(branch.gof, frames left)) — i.e. everything after the
-  // anchor — given the anchor's detections. A pure function of its arguments,
-  // so it can run concurrently with other work on the same video (intra-video
-  // pipelining) without affecting results.
+  // anchor — given the anchor's detections. A pure function of its arguments.
   static std::vector<DetectionList> TrackRemainder(
       const SyntheticVideo& video, int start, const Branch& branch,
       const DetectionList& anchor_detections, uint64_t run_salt = 0,

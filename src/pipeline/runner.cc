@@ -26,9 +26,8 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
   env.fault_seed = config.fault_seed;
   env.degrade = config.degrade;
   env.predictive = config.predictive;
-  env.pipeline = config.pipeline;
-  env.threads = ResolveThreadCount(config.threads);
   env.now_us = config.now_us;
+  const int threads = ResolveThreadCount(config.threads);
 
   protocol.Reset();
 
@@ -62,7 +61,7 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
         pv.frame_count = pv.stats.frames.size();
         std::vector<DetectionList>().swap(pv.stats.frames);
       },
-      env.threads);
+      threads);
 
   // Merge in video order — bitwise identical to a sequential walk.
   EvalResult result;

@@ -33,11 +33,6 @@ struct EvalConfig {
   // Predictive robustness (contention forecasting, staged degradation, drift
   // recalibration); only meaningful with faults injected and degrade on.
   bool predictive = false;
-  // The pipelined + batched execution plan (scheduler-session reuse across
-  // GoFs plus deferred tracker halves; see RunEnv::pipeline). Bit-identical
-  // results either way; off is the serial reference executor the perf harness
-  // compares against.
-  bool pipeline = true;
   // Optional per-phase profiling clock (bench-injected; see PhaseClockFn).
   // Null disables all phase timing.
   PhaseClockFn now_us = nullptr;

@@ -24,6 +24,15 @@ const DeviceProfile& GetDeviceProfile(DeviceType device) {
   return kProfiles[idx];
 }
 
+std::optional<DeviceType> DeviceTypeFromName(std::string_view name) {
+  for (DeviceType device : {DeviceType::kTx2, DeviceType::kXavier}) {
+    if (name == GetDeviceProfile(device).name) {
+      return device;
+    }
+  }
+  return std::nullopt;
+}
+
 ContentionGenerator::ContentionGenerator(double level) { set_level(level); }
 
 ContentionGenerator::ContentionGenerator(const ContentionGenerator& other)

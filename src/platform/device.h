@@ -9,6 +9,7 @@
 #define SRC_PLATFORM_DEVICE_H_
 
 #include <atomic>
+#include <optional>
 #include <string_view>
 
 namespace litereconfig {
@@ -27,6 +28,8 @@ struct DeviceProfile {
 };
 
 const DeviceProfile& GetDeviceProfile(DeviceType device);
+// The device a profile name ("tx2" | "xavier") denotes; nullopt for any other.
+std::optional<DeviceType> DeviceTypeFromName(std::string_view name);
 
 class ContentionGenerator {
  public:

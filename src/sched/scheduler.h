@@ -12,6 +12,7 @@
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <optional>
@@ -83,11 +84,6 @@ struct SchedulerConfig {
   // let the runtime calibrate latency predictions against observed kernel
   // times (contention adaptation).
   bool use_contention_calibration = true;
-  // Route Decide/SelectFeatures through the precomputed DecisionCostTable.
-  // Off runs the retained reference implementation instead — bit-identical
-  // decisions (see tests/sched_fastpath_test.cc), only slower; bench_perf uses
-  // this to measure the end-to-end cost of the scheduler hot path.
-  bool use_fast_path = true;
 };
 
 struct DecisionContext {
@@ -117,14 +113,15 @@ struct DecisionContext {
   double budget_ms = 0.0;
   // GPU availability mask. False during a GPU-denied fault interval: every
   // branch whose detector needs the GPU prices as +inf — infeasible but still
-  // enumerated, so menus, hysteresis, and the fast/reference identity are
-  // untouched — and only CPU-only branches (if the space has them) remain
-  // schedulable.
+  // enumerated, so menus, hysteresis, and the identity with the reference
+  // scheduler are untouched — and only CPU-only branches (if the space has
+  // them) remain schedulable.
   bool gpu_available = true;
 };
 
-// The margin-adjusted feasibility threshold both decision paths and the
-// DecisionCostTable constrain against: min(slo, allocator budget) * margin.
+// The margin-adjusted feasibility threshold the DecisionCostTable (and the
+// reference scheduler in tests/decide_reference.h) constrain against:
+// min(slo, allocator budget) * margin.
 double SloLimitMs(const SchedulerConfig& config, const DecisionContext& ctx);
 
 struct SchedulerDecision {
@@ -145,70 +142,130 @@ struct SchedulerDecision {
 };
 
 class DecisionCostTable;
-class SchedulerSession;
 
 class LiteReconfigScheduler {
  public:
   LiteReconfigScheduler(const TrainedModels* models, SchedulerConfig config);
 
-  // The production decision path: precomputes a DecisionCostTable once per
-  // invocation (src/sched/cost_table.h) so every feasibility probe in feature
-  // selection and the branch scan is cheap arithmetic. Bit-identical to
-  // DecideReference by construction (tests/sched_fastpath_test.cc).
-  //
-  // With a non-null `session` (one per video stream; see
-  // src/sched/scheduler_session.h) consecutive decisions additionally reuse
-  // the cost table — and, when no heavy features are in play, the whole
-  // decision — across GoFs behind an explicit invalidation key. Decisions are
-  // bit-identical with or without a session at any reuse pattern.
+  // One decision: a DecisionCostTable prices every branch once (src/sched/
+  // cost_table.h), and feature selection, the branch scan and the hysteresis
+  // check read their feasibility probes off it. Bit-identical to the
+  // reference scheduler in tests/decide_reference.h
+  // (tests/sched_fastpath_test.cc).
+  SchedulerDecision Decide(const DecisionContext& ctx) const;
+  // The same decision through a table the caller keeps across the decisions
+  // of one stream: `table` is rebuilt in place, which reuses its capacity and,
+  // while the current branch holds, its switch-cost row.
   SchedulerDecision Decide(const DecisionContext& ctx,
-                           SchedulerSession* session) const;
-  SchedulerDecision Decide(const DecisionContext& ctx) const {
-    return Decide(ctx, nullptr);
-  }
+                           DecisionCostTable& table) const;
 
-  // The retained pre-table implementation: re-evaluates the latency predictor
-  // for every probe. Kept as the executable specification the fast path is
-  // property-tested against, and as the perf-harness baseline (bench_perf).
-  SchedulerDecision DecideReference(const DecisionContext& ctx) const;
-
-  // Greedy cost-benefit feature selection (Eq. 4), fast and reference forms.
-  // Public so the perf harness can time the selection stage in isolation.
+  // Greedy cost-benefit feature selection (Eq. 4) over a table built for
+  // `ctx`. Public so the perf harness can time the selection stage alone.
   std::vector<FeatureKind> SelectFeatures(const std::vector<double>& light,
                                           const std::vector<double>& light_pred,
                                           const DecisionContext& ctx) const;
-  std::vector<FeatureKind> SelectFeaturesReference(
-      const std::vector<double>& light, const std::vector<double>& light_pred,
-      const DecisionContext& ctx) const;
+  // The greedy loop itself. `feasible(branch, sched_ms)` says whether a branch
+  // meets the SLO when the decision charges `sched_ms` of scheduler cost; the
+  // product passes DecisionCostTable::Feasible.
+  template <typename FeasibleFn>
+  std::vector<FeatureKind> SelectFeatures(const std::vector<double>& light_pred,
+                                          const DecisionContext& ctx,
+                                          const FeasibleFn& feasible) const;
 
-  const SchedulerConfig& config() const { return config_; }
-
- private:
-  // Amortized per-frame latency of branch b including scheduler + switch costs
-  // (reference path; the fast path reads the same expression off the table).
-  double FrameCostMs(size_t index, const std::vector<double>& light,
-                     double sched_ms, const DecisionContext& ctx) const;
-
-  std::vector<FeatureKind> SelectFeaturesWithTable(
-      const std::vector<double>& light_pred, const DecisionContext& ctx,
-      const DecisionCostTable& table) const;
-
-  // Which heavy features the configured mode requests (shared by both paths;
-  // `fast` picks the table-backed or reference greedy selection for kFull).
-  std::vector<FeatureKind> ChooseHeavyFeatures(
-      const std::vector<double>& light, const std::vector<double>& light_pred,
-      const DecisionContext& ctx, const DecisionCostTable* table) const;
+  // Which heavy features the configured mode requests; kFull runs the greedy
+  // selection with `feasible`.
+  template <typename FeasibleFn>
+  std::vector<FeatureKind> ChooseHeavyFeatures(const std::vector<double>& light_pred,
+                                               const DecisionContext& ctx,
+                                               const FeasibleFn& feasible) const;
 
   // Extracts the chosen heavy features and blends their accuracy predictions
-  // with the light-only model; identical arithmetic for both decision paths.
+  // with the light-only model.
   std::vector<double> PredictAccuracy(const std::vector<FeatureKind>& heavy,
                                       const std::vector<double>& light,
                                       const std::vector<double>& light_pred,
                                       const DecisionContext& ctx) const;
 
+  const SchedulerConfig& config() const { return config_; }
+
+ private:
   const TrainedModels* models_;
   SchedulerConfig config_;
 };
+
+template <typename FeasibleFn>
+std::vector<FeatureKind> LiteReconfigScheduler::SelectFeatures(
+    const std::vector<double>& light_pred, const DecisionContext& ctx,
+    const FeasibleFn& feasible) const {
+  double s0 = models_->FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
+  // Best achievable light-only predicted accuracy under a given scheduler cost.
+  auto base_best = [&](double sched_ms) {
+    double best = -1.0;
+    for (size_t b = 0; b < models_->space->size(); ++b) {
+      if (feasible(b, sched_ms)) {
+        best = std::max(best, light_pred[b]);
+      }
+    }
+    return best;
+  };
+
+  std::vector<FeatureKind> selected;
+  double selected_cost = 0.0;
+  double objective = base_best(s0);
+  if (objective < 0.0) {
+    // Not even the cheapest branch fits: no budget for content features.
+    return selected;
+  }
+  while (static_cast<int>(selected.size()) < config_.max_heavy_features) {
+    FeatureKind best_kind = FeatureKind::kLight;
+    double best_objective = objective;
+    for (FeatureKind kind : kHeavyFeatures) {
+      if (std::find(selected.begin(), selected.end(), kind) != selected.end()) {
+        continue;
+      }
+      std::vector<FeatureKind> candidate = selected;
+      candidate.push_back(kind);
+      double cand_cost =
+          selected_cost + models_->FeatureCostMs(kind, ctx.gpu_cal, ctx.cpu_cal);
+      double charged = config_.charge_feature_overhead ? s0 + cand_cost : s0;
+      double base = base_best(charged);
+      if (base < 0.0) {
+        continue;  // the feature's cost leaves no feasible branch
+      }
+      double obj = base + models_->ben.BenSubset(candidate, ctx.slo_ms);
+      if (obj > best_objective + config_.min_feature_gain) {
+        best_objective = obj;
+        best_kind = kind;
+      }
+    }
+    if (best_kind == FeatureKind::kLight) {
+      break;
+    }
+    selected.push_back(best_kind);
+    selected_cost += models_->FeatureCostMs(best_kind, ctx.gpu_cal, ctx.cpu_cal);
+    objective = best_objective;
+  }
+  return selected;
+}
+
+template <typename FeasibleFn>
+std::vector<FeatureKind> LiteReconfigScheduler::ChooseHeavyFeatures(
+    const std::vector<double>& light_pred, const DecisionContext& ctx,
+    const FeasibleFn& feasible) const {
+  switch (config_.mode) {
+    case LiteReconfigMode::kFull:
+      return SelectFeatures(light_pred, ctx, feasible);
+    case LiteReconfigMode::kMinCost:
+      return {};
+    case LiteReconfigMode::kMaxContentResNet:
+      return {FeatureKind::kResNet50};
+    case LiteReconfigMode::kMaxContentMobileNet:
+      return {FeatureKind::kMobileNetV2};
+    case LiteReconfigMode::kForceFeature:
+      return {config_.forced_feature};
+  }
+  return {};
+}
 
 }  // namespace litereconfig
 

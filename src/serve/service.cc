@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 
+#include "src/mbek/branch.h"
 #include "src/platform/gpu_ledger.h"
 #include "src/platform/latency.h"
 #include "src/util/thread_pool.h"
@@ -12,10 +13,6 @@
 namespace litereconfig {
 
 namespace {
-
-// Object count assumed for content-agnostic admission pricing (the same
-// fallback the protocols use before any anchor detections exist).
-constexpr int kFallbackObjectCount = 3;
 
 struct ShareEstimate {
   bool feasible = false;

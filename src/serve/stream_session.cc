@@ -12,17 +12,6 @@ namespace litereconfig {
 
 namespace {
 
-// Same tail threshold / fallback object count as the single-tenant protocol
-// (src/pipeline/litereconfig_protocol.cc): the serving loop degrades the same
-// way, it just gets its contention from the ledger instead of a generator.
-constexpr int kTailFrames = 12;
-constexpr int kFallbackObjectCount = 3;
-
-TrackerConfig CoastTracker(const Branch& branch) {
-  return branch.has_tracker ? branch.tracker
-                            : TrackerConfig{TrackerType::kMedianFlow, 4};
-}
-
 // Builds the session's fault runtime: only the spec's stateless point faults
 // are materialized here (device-wide intervals live in the service's shared
 // ServiceFaultPlan); the runtime is engaged anyway so interval faults the
@@ -130,7 +119,7 @@ double StreamSession::CheapestFrameMs(double level, double thermal_scale,
 double StreamSession::CoastFrameMs(double thermal_scale) const {
   TrackerConfig tracker = current_.has_value()
                               ? CoastTracker(models_->space->at(*current_))
-                              : TrackerConfig{TrackerType::kMedianFlow, 4};
+                              : kDefaultCoastTracker;
   LatencyModel probe(models_->device, 0.0);
   probe.set_thermal_scale(thermal_scale);
   return probe.TrackerMs(tracker, std::max(CountConfident(last_frame_), 1));

@@ -1,6 +1,10 @@
 #include "src/util/flags.h"
 
 #include <cassert>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 namespace litereconfig {
@@ -63,12 +67,54 @@ std::string FlagSet::GetString(const std::string& name) const {
   return it->second.value;
 }
 
+namespace {
+
+// Parses the whole of `text` as an integer of type T, or returns false.
+template <typename T>
+bool ParseWhole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end && !text.empty();
+}
+
+}  // namespace
+
+void FlagSet::Reject(const std::string& name, const std::string& want) const {
+  if (error_.empty()) {
+    error_ = "flag --" + name + " wants " + want + ", got '" + GetString(name) + "'";
+  }
+}
+
 double FlagSet::GetDouble(const std::string& name) const {
-  return std::strtod(GetString(name).c_str(), nullptr);
+  std::string text = GetString(name);
+  errno = 0;
+  char* end = nullptr;
+  double value = text.empty() || std::isspace(static_cast<unsigned char>(text[0]))
+                     ? 0.0
+                     : std::strtod(text.c_str(), &end);
+  if (end == nullptr || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
+    Reject(name, "a finite number");
+    return 0.0;
+  }
+  return value;
 }
 
 int FlagSet::GetInt(const std::string& name) const {
-  return static_cast<int>(std::strtol(GetString(name).c_str(), nullptr, 10));
+  int value = 0;
+  if (!ParseWhole(GetString(name), &value)) {
+    Reject(name, "an integer");
+    return 0;
+  }
+  return value;
+}
+
+uint64_t FlagSet::GetUint64(const std::string& name) const {
+  uint64_t value = 0;
+  if (!ParseWhole(GetString(name), &value)) {
+    Reject(name, "an unsigned 64-bit integer");
+    return 0;
+  }
+  return value;
 }
 
 bool FlagSet::GetBool(const std::string& name) const {

@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -29,41 +28,6 @@
 #include "src/util/mutex.h"
 
 namespace litereconfig {
-
-// A single deferred closure handed to the pool (ThreadPool::Defer) with a
-// steal-back join: if no worker has claimed the closure by the time Join() is
-// called, the joining thread claims and runs it inline. Join() therefore never
-// waits on pool *capacity* — it blocks only while another thread is actively
-// executing the closure — which makes Defer safe to use from inside
-// ParallelFor bodies (no circular wait is possible), unlike a nested
-// ParallelFor, which runs inline there and provides no overlap.
-//
-// Determinism: the closure runs exactly once, on exactly one thread, and
-// Join() returns only after it finished; which thread ran it can never affect
-// results produced through its outputs.
-class DeferredTask {
- public:
-  DeferredTask() = default;
-  ~DeferredTask();
-
-  DeferredTask(const DeferredTask&) = delete;
-  DeferredTask& operator=(const DeferredTask&) = delete;
-  DeferredTask(DeferredTask&&) = default;
-  DeferredTask& operator=(DeferredTask&& other);
-
-  // Ensures the closure has run (stealing it back if unclaimed) and rethrows
-  // any exception it threw. Idempotent; a no-op on a default-constructed or
-  // already-joined task.
-  void Join();
-
-  bool valid() const { return state_ != nullptr; }
-
- private:
-  friend class ThreadPool;
-  struct State;
-  explicit DeferredTask(std::shared_ptr<State> state);
-  std::shared_ptr<State> state_;
-};
 
 class ThreadPool {
  public:
@@ -94,11 +58,6 @@ class ThreadPool {
         n, [&](size_t i) { out[i] = fn(i); }, max_parallelism);
     return out;
   }
-
-  // Enqueues `fn` to run on some pool worker when one frees up; the returned
-  // handle's Join() steals the closure back and runs it inline if no worker
-  // claimed it yet. With zero workers the closure simply runs at Join().
-  DeferredTask Defer(std::function<void()> fn);
 
   // Process-wide pool used by the evaluation engine. Sized from the default
   // thread count at first use, but never below 3 workers so that explicit

@@ -19,6 +19,7 @@
 #include "src/platform/faults.h"
 #include "src/sched/branch_menu.h"
 #include "src/sched/cost_table.h"
+#include "tests/decide_reference.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -192,12 +193,8 @@ TEST(CpuFamilySchedulerTest, FastPathMatchesReferenceUnderAvailabilityMask) {
   const SyntheticVideo& video = TinyValidation().videos[0];
   DetectionList anchor =
       ExecutionKernel::DetectAnchor(video, 0, extended.space->at(0), 3);
-  SchedulerConfig fast_config = LiteReconfigProtocol::FullConfig();
-  fast_config.use_fast_path = true;
-  SchedulerConfig reference_config = fast_config;
-  reference_config.use_fast_path = false;
-  LiteReconfigScheduler fast(&extended, fast_config);
-  LiteReconfigScheduler reference(&extended, reference_config);
+  SchedulerConfig config = LiteReconfigProtocol::FullConfig();
+  LiteReconfigScheduler fast(&extended, config);
   for (bool gpu_available : {true, false}) {
     DecisionContext ctx;
     ctx.video = &video;
@@ -208,7 +205,7 @@ TEST(CpuFamilySchedulerTest, FastPathMatchesReferenceUnderAvailabilityMask) {
     ctx.frames_remaining = video.frame_count() - 8;
     ctx.gpu_available = gpu_available;
     SchedulerDecision a = fast.Decide(ctx);
-    SchedulerDecision b = reference.Decide(ctx);
+    SchedulerDecision b = DecideReference(extended, config, ctx);
     EXPECT_EQ(a.branch_index, b.branch_index) << "mask " << gpu_available;
     EXPECT_EQ(a.infeasible, b.infeasible);
     EXPECT_EQ(a.predicted_accuracy, b.predicted_accuracy);

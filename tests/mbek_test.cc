@@ -96,9 +96,9 @@ TEST(KernelTest, PastEndReturnsEmpty) {
   EXPECT_TRUE(ExecutionKernel::TrackRemainder(video, 20, branch, {}).empty());
 }
 
-// RunGof must equal its pipelined decomposition exactly: the intra-video
-// pipelining in LiteReconfigProtocol replays a GoF as DetectAnchor now +
-// TrackRemainder deferred, and the bit-identity of EvalResults rests on this.
+// RunGof must equal its decomposition exactly: LiteReconfigProtocol runs a
+// GoF as DetectAnchor, then the latency accounting, then TrackRemainder, and
+// the bit-identity of EvalResults rests on this.
 TEST(KernelTest, RunGofEqualsDetectAnchorPlusTrackRemainder) {
   const BranchSpace& space = BranchSpace::Default();
   for (uint64_t seed : {11u, 12u}) {

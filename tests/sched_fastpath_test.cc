@@ -1,7 +1,7 @@
-// The scheduler fast path's binding contract: Decide/SelectFeatures, which
-// route every feasibility probe through the precomputed DecisionCostTable,
-// must be bit-identical to the retained reference implementations across the
-// whole configuration space — modes, calibration values, SLOs, GoF tails,
+// The scheduler's binding contract: Decide/SelectFeatures, which route every
+// feasibility probe through the precomputed DecisionCostTable, must be
+// bit-identical to the reference scheduler (tests/decide_reference.h) across
+// the whole configuration space — modes, calibration values, SLOs, GoF tails,
 // hysteresis, switching costs, and the headroom-first degradation stage.
 #include <gtest/gtest.h>
 
@@ -17,8 +17,8 @@
 #include "src/sched/cost_table.h"
 #include "src/sched/latency_predictor.h"
 #include "src/sched/scheduler.h"
-#include "src/sched/scheduler_session.h"
 #include "src/util/rng.h"
+#include "tests/decide_reference.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -111,18 +111,17 @@ TEST(SchedFastPathTest, DecideMatchesReferenceAcrossRandomizedConfigs) {
         break;
     }
 
-    ExpectIdenticalDecisions(scheduler.Decide(ctx), scheduler.DecideReference(ctx),
-                             trial);
+    ExpectIdenticalDecisions(scheduler.Decide(ctx),
+                             DecideReference(models, config, ctx), trial);
   }
 }
 
-// The batched scheduler's binding contract: a persistent SchedulerSession —
-// whole-decision replay, cost-table reuse, switch-row/gof-column component
-// caches — must return bit-identical decisions to both the session-free fast
-// path and the reference implementation on every field, across streaks of
-// repeated contexts (where the caches hit) and across every perturbation of
-// the invalidation key (where they must miss and rebuild).
-TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
+// A table kept across the decisions of one stream, as RunVideo keeps it:
+// every decision through it must match a fresh table and the reference on
+// every field. The switch-cost row is reused while the current branch and the
+// switching charge hold (steps 1-2, with other inputs moving) and recomputed
+// when either changes (steps 3-5).
+TEST(SchedFastPathTest, KeptTableDecideMatchesFreshAndReference) {
   const TrainedModels& models = TinyModels();
   const BranchSpace& space = *models.space;
   const Dataset& dataset = TinyValidation();
@@ -133,22 +132,23 @@ TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
       LiteReconfigMode::kMaxContentResNet, LiteReconfigMode::kForceFeature,
   };
 
-  uint64_t total_reuses = 0;
-  uint64_t total_decisions = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    SchedulerConfig config;
-    config.mode = kModes[trial % 4];
-    if (config.mode == LiteReconfigMode::kForceFeature) {
-      config.forced_feature =
+  long hits = 0;
+  long misses = 0;
+  for (int trial = 0; trial < 100; ++trial) {
+    SchedulerConfig charged;
+    charged.mode = kModes[trial % 4];
+    if (charged.mode == LiteReconfigMode::kForceFeature) {
+      charged.forced_feature =
           kHeavyFeatures[rng.NextU32() %
                          (sizeof(kHeavyFeatures) / sizeof(kHeavyFeatures[0]))];
     }
-    config.charge_feature_overhead = rng.NextU32() % 2 == 0;
-    config.use_switching_cost = rng.NextU32() % 2 == 0;
-    config.use_hysteresis = rng.NextU32() % 2 == 0;
-    LiteReconfigScheduler scheduler(&models, config);
-    // One session per (scheduler, stream), as RunVideo holds it.
-    SchedulerSession session;
+    charged.charge_feature_overhead = rng.NextU32() % 2 == 0;
+    charged.use_hysteresis = rng.NextU32() % 2 == 0;
+    SchedulerConfig uncharged = charged;
+    uncharged.use_switching_cost = false;
+    LiteReconfigScheduler charged_scheduler(&models, charged);
+    LiteReconfigScheduler uncharged_scheduler(&models, uncharged);
+    DecisionCostTable table;
 
     const SyntheticVideo& video = dataset.videos[trial % dataset.videos.size()];
     int frame = static_cast<int>(rng.NextU32() % 50);
@@ -164,48 +164,42 @@ TEST(SchedFastPathTest, SessionDecideMatchesFreshAndReference) {
     ctx.cpu_cal = 0.5 + rng.NextDouble() * 2.5;
     ctx.prefer_headroom = rng.NextU32() % 4 == 0;
     ctx.heavy_blend = rng.NextU32() % 2 == 0 ? 0.5 : 0.3 + rng.NextDouble() * 0.6;
-    if (rng.NextU32() % 2 == 0) {
-      ctx.current_branch = rng.NextU32() % space.size();
-    }
+    ctx.current_branch = rng.NextU32() % space.size();
     ctx.frames_remaining = video.frame_count() - frame;
 
-    // A streak of decisions through one session: the identical context twice
-    // (replay / full-table reuse), then every key field perturbed in turn
-    // (each a forced invalidation). Every step must match the session-free
-    // fast path and the reference bit for bit.
     for (int step = 0; step < 6; ++step) {
       switch (step) {
         case 0:
+          break;  // the first build
         case 1:
-          break;  // identical context back to back: caches hit
-        case 2:
+          ctx.gpu_cal *= 1.25;
           ctx.slo_ms += 1.0;
           break;
-        case 3:
-          ctx.gpu_cal *= 1.25;
-          break;
-        case 4:
+        case 2:
           ctx.frames_remaining = 1 + static_cast<int>(rng.NextU32() % 4);
           break;
-        default:
-          ctx.current_branch = rng.NextU32() % space.size();
+        case 3:
+          ctx.current_branch =
+              (*ctx.current_branch + 1 + rng.NextU32() % (space.size() - 1)) %
+              space.size();
           break;
+        default:
+          break;  // step 4 drops the switching charge, step 5 restores it
       }
-      SchedulerDecision via_session = scheduler.Decide(ctx, &session);
-      ExpectIdenticalDecisions(via_session, scheduler.Decide(ctx),
-                               trial * 10 + step);
-      ExpectIdenticalDecisions(via_session, scheduler.DecideReference(ctx),
+      const LiteReconfigScheduler& scheduler =
+          step == 4 ? uncharged_scheduler : charged_scheduler;
+      long reuses_before = table.switch_row_reuses();
+      SchedulerDecision kept = scheduler.Decide(ctx, table);
+      bool hit = table.switch_row_reuses() > reuses_before;
+      EXPECT_EQ(hit, step == 1 || step == 2) << "trial " << trial << " step " << step;
+      (hit ? hits : misses) += 1;
+      ExpectIdenticalDecisions(kept, scheduler.Decide(ctx), trial * 10 + step);
+      ExpectIdenticalDecisions(kept, DecideReference(models, scheduler.config(), ctx),
                                trial * 10 + step);
     }
-    const SchedulerSession::Counters& counters = session.counters();
-    total_decisions += counters.decisions;
-    total_reuses += counters.decision_reuses + counters.table_reuses +
-                    counters.switch_row_reuses;
   }
-  // The streaks must actually exercise the caches — a key that never matches
-  // would make this test vacuously pass on a broken lookup.
-  EXPECT_GT(total_reuses, 0u);
-  EXPECT_EQ(total_decisions, 200u * 6u);
+  EXPECT_EQ(hits, 100 * 2);
+  EXPECT_EQ(misses, 100 * 4);
 }
 
 TEST(SchedFastPathTest, SelectFeaturesMatchesReference) {
@@ -238,7 +232,7 @@ TEST(SchedFastPathTest, SelectFeaturesMatchesReference) {
 
     std::vector<FeatureKind> fast = scheduler.SelectFeatures(light, light_pred, ctx);
     std::vector<FeatureKind> reference =
-        scheduler.SelectFeaturesReference(light, light_pred, ctx);
+        SelectFeaturesReference(models, SchedulerConfig{}, light, light_pred, ctx);
     ASSERT_EQ(fast.size(), reference.size()) << "trial " << trial;
     for (size_t i = 0; i < fast.size(); ++i) {
       EXPECT_EQ(fast[i], reference[i]) << "trial " << trial;
@@ -277,34 +271,6 @@ TEST(SchedFastPathTest, CostTableReproducesFrameCostExpression) {
   for (size_t b = 0; b < table.size(); ++b) {
     EXPECT_LE(table.CostMs(cheapest, 2.0), table.CostMs(b, 2.0));
   }
-}
-
-// LiteReconfigScheduler::FrameCostMs, the reference expression: the latency
-// predictor evaluated branch by branch, ungrouped.
-double ReferenceFrameCostMs(const TrainedModels& models,
-                            const SchedulerConfig& config,
-                            const DecisionContext& ctx,
-                            const std::vector<double>& light, size_t index,
-                            double sched_ms) {
-  const Branch& branch = models.space->at(index);
-  int effective_gof = branch.gof;
-  if (ctx.frames_remaining > 0) {
-    effective_gof = std::min(effective_gof, ctx.frames_remaining);
-  }
-  std::vector<double> conservative = light;
-  conservative[2] += 1.0 / 8.0;
-  double frame_ms =
-      (!ctx.gpu_available && !branch.detector.cpu)
-          ? std::numeric_limits<double>::infinity()
-          : models.latency.PredictFrameMs(index, conservative, ctx.gpu_cal,
-                                          ctx.cpu_cal, effective_gof);
-  double switch_ms = 0.0;
-  if (config.use_switching_cost && ctx.current_branch.has_value() &&
-      models.switching.has_value()) {
-    switch_ms = models.switching->OfflineCostMs(
-        models.space->at(*ctx.current_branch), branch);
-  }
-  return frame_ms + (sched_ms + switch_ms) / static_cast<double>(effective_gof);
 }
 
 // Every row of a table priced with grouped tracker regressions equals the
@@ -348,7 +314,7 @@ TEST(SchedFastPathTest, GroupedTableRowsMatchFrameCost) {
         double sched_ms = rng.NextDouble() * 5.0;
         for (size_t b = 0; b < table.size(); ++b) {
           EXPECT_EQ(std::bit_cast<uint64_t>(table.CostMs(b, sched_ms)),
-                    std::bit_cast<uint64_t>(ReferenceFrameCostMs(
+                    std::bit_cast<uint64_t>(FrameCostMs(
                         *models, config, ctx, light, b, sched_ms)))
               << "trial " << trial << " branch " << space.at(b).Id();
         }

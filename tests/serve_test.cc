@@ -22,6 +22,7 @@
 #include "src/serve/arrivals.h"
 #include "src/serve/service.h"
 #include "src/util/rng.h"
+#include "tests/decide_reference.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -481,7 +482,7 @@ TEST(ServeBudgetTest, BudgetCappedDecideMatchesReference) {
     }
 
     SchedulerDecision fast = scheduler.Decide(ctx);
-    SchedulerDecision reference = scheduler.DecideReference(ctx);
+    SchedulerDecision reference = DecideReference(models, config, ctx);
     EXPECT_EQ(fast.branch_index, reference.branch_index) << "trial " << trial;
     EXPECT_EQ(fast.infeasible, reference.infeasible) << "trial " << trial;
     EXPECT_EQ(fast.predicted_frame_ms, reference.predicted_frame_ms)

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
 
 #include "src/pipeline/trace.h"
+#include "src/platform/device.h"
 #include "src/util/flags.h"
 
 namespace litereconfig {
@@ -90,6 +92,119 @@ TEST(FlagSetTest, PrintHelpListsFlags) {
   EXPECT_NE(os.str().find("my tool"), std::string::npos);
   EXPECT_NE(os.str().find("--device"), std::string::npos);
   EXPECT_NE(os.str().find("target device"), std::string::npos);
+}
+
+// One flag set to `value`, for the getter tests below.
+FlagSet OneFlag(const char* name, const char* value) {
+  FlagSet flags("test");
+  flags.Define(name, "0", "flag");
+  std::string arg = std::string("--") + name + "=" + value;
+  auto argv = Argv({arg.c_str()});
+  EXPECT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  return flags;
+}
+
+TEST(FlagSetTest, SeedsAreReadAsUint64) {
+  // Read through int, 2^32 + 1 would run seed 1.
+  FlagSet flags = OneFlag("fault_seed", "4294967297");
+  EXPECT_EQ(flags.GetUint64("fault_seed"), 4294967297ull);
+  EXPECT_TRUE(flags.ok());
+  EXPECT_EQ(OneFlag("seed", "18446744073709551615").GetUint64("seed"),
+            18446744073709551615ull);
+}
+
+TEST(FlagSetTest, DoubleMustParseWhole) {
+  // A prefix parse would stop at the comma and run at 33 ms.
+  FlagSet flags = OneFlag("lat_req", "33,3");
+  EXPECT_EQ(flags.GetDouble("lat_req"), 0.0);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("--lat_req"), std::string::npos);
+  EXPECT_NE(flags.error().find("33,3"), std::string::npos);
+}
+
+TEST(FlagSetTest, IntMustParseWhole) {
+  // A prefix parse would read 0, which runs the whole validation set.
+  FlagSet flags = OneFlag("videos", "abc");
+  EXPECT_EQ(flags.GetInt("videos"), 0);
+  EXPECT_FALSE(flags.ok());
+  EXPECT_NE(flags.error().find("--videos"), std::string::npos);
+}
+
+TEST(FlagSetTest, NumericGettersRejectOutOfRangeAndMalformedValues) {
+  for (const char* value : {"4294967296", "2147483648", "-2147483649", "12abc", "",
+                            " 5", "1.5", "0x10"}) {
+    FlagSet flags = OneFlag("n", value);
+    flags.GetInt("n");
+    EXPECT_FALSE(flags.ok()) << "int '" << value << "'";
+  }
+  for (const char* value : {"-1", "18446744073709551616", "1e3", "", "+1"}) {
+    FlagSet flags = OneFlag("seed", value);
+    flags.GetUint64("seed");
+    EXPECT_FALSE(flags.ok()) << "uint64 '" << value << "'";
+  }
+  for (const char* value : {"1e999", "nan", "inf", "-inf", "", " 1", "33.3ms"}) {
+    FlagSet flags = OneFlag("slo", value);
+    flags.GetDouble("slo");
+    EXPECT_FALSE(flags.ok()) << "double '" << value << "'";
+  }
+  EXPECT_EQ(OneFlag("n", "-7").GetInt("n"), -7);
+  EXPECT_EQ(OneFlag("n", "2147483647").GetInt("n"), 2147483647);
+  EXPECT_EQ(OneFlag("slo", "-2.5e1").GetDouble("slo"), -25.0);
+}
+
+TEST(FlagSetTest, FirstRejectedValueIsTheError) {
+  FlagSet flags("test");
+  flags.Define("a", "x", "a");
+  flags.Define("b", "y", "b");
+  auto argv = Argv({});
+  ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  flags.GetInt("a");
+  flags.GetDouble("b");
+  EXPECT_NE(flags.error().find("--a"), std::string::npos);
+  std::ostringstream help;
+  flags.PrintHelp(help);
+  EXPECT_NE(help.str().find("error: flag --a"), std::string::npos);
+}
+
+TEST(FlagSetTest, DeviceNamesAreExact) {
+  EXPECT_EQ(DeviceTypeFromName("tx2"), DeviceType::kTx2);
+  EXPECT_EQ(DeviceTypeFromName("xavier"), DeviceType::kXavier);
+  // A case or spelling slip must not fall back to TX2.
+  for (const char* name : {"Xavier", "TX2", "xavier ", "nano", ""}) {
+    EXPECT_FALSE(DeviceTypeFromName(name).has_value()) << name;
+  }
+}
+
+// Every default litereconfig_run, serve_run and trace_summary declare parses
+// through the getter the tool reads it with.
+TEST(FlagSetTest, ToolDefaultsParse) {
+  struct Default {
+    const char* name;
+    const char* value;
+    char kind;  // 'i' int, 'u' uint64, 'd' double
+  };
+  const Default kDefaults[] = {
+      {"lat_req", "33.3", 'd'}, {"gl", "0", 'd'},        {"videos", "0", 'i'},
+      {"run_salt", "1", 'u'},   {"threads", "0", 'i'},   {"fault_seed", "1", 'u'},
+      {"degrade", "1", 'i'},    {"predictive", "0", 'i'}, {"cpu_family", "0", 'i'},
+      {"streams", "8", 'i'},    {"arrival_seed", "1", 'u'}, {"frames", "120", 'i'},
+      {"slo", "33.3", 'd'},     {"interarrival", "2", 'd'}, {"capacity", "0.9", 'd'},
+      {"max_streams", "16", 'i'}, {"top", "12", 'i'},
+  };
+  FlagSet flags("defaults");
+  for (const Default& d : kDefaults) {
+    flags.Define(d.name, d.value, "default");
+  }
+  auto argv = Argv({});
+  ASSERT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()));
+  for (const Default& d : kDefaults) {
+    double value = d.kind == 'i'   ? flags.GetInt(d.name)
+                   : d.kind == 'u' ? static_cast<double>(flags.GetUint64(d.name))
+                                   : flags.GetDouble(d.name);
+    EXPECT_EQ(value, std::stod(d.value)) << d.name;
+  }
+  EXPECT_TRUE(flags.ok()) << flags.error();
+  EXPECT_EQ(DeviceTypeFromName("tx2"), DeviceType::kTx2);
 }
 
 DecisionRecord SampleRecord() {

@@ -63,14 +63,40 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  DeviceType device =
-      flags.GetString("device") == "xavier" ? DeviceType::kXavier : DeviceType::kTx2;
+  // Every flag is read and checked before any work starts.
+  std::optional<DeviceType> device_type = DeviceTypeFromName(flags.GetString("device"));
   double slo = flags.GetDouble("lat_req");
   double contention = flags.GetDouble("gl") / 100.0;
+  int max_videos = flags.GetInt("videos");
+  bool cpu_family = flags.GetInt("cpu_family") != 0;
+  EvalConfig config;
+  config.gpu_contention = contention;
+  config.slo_ms = slo;
+  config.run_salt = flags.GetUint64("run_salt");
+  config.threads = flags.GetInt("threads");
+  config.fault_seed = flags.GetUint64("fault_seed");
+  config.degrade = flags.GetInt("degrade") != 0;
+  config.predictive = flags.GetInt("predictive") != 0;
+  if (!device_type) {
+    std::cerr << "unknown device '" << flags.GetString("device")
+              << "' (want tx2 | xavier)\n";
+  }
+  if (!device_type || !flags.ok()) {
+    flags.PrintHelp(std::cerr);
+    return 1;
+  }
+  std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
+  if (!faults) {
+    std::cerr << "unknown fault schedule '" << flags.GetString("faults")
+              << "' (want " << preset_list << ")\n";
+    return 1;
+  }
+  config.faults = *faults;
+  const DeviceType device = *device_type;
+  config.device = device;
   const Workbench& wb = Workbench::Get(device);
 
   Dataset validation = wb.validation();
-  int max_videos = flags.GetInt("videos");
   if (max_videos > 0 && static_cast<size_t>(max_videos) < validation.videos.size()) {
     validation.videos.resize(static_cast<size_t>(max_videos));
   }
@@ -81,17 +107,16 @@ int Run(int argc, char** argv) {
   std::string name = flags.GetString("protocol");
   if (name == "litereconfig" || name == "mincost" || name == "maxcontent-resnet" ||
       name == "maxcontent-mobilenet") {
-    SchedulerConfig config = LiteReconfigProtocol::FullConfig();
+    SchedulerConfig sched_config = LiteReconfigProtocol::FullConfig();
     if (name == "mincost") {
-      config = LiteReconfigProtocol::MinCostConfig();
+      sched_config = LiteReconfigProtocol::MinCostConfig();
     } else if (name == "maxcontent-resnet") {
-      config = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kResNet50);
+      sched_config = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kResNet50);
     } else if (name == "maxcontent-mobilenet") {
-      config = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kMobileNetV2);
+      sched_config = LiteReconfigProtocol::MaxContentConfig(FeatureKind::kMobileNetV2);
     }
-    const TrainedModels& models =
-        flags.GetInt("cpu_family") != 0 ? wb.cpu_family_models() : wb.models();
-    auto lrc = std::make_unique<LiteReconfigProtocol>(&models, config, name);
+    const TrainedModels& models = cpu_family ? wb.cpu_family_models() : wb.models();
+    auto lrc = std::make_unique<LiteReconfigProtocol>(&models, sched_config, name);
     if (!flags.GetString("trace").empty()) {
       trace_file.open(flags.GetString("trace"));
       if (!trace_file) {
@@ -115,22 +140,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  EvalConfig config;
-  config.device = device;
-  config.gpu_contention = contention;
-  config.slo_ms = slo;
-  config.run_salt = static_cast<uint64_t>(flags.GetInt("run_salt"));
-  config.threads = flags.GetInt("threads");
-  std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
-  if (!faults) {
-    std::cerr << "unknown fault schedule '" << flags.GetString("faults")
-              << "' (want " << preset_list << ")\n";
-    return 1;
-  }
-  config.faults = *faults;
-  config.fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed"));
-  config.degrade = flags.GetInt("degrade") != 0;
-  config.predictive = flags.GetInt("predictive") != 0;
   EvalResult result = OnlineRunner::Run(*protocol, validation, config);
 
   if (trace != nullptr) {

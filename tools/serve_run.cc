@@ -58,30 +58,31 @@ int Run(int argc, char** argv) {
     return flags.help_requested() ? 0 : 1;
   }
 
-  DeviceType device =
-      flags.GetString("device") == "xavier" ? DeviceType::kXavier : DeviceType::kTx2;
-  std::optional<AllocatorMode> mode =
-      AllocatorModeFromName(flags.GetString("allocator"));
-  if (!mode) {
-    std::cerr << "unknown allocator '" << flags.GetString("allocator")
-              << "' (want costbenefit | equalsplit)\n";
-    return 1;
-  }
-  const Workbench& wb = Workbench::Get(device);
-
+  // Every flag is read and checked before any work starts.
+  std::optional<DeviceType> device = DeviceTypeFromName(flags.GetString("device"));
   ArrivalSpec spec;
-  spec.seed = static_cast<uint64_t>(flags.GetInt("arrival_seed"));
+  spec.seed = flags.GetUint64("arrival_seed");
   spec.num_streams = flags.GetInt("streams");
   spec.frames_per_video = flags.GetInt("frames");
   spec.slo_ms = flags.GetDouble("slo");
   spec.mean_interarrival_rounds = flags.GetDouble("interarrival");
 
   ServeConfig config;
-  config.allocator.mode = *mode;
   config.admission.capacity = flags.GetDouble("capacity");
   config.admission.max_streams =
       static_cast<size_t>(std::max(flags.GetInt("max_streams"), 0));
   config.threads = flags.GetInt("threads");
+  config.faults.fault_seed = flags.GetUint64("fault_seed");
+  config.faults.degrade = flags.GetInt("degrade") != 0;
+  bool cpu_family = flags.GetInt("cpu_family") != 0;
+  if (!device) {
+    std::cerr << "unknown device '" << flags.GetString("device")
+              << "' (want tx2 | xavier)\n";
+  }
+  if (!device || !flags.ok()) {
+    flags.PrintHelp(std::cerr);
+    return 1;
+  }
   std::optional<FaultSpec> faults = FaultSpec::FromName(flags.GetString("faults"));
   if (!faults) {
     std::cerr << "unknown fault schedule '" << flags.GetString("faults")
@@ -89,8 +90,15 @@ int Run(int argc, char** argv) {
     return 1;
   }
   config.faults.spec = *faults;
-  config.faults.fault_seed = static_cast<uint64_t>(flags.GetInt("fault_seed"));
-  config.faults.degrade = flags.GetInt("degrade") != 0;
+  std::optional<AllocatorMode> mode =
+      AllocatorModeFromName(flags.GetString("allocator"));
+  if (!mode) {
+    std::cerr << "unknown allocator '" << flags.GetString("allocator")
+              << "' (want costbenefit | equalsplit)\n";
+    return 1;
+  }
+  config.allocator.mode = *mode;
+  const Workbench& wb = Workbench::Get(*device);
 
   std::ofstream trace_file;
   std::unique_ptr<TraceWriter> trace;
@@ -103,8 +111,7 @@ int Run(int argc, char** argv) {
     trace = std::make_unique<TraceWriter>(trace_file);
   }
 
-  const TrainedModels& models =
-      flags.GetInt("cpu_family") != 0 ? wb.cpu_family_models() : wb.models();
+  const TrainedModels& models = cpu_family ? wb.cpu_family_models() : wb.models();
   ServeEval eval = ServeRunner::Run(models, spec, config, trace.get());
   const ServeResult& result = eval.result;
 
@@ -126,7 +133,7 @@ int Run(int argc, char** argv) {
     json << ServeEvalJson(eval) << "\n";
   }
 
-  std::cout << "device:           " << GetDeviceProfile(device).name << "\n"
+  std::cout << "device:           " << GetDeviceProfile(*device).name << "\n"
             << "allocator:        " << AllocatorModeName(*mode) << "\n"
             << "streams:          " << result.streams.size() << " arrived, "
             << result.admitted << " admitted, " << result.rejected

@@ -23,6 +23,11 @@ int Run(int argc, char** argv) {
     std::cerr << "usage: trace_summary [--top N] <trace.jsonl>\n";
     return flags.help_requested() ? 0 : 1;
   }
+  int top = flags.GetInt("top");
+  if (!flags.ok()) {
+    flags.PrintHelp(std::cerr);
+    return 1;
+  }
   const std::string& path = flags.positional()[0];
   std::ifstream file(path);
   if (!file) {
@@ -157,7 +162,6 @@ int Run(int argc, char** argv) {
   }
   std::sort(ranked.rbegin(), ranked.rend());
   TablePrinter table({"Branch", "Frames", "Share %"});
-  int top = flags.GetInt("top");
   for (int i = 0; i < top && i < static_cast<int>(ranked.size()); ++i) {
     table.AddRow({ranked[static_cast<size_t>(i)].second,
                   std::to_string(ranked[static_cast<size_t>(i)].first),
