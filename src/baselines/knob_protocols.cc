@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/features/light.h"
-#include "src/util/rng.h"
 #include "src/util/strings.h"
 
 namespace litereconfig {
@@ -134,88 +132,49 @@ VideoRunStats StaticKnobProtocol::RunVideo(const SyntheticVideo& video,
     stats.MarkOom();
     return stats;
   }
-  const DetectorQuality& quality = GetBaselineQuality(family_);
   Branch branch = chosen_.ToBranch();
-  Pcg32 rng(HashKeys({video.spec().seed, env.run_salt,
-                      static_cast<uint64_t>(family_), 0x40bull}));
   stats.branches_used.insert(chosen_.Id(family_));
-  // Per-stream platform copy: fault-driven contention bursts stay local to
-  // this video (see LiteReconfigProtocol::RunVideo). The knob is fixed, so the
-  // fault response is retry/coast only — there is no cheaper branch to fall
-  // back to.
-  LatencyModel platform_local = *env.platform;
-  const LatencyModel* platform = &platform_local;
-  FaultRuntime faults(env.faults, video.spec().seed, video.frame_count(),
-                      env.fault_seed, env.degrade,
-                      env.platform->contention().level(),
-                      1000.0 / video.spec().fps);
+  // Frames land in place, as in LiteReconfigProtocol::RunVideo.
+  stats.frames.resize(static_cast<size_t>(video.frame_count()));
+  // The knob is fixed, so the fault response is retry/coast only — there is
+  // no cheaper branch to fall back to and nothing to switch.
+  GofExecutor exec = OfflineExecutor(
+      video, env,
+      HashKeys({video.spec().seed, env.run_salt, static_cast<uint64_t>(family_),
+                0x40bull}),
+      /*space=*/nullptr, GetBaselineQuality(family_));
   int t = 0;
   while (t < video.frame_count()) {
-    faults.BeginGof(t);
-    if (faults.active()) {
-      platform_local.set_contention_level(faults.ContentionAt(t));
-      platform_local.set_thermal_scale(faults.ThermalAt(t));
-    }
+    exec.BeginGof(t);
     double det_mean =
-        platform->GpuScaledMs(BaselineDetectorTx2Ms(family_, chosen_.shape));
-    FaultRuntime::DetectorOutcome outcome = faults.ResolveDetector(
-        t, det_mean, branch.has_tracker && !stats.frames.empty());
+        exec.platform().GpuScaledMs(BaselineDetectorTx2Ms(family_, chosen_.shape));
+    FaultRuntime::DetectorOutcome outcome =
+        exec.faults().ResolveDetector(t, det_mean, branch.has_tracker && t > 0);
+    DetectionList* gof_frames = stats.frames.data() + t;
+    int length = std::min(branch.gof, video.frame_count() - t);
     if (outcome.coast) {
       // Coast mode: the detector is down, extend tracking from the last
       // emitted outputs for one GoF.
-      int length = std::max(1, std::min(branch.gof, video.frame_count() - t));
-      const DetectionList last_frame = stats.frames.back();
-      std::vector<DetectionList> coasted = ExecutionKernel::TrackOnly(
-          video, t, length, branch.tracker, last_frame, env.run_salt);
-      if (coasted.empty()) {
-        break;
-      }
-      int tracked = CountConfident(last_frame);
-      double track_total = 0.0;
-      for (size_t i = 0; i < coasted.size(); ++i) {
-        track_total += platform->Sample(
-            platform->TrackerMs(branch.tracker, tracked), rng);
-      }
-      double len = static_cast<double>(coasted.size());
-      stats.tracker_ms += track_total;
-      stats.gof_frame_ms.push_back((track_total + outcome.penalty_ms) / len);
-      stats.gof_lengths.push_back(static_cast<int>(len));
-      faults.OnGofComplete((track_total + outcome.penalty_ms) / len, env.slo_ms,
-                           static_cast<int>(len), /*coasted=*/true);
-      t += static_cast<int>(len);
-      for (DetectionList& frame : coasted) {
-        stats.frames.push_back(std::move(frame));
-      }
+      exec.Track(t, length, branch.tracker, stats.frames[t - 1], gof_frames);
+      const GofSamples& coast = exec.samples();
+      stats.tracker_ms += coast.tracker_ms;
+      exec.Book((coast.tracker_ms + outcome.penalty_ms) /
+                    static_cast<double>(coast.length),
+                /*coasted=*/true);
+      t += coast.length;
       continue;
     }
-    GofResult gof = ExecutionKernel::RunGof(video, t, branch, env.run_salt, quality);
-    if (gof.frames.empty()) {
-      break;
-    }
-    double det_sample = platform->Sample(det_mean, rng) * outcome.outlier_scale;
-    stats.detector_ms += det_sample + outcome.penalty_ms;
-    double track_total = 0.0;
-    if (branch.has_tracker) {
-      int tracked = CountConfident(gof.anchor_detections);
-      for (size_t i = 1; i < gof.frames.size(); ++i) {
-        double sample =
-            platform->Sample(platform->TrackerMs(branch.tracker, tracked), rng);
-        track_total += sample;
-      }
-    }
-    stats.tracker_ms += track_total;
-    double len = static_cast<double>(gof.frames.size());
-    double gof_frame = (det_sample + track_total + outcome.penalty_ms) / len;
-    stats.gof_frame_ms.push_back(gof_frame);
-    stats.gof_lengths.push_back(static_cast<int>(len));
-    faults.OnGofComplete(gof_frame, env.slo_ms, static_cast<int>(len),
-                         /*coasted=*/false);
-    for (DetectionList& frame : gof.frames) {
-      stats.frames.push_back(std::move(frame));
-    }
-    t += static_cast<int>(len);
+    exec.Detect(t, branch, length, det_mean, outcome.outlier_scale, gof_frames);
+    const GofSamples& drawn = exec.samples();
+    stats.detector_ms += drawn.detector_ms + outcome.penalty_ms;
+    stats.tracker_ms += drawn.tracker_ms;
+    exec.Book((drawn.detector_ms + drawn.tracker_ms + outcome.penalty_ms) /
+                  static_cast<double>(length),
+              /*coasted=*/false);
+    exec.TrackRemainder(t, branch, length, gof_frames);
+    t += length;
   }
-  stats.robustness = faults.TakeAccounting();
+  TakeBooks(exec, stats);
   return stats;
 }
 

@@ -112,21 +112,6 @@ int ExecutionKernel::TrackOnlyInto(const SyntheticVideo& video, int start,
   return end - start;
 }
 
-std::vector<DetectionList> ExecutionKernel::TrackOnly(
-    const SyntheticVideo& video, int start, int length, const TrackerConfig& tracker,
-    const DetectionList& init_detections, uint64_t run_salt) {
-  std::vector<DetectionList> frames;
-  int end = std::min(video.frame_count(), start + length);
-  if (end <= start) {
-    return frames;
-  }
-  frames.resize(static_cast<size_t>(end - start));
-  TrackBatch scratch;
-  TrackOnlyInto(video, start, length, tracker, init_detections, run_salt, scratch,
-                frames.data());
-  return frames;
-}
-
 double ExecutionKernel::SnippetAccuracy(const SyntheticVideo& video, int start,
                                         int length, const Branch& branch,
                                         uint64_t run_salt,

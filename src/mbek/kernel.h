@@ -67,19 +67,13 @@ class ExecutionKernel {
                                 const Branch& branch, uint64_t run_salt = 0,
                                 const DetectorQuality& quality = {});
 
-  // Tail continuation: extends tracking over frames [start, start + length)
-  // from the given detections (typically the previous GoF's last outputs)
-  // WITHOUT running the detector. Used when too few frames remain in the
-  // stream to amortize another detector invocation.
-  static std::vector<DetectionList> TrackOnly(const SyntheticVideo& video, int start,
-                                              int length,
-                                              const TrackerConfig& tracker,
-                                              const DetectionList& init_detections,
-                                              uint64_t run_salt = 0);
-
-  // Arena form of TrackOnly: writes frame start+i's outputs into out_frames[i]
-  // and returns the number of frames written (min(length, frames left); 0 when
-  // nothing remains). Same arena/identity contract as TrackRemainderInto.
+  // Tracker-only continuation: extends tracking over frames
+  // [start, start + length) from the given detections (typically the previous
+  // GoF's last outputs) WITHOUT running the detector — tail continuation when
+  // too few frames remain to amortize another detector invocation, and coast
+  // mode. Writes frame start+i's outputs into out_frames[i] and returns the
+  // number of frames written (min(length, frames left); 0 when nothing
+  // remains). Same arena contract as TrackRemainderInto.
   static int TrackOnlyInto(const SyntheticVideo& video, int start, int length,
                            const TrackerConfig& tracker,
                            const DetectionList& init_detections,

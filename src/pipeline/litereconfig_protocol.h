@@ -9,6 +9,7 @@
 #define SRC_PIPELINE_LITERECONFIG_PROTOCOL_H_
 
 #include <string>
+#include <string_view>
 
 #include "src/pipeline/protocol.h"
 #include "src/pipeline/trace.h"
@@ -40,10 +41,11 @@ class LiteReconfigProtocol : public Protocol {
   static SchedulerConfig ForcedFeatureConfig(FeatureKind feature);
 
  private:
-  // Emits a "fault" trace record for each failure the fault runtime recorded
-  // since `first_index` (a snapshot of accounting().failures.size()).
-  void TraceFaults(const FaultRuntime& faults, size_t first_index,
-                   uint64_t video_seed);
+  // Writes one non-decision trace record ("fault", "demote", "restore",
+  // "replan", "recalibrate", "reanchor"); `id` lands in branch_id. A no-op
+  // without a trace writer.
+  void TraceEvent(std::string_view event, uint64_t video_seed, int frame,
+                  std::string_view id) const;
 
   const TrainedModels* models_;
   LiteReconfigScheduler scheduler_;

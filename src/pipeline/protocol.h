@@ -21,6 +21,7 @@
 #include "src/platform/faults.h"
 #include "src/platform/latency.h"
 #include "src/platform/switching.h"
+#include "src/runtime/gof_executor.h"
 #include "src/video/synthetic_video.h"
 #include "src/vision/box.h"
 
@@ -153,6 +154,30 @@ struct VideoRunStats {
     return false;
   }
 };
+
+// The GoF executor of one offline stream: a copy of the run's platform, the
+// video's fault plan, and the latency stream seeded by `rng_seed`. The
+// kernels are keyed by the run salt.
+inline GofExecutor OfflineExecutor(const SyntheticVideo& video, const RunEnv& env,
+                                   uint64_t rng_seed, const BranchSpace* space,
+                                   const DetectorQuality& quality = {}) {
+  return GofExecutor(video, *env.platform,
+                     FaultRuntime(env.faults, video.spec().seed, video.frame_count(),
+                                  env.fault_seed, env.degrade,
+                                  env.platform->contention().level(),
+                                  1000.0 / video.spec().fps),
+                     rng_seed, env.run_salt, env.slo_ms, space, env.switching,
+                     quality);
+}
+
+// Moves the executor's books into `stats` when the stream ends: the per-GoF
+// samples, the switch count and the robustness accounting.
+inline void TakeBooks(GofExecutor& executor, VideoRunStats& stats) {
+  stats.gof_frame_ms = executor.TakeGofFrameMs();
+  stats.gof_lengths = executor.TakeGofLengths();
+  stats.switch_count = executor.switch_count();
+  stats.robustness = executor.faults().TakeAccounting();
+}
 
 class Protocol {
  public:

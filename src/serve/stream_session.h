@@ -1,6 +1,7 @@
 // One live stream inside the multi-tenant service: its video, its own
 // LiteReconfig scheduler, and the session-local runtime state (anchor
-// detections, current branch, RNG substream, accuracy accumulation).
+// detections, the GoF executor with the current branch and RNG substream,
+// accuracy accumulation).
 //
 // The service advances every admitted session one GoF per planning round.
 // Coupling to the co-located streams enters exclusively through StepGof's
@@ -12,9 +13,10 @@
 // count.
 //
 // Per-stream transient faults (latency outliers, detector failures, frame
-// drops) resolve through a session-local FaultRuntime with the same
-// retry/backoff/coast semantics as the single-tenant protocols; device-wide
-// intervals are recorded into the same accounting on the service's behalf.
+// drops) resolve through the executor's session-local FaultRuntime with the
+// same retry/backoff/coast semantics as the single-tenant protocols;
+// device-wide intervals are recorded into the same accounting on the
+// service's behalf.
 #ifndef SRC_SERVE_STREAM_SESSION_H_
 #define SRC_SERVE_STREAM_SESSION_H_
 
@@ -22,14 +24,13 @@
 #include <vector>
 
 #include "src/platform/faults.h"
-#include "src/platform/latency.h"
 #include "src/platform/switching.h"
+#include "src/runtime/gof_executor.h"
 #include "src/sched/branch_menu.h"
 #include "src/sched/scheduler.h"
 #include "src/serve/arrivals.h"
 #include "src/serve/service_faults.h"
 #include "src/serve/slo_class.h"
-#include "src/util/rng.h"
 #include "src/video/synthetic_video.h"
 #include "src/vision/metrics.h"
 
@@ -138,7 +139,7 @@ class StreamSession {
   double CoastFrameMs(double thermal_scale) const;
 
   // Whether the session has prior outputs to coast from.
-  bool CanCoast() const { return t_ > 0 && current_.has_value(); }
+  bool CanCoast() const { return t_ > 0 && exec_.current().has_value(); }
 
   // Advances the stream by one GoF under the frozen device conditions.
   // Touches only session-local state.
@@ -166,14 +167,14 @@ class StreamSession {
 
   // Robustness accounting (per-stream FaultRuntime books, read at departure).
   const FaultAccounting& fault_accounting() const {
-    return faults_.accounting();
+    return exec_.faults().accounting();
   }
 
   // Accuracy/latency accumulated so far (read after the stream departs).
   const ApEvaluator& eval() const { return eval_; }
-  const std::vector<double>& gof_frame_ms() const { return gof_frame_ms_; }
-  int deadline_misses() const { return deadline_misses_; }
-  int switch_count() const { return switch_count_; }
+  const std::vector<double>& gof_frame_ms() const { return exec_.gof_frame_ms(); }
+  int deadline_misses() const { return fault_accounting().deadline_misses; }
+  int switch_count() const { return exec_.switch_count(); }
   int forced_gofs() const { return forced_gofs_; }
   int infeasible_gofs() const { return infeasible_gofs_; }
 
@@ -184,36 +185,37 @@ class StreamSession {
   // contention on this same device, so observed/profiled is exactly the
   // contention inflation — no measurement loop needed in serving mode.
   static double AnalyticGpuCal(double level);
-  // Emits `frames` into the stream output and the AP accumulation.
-  void EmitFrames(std::vector<DetectionList> frames);
-  // Tracker-only GoF from the last emitted frame (coast and control-plane
-  // shed paths); `penalty_ms` is charged on top of the tracker time.
-  void CoastGof(GofReport& report, double penalty_ms);
+  // Feeds the window's first `count` frames to the AP accumulation and
+  // advances the stream past them.
+  void EmitFrames(int count);
+  // Tracker-only GoF of up to `length` frames from the last emitted frame
+  // (tail continuation, coast and control-plane shed paths); `penalty_ms` is
+  // charged on top of the tracker time.
+  void TrackGof(GofReport& report, int length, double penalty_ms);
   // Watchdog + recovery bookkeeping shared by every StepGof exit path.
-  void FinishGof(GofReport& report, size_t fault_mark, bool coasted);
+  void FinishGof(GofReport& report, size_t fault_mark, bool coasted,
+                 bool device_denied);
 
   const TrainedModels* models_;
   LiteReconfigScheduler scheduler_;
   StreamRequest request_;
   SyntheticVideo video_;
-  const SwitchingCostModel* switching_;
-  // Session platform copy: endogenous contention engaged at construction, so
-  // simulated contention writes cannot double-count (see LatencyModel).
-  LatencyModel platform_;
-  Pcg32 rng_;
-  // Per-stream transient faults + the robustness books. Device-wide intervals
-  // are recorded into it by the service via StepConditions.
-  FaultRuntime faults_;
+  // The stream's executor, declared after video_, which it references. Its
+  // platform has endogenous contention engaged, so simulated contention
+  // writes cannot double-count (see LatencyModel); the service records
+  // device-wide intervals into its fault runtime via StepConditions.
+  GofExecutor exec_;
+  // The frames of the GoF in progress, reused across GoFs: a stream's output
+  // goes straight into the AP accumulation and is not kept.
+  std::vector<DetectionList> window_;
 
   DetectionList anchor_;
   // The last emitted frame's detections (tail continuations track from here,
   // matching the single-tenant protocol's coast semantics).
   DetectionList last_frame_;
-  std::optional<size_t> current_;
   int t_ = 0;
   bool preheated_ = false;
   bool has_cpu_family_ = false;
-  int switch_count_ = 0;
   // Per-class watchdog: consecutive deadline misses; at the class tolerance
   // the session is forced onto the cheapest branch until a clean GoF.
   int miss_streak_ = 0;
@@ -223,8 +225,6 @@ class StreamSession {
   int coasted_rounds_ = 0;
 
   ApEvaluator eval_;
-  std::vector<double> gof_frame_ms_;
-  int deadline_misses_ = 0;
   int forced_gofs_ = 0;
   int infeasible_gofs_ = 0;
 };

@@ -155,9 +155,9 @@ void ExpectSameFrame(const DetectionList& a, const DetectionList& b,
 }
 
 // The arena forms (TrackRemainderInto / TrackOnlyInto) must be bit-identical
-// to the allocating wrappers, including when one scratch arena is reused
-// across consecutive GoFs of different branches and track populations — the
-// steady-state shape of the batched executor in LiteReconfigProtocol.
+// to the allocating TrackRemainder and to a fresh-arena call, including when
+// one scratch arena is reused across consecutive GoFs of different branches
+// and track populations — the steady-state shape of GofExecutor.
 TEST(KernelTest, ArenaFormsMatchAllocatingWrappersAcrossReusedScratch) {
   const BranchSpace& space = BranchSpace::Default();
   SyntheticVideo video = MakeVideo(21, SceneArchetype::kCrowded);
@@ -178,9 +178,12 @@ TEST(KernelTest, ArenaFormsMatchAllocatingWrappersAcrossReusedScratch) {
         ExpectSameFrame(arena[f], reference[f], "remainder", f);
       }
 
+      // TrackOnlyInto's reference is a call on a fresh arena.
       TrackerConfig tail{TrackerType::kMedianFlow, 4};
-      std::vector<DetectionList> only_ref = ExecutionKernel::TrackOnly(
-          video, start, 6, tail, anchor, /*run_salt=*/7);
+      std::vector<DetectionList> only_ref(6);
+      TrackBatch fresh;
+      only_ref.resize(static_cast<size_t>(ExecutionKernel::TrackOnlyInto(
+          video, start, 6, tail, anchor, /*run_salt=*/7, fresh, only_ref.data())));
       std::vector<DetectionList> only_arena(only_ref.size());
       int only_written = ExecutionKernel::TrackOnlyInto(
           video, start, 6, tail, anchor, /*run_salt=*/7, scratch,

@@ -1,8 +1,9 @@
-// Tests for runtime mechanics added on top of the core loop: tail track-only
-// continuation, per-GoF accounting, preheat calibration, and confident-count
-// policies.
+// Tests for runtime mechanics added on top of the core loop: the GoF
+// executor's draw contract, tail track-only continuation, per-GoF accounting,
+// preheat calibration, and confident-count policies.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 
 #include "src/features/light.h"
@@ -10,6 +11,7 @@
 #include "src/pipeline/litereconfig_protocol.h"
 #include "src/pipeline/runner.h"
 #include "src/pipeline/workbench.h"
+#include "src/runtime/gof_executor.h"
 #include "src/util/stats.h"
 #include "tests/test_support.h"
 
@@ -30,9 +32,11 @@ TEST(TrackOnlyTest, EmitsRequestedFrames) {
   const SyntheticVideo& video = TinyValidation().videos[0];
   DetectionList init = FasterRcnnSim::Detect(video, 10, {448, 100});
   TrackerConfig tracker{TrackerType::kKcf, 2};
-  std::vector<DetectionList> frames =
-      ExecutionKernel::TrackOnly(video, 11, 5, tracker, init);
-  EXPECT_EQ(frames.size(), 5u);
+  std::vector<DetectionList> frames(5);
+  TrackBatch scratch;
+  EXPECT_EQ(ExecutionKernel::TrackOnlyInto(video, 11, 5, tracker, init, 0, scratch,
+                                           frames.data()),
+            5);
   // Only confident detections are tracked.
   for (const DetectionList& frame : frames) {
     EXPECT_EQ(static_cast<int>(frame.size()), CountConfident(init));
@@ -43,12 +47,186 @@ TEST(TrackOnlyTest, TruncatesAtVideoEnd) {
   const SyntheticVideo& video = TinyValidation().videos[0];
   DetectionList init = FasterRcnnSim::Detect(video, 0, {448, 100});
   TrackerConfig tracker{TrackerType::kMedianFlow, 4};
-  std::vector<DetectionList> frames = ExecutionKernel::TrackOnly(
-      video, video.frame_count() - 3, 100, tracker, init);
-  EXPECT_EQ(frames.size(), 3u);
-  EXPECT_TRUE(
-      ExecutionKernel::TrackOnly(video, video.frame_count(), 5, tracker, init)
-          .empty());
+  std::vector<DetectionList> frames(100);
+  TrackBatch scratch;
+  EXPECT_EQ(ExecutionKernel::TrackOnlyInto(video, video.frame_count() - 3, 100,
+                                           tracker, init, 0, scratch, frames.data()),
+            3);
+  EXPECT_EQ(ExecutionKernel::TrackOnlyInto(video, video.frame_count(), 5, tracker,
+                                           init, 0, scratch, frames.data()),
+            0);
+}
+
+// The executor's draw contract. The oracle is a second Pcg32 seeded like the
+// executor's latency stream, replaying the Sample/OnlineCostMs calls the
+// contract promises, in order; any extra, missing or reordered draw shows up
+// as an inexact sample.
+class GofExecutorTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kSeed = 0x5eedull;
+  static constexpr uint64_t kSalt = 11;
+
+  GofExecutorTest() {
+    // Two tracking branches with different detectors, so a change between
+    // them is a real switch.
+    for (size_t b = 0; b < space_.size(); ++b) {
+      const Branch& branch = space_.at(b);
+      if (!branch.has_tracker || branch.gof < 4) {
+        continue;
+      }
+      if (!first_.has_value()) {
+        first_ = b;
+      } else if (branch.detector != space_.at(*first_).detector) {
+        second_ = b;
+        break;
+      }
+    }
+  }
+
+  GofExecutor MakeExecutor(double slo_ms = 50.0) {
+    return GofExecutor(video_, platform_,
+                       FaultRuntime(nullptr, video_.spec().seed, video_.frame_count(),
+                                    /*fault_seed=*/1, /*degrade=*/true, 0.3),
+                       kSeed, kSalt, slo_ms, &space_, &switching_);
+  }
+
+  // The oracle's tracker total for `frames` samples at `tracked` objects.
+  double TrackerTotal(const TrackerConfig& tracker, int tracked, int frames,
+                      Pcg32& oracle) const {
+    double total = 0.0;
+    for (int i = 0; i < frames; ++i) {
+      total += platform_.Sample(platform_.TrackerMs(tracker, tracked), oracle);
+    }
+    return total;
+  }
+
+  const SyntheticVideo& video_ = TinyValidation().videos[0];
+  const BranchSpace& space_ = BranchSpace::Default();
+  LatencyModel platform_{DeviceType::kTx2, 0.3};
+  SwitchingCostModel switching_{DeviceType::kTx2};
+  std::optional<size_t> first_;
+  std::optional<size_t> second_;
+};
+
+TEST_F(GofExecutorTest, DrawsSwitchThenDetectorThenTrackerSamples) {
+  ASSERT_TRUE(first_.has_value() && second_.has_value());
+  const Branch& first = space_.at(*first_);
+  const Branch& second = space_.at(*second_);
+  GofExecutor exec = MakeExecutor();
+  Pcg32 oracle(kSeed);
+  std::vector<DetectionList> out(64);
+
+  // The first SwitchTo has no current branch: it draws nothing.
+  exec.BeginGof(0);
+  exec.SwitchTo(*first_);
+  EXPECT_FALSE(exec.samples().switched);
+  EXPECT_EQ(exec.samples().switch_ms, 0.0);
+  double first_mean = platform_.DetectorMs(first.detector);
+  exec.Detect(0, first, first.gof, first_mean, 1.0, out.data());
+  EXPECT_EQ(exec.samples().detector_ms, platform_.Sample(first_mean, oracle));
+  EXPECT_EQ(exec.samples().tracker_ms,
+            TrackerTotal(first.tracker, CountConfident(out[0]), first.gof - 1, oracle));
+  exec.TrackRemainder(0, first, first.gof, out.data());
+
+  // A branch change: the switch, the outlier-scaled detector sample, then
+  // length - 1 tracker samples priced at the anchor's confident count.
+  int t = first.gof;
+  exec.BeginGof(t);
+  exec.SwitchTo(*second_);
+  EXPECT_TRUE(exec.samples().switched);
+  EXPECT_EQ(exec.samples().switch_ms,
+            switching_.OnlineCostMs(first, second, 0, oracle));
+  EXPECT_EQ(exec.switch_count(), 1);
+  double second_mean = platform_.DetectorMs(second.detector);
+  exec.Detect(t, second, second.gof, second_mean, 3.0, out.data());
+  double nominal = platform_.Sample(second_mean, oracle);
+  EXPECT_EQ(exec.samples().detector_nominal_ms, nominal);
+  EXPECT_EQ(exec.samples().detector_ms, nominal * 3.0);
+  EXPECT_EQ(exec.samples().tracker_ms,
+            TrackerTotal(second.tracker, CountConfident(out[0]), second.gof - 1,
+                         oracle));
+  EXPECT_EQ(exec.samples().length, second.gof);
+}
+
+TEST_F(GofExecutorTest, TrackRemainderDrawsNothingAndTrackDrawsPerEmittedFrame) {
+  ASSERT_TRUE(first_.has_value());
+  const Branch& branch = space_.at(*first_);
+  GofExecutor exec = MakeExecutor();
+  Pcg32 oracle(kSeed);
+  std::vector<DetectionList> out(64);
+  exec.BeginGof(0);
+  exec.SwitchTo(*first_);
+  double mean = platform_.DetectorMs(branch.detector);
+  exec.Detect(0, branch, branch.gof, mean, 1.0, out.data());
+  platform_.Sample(mean, oracle);
+  TrackerTotal(branch.tracker, CountConfident(out[0]), branch.gof - 1, oracle);
+  exec.TrackRemainder(0, branch, branch.gof, out.data());
+
+  // A tail GoF asking for more frames than remain stops at the end of the
+  // video, one tracker sample per emitted frame, priced at the init frame's
+  // confident count.
+  DetectionList init = out[static_cast<size_t>(branch.gof - 1)];
+  int t = video_.frame_count() - 3;
+  std::vector<DetectionList> tail(10);
+  exec.BeginGof(t);
+  exec.Track(t, 10, branch.tracker, init, tail.data());
+  EXPECT_EQ(exec.samples().length, 3);
+  EXPECT_EQ(exec.samples().tracker_ms,
+            TrackerTotal(branch.tracker, CountConfident(init), 3, oracle));
+  EXPECT_EQ(exec.samples().detector_ms, 0.0);
+  EXPECT_EQ(exec.samples().switch_ms, 0.0);
+}
+
+TEST_F(GofExecutorTest, OutputsMatchRunGof) {
+  ASSERT_TRUE(first_.has_value() && second_.has_value());
+  GofExecutor exec = MakeExecutor();
+  std::vector<DetectionList> out(64);
+  for (size_t index : {*first_, *second_}) {
+    const Branch& branch = space_.at(index);
+    for (int start : {0, 29, video_.frame_count() - 3}) {
+      GofResult reference = ExecutionKernel::RunGof(video_, start, branch, kSalt);
+      int length = std::min(branch.gof, video_.frame_count() - start);
+      exec.BeginGof(start);
+      exec.SwitchTo(index);
+      exec.Detect(start, branch, length, 10.0, 1.0, out.data());
+      exec.TrackRemainder(start, branch, length, out.data());
+      ASSERT_EQ(reference.frames.size(), static_cast<size_t>(length));
+      for (int f = 0; f < length; ++f) {
+        const DetectionList& want = reference.frames[static_cast<size_t>(f)];
+        const DetectionList& got = out[static_cast<size_t>(f)];
+        ASSERT_EQ(got.size(), want.size()) << "branch " << index << " frame " << f;
+        for (size_t d = 0; d < want.size(); ++d) {
+          EXPECT_EQ(got[d].box.x, want[d].box.x);
+          EXPECT_EQ(got[d].box.y, want[d].box.y);
+          EXPECT_EQ(got[d].box.w, want[d].box.w);
+          EXPECT_EQ(got[d].box.h, want[d].box.h);
+          EXPECT_EQ(got[d].score, want[d].score);
+          EXPECT_EQ(got[d].class_id, want[d].class_id);
+          EXPECT_EQ(got[d].object_id, want[d].object_id);
+        }
+      }
+    }
+  }
+}
+
+TEST_F(GofExecutorTest, BookCountsMissExactlyAboveSlo) {
+  ASSERT_TRUE(first_.has_value());
+  const Branch& branch = space_.at(*first_);
+  GofExecutor exec = MakeExecutor(/*slo_ms=*/40.0);
+  std::vector<DetectionList> out(64);
+  exec.BeginGof(0);
+  exec.SwitchTo(*first_);
+  exec.Detect(0, branch, branch.gof, 10.0, 1.0, out.data());
+  EXPECT_FALSE(exec.Book(40.0, /*coasted=*/false));
+  EXPECT_EQ(exec.faults().accounting().deadline_misses, 0);
+  EXPECT_TRUE(exec.Book(std::nextafter(40.0, 100.0), /*coasted=*/false));
+  EXPECT_EQ(exec.faults().accounting().deadline_misses, 1);
+  EXPECT_FALSE(exec.Book(39.0, /*coasted=*/false));
+  EXPECT_EQ(exec.faults().accounting().deadline_misses, 1);
+  EXPECT_EQ(exec.gof_frame_ms(),
+            (std::vector<double>{40.0, std::nextafter(40.0, 100.0), 39.0}));
+  EXPECT_EQ(exec.TakeGofLengths(),
+            (std::vector<int>{branch.gof, branch.gof, branch.gof}));
 }
 
 TEST(GofAccountingTest, LengthsSumToFrames) {

@@ -46,13 +46,17 @@ build "$base_src" "$work/base-build"
 build "$repo" "$work/head-build"
 
 # name|tool|flags. --json, --trace and --threads=4 are added below; approxdet
-# writes no decision trace.
+# and ssd write no decision trace.
 cases=(
   "lrc_none|litereconfig_run|--protocol=litereconfig --faults=none"
   "lrc_moderate_predictive|litereconfig_run|--protocol=litereconfig --faults=moderate --predictive=1"
   "mincost_severe|litereconfig_run|--protocol=mincost --faults=severe"
   "lrc_denied_moderate_cpu|litereconfig_run|--protocol=litereconfig --faults=denied_moderate --cpu_family=1"
+  "lrc_denied_nocpu|litereconfig_run|--protocol=litereconfig --faults=denied_moderate"
+  "lrc_naive_severe|litereconfig_run|--protocol=litereconfig --faults=severe --degrade=0"
   "approxdet_moderate|litereconfig_run|--protocol=approxdet --faults=moderate"
+  "approxdet_severe_predictive|litereconfig_run|--protocol=approxdet --lat_req=100 --faults=severe --predictive=1"
+  "ssd_moderate|litereconfig_run|--protocol=ssd --faults=moderate"
   "serve_64|serve_run|--streams=64"
   "serve_severe|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe --fault_seed=7"
   "serve_denied_cpu|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=denied_severe --fault_seed=17 --cpu_family=1"
@@ -67,7 +71,7 @@ run_side() {  # run_side <base|head>
   for entry in "${cases[@]}"; do
     IFS='|' read -r name tool flags <<<"$entry"
     local trace="--trace=$name.trace.jsonl"
-    [[ $flags == *approxdet* ]] && trace=""
+    [[ $flags == *approxdet* || $flags == *ssd* ]] && trace=""
     echo "== $side: $name"
     # Relative output paths keep the paths the tools print identical.
     # shellcheck disable=SC2086
