@@ -1,6 +1,6 @@
 // Chaos serving bench: the StreamingService under a severe device-wide fault
-// schedule (correlated contention bursts + thermal ramps, per-stream detector
-// failures and frame drops), graceful degradation vs naive blocking
+// schedule (correlated contention bursts, per-stream latency outliers,
+// detector failures and frame drops), graceful degradation vs naive blocking
 // (EXPERIMENTS.md "Fault-tolerant serving" table).
 //
 // Acceptance gates (exit status):

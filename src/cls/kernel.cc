@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/util/rng.h"
-#include "src/util/strings.h"
 #include "src/video/classes.h"
 #include "src/video/scene.h"
 
@@ -23,10 +22,6 @@ constexpr double kDepthMidpointPx[] = {26.0, 18.0, 13.0};
 constexpr double kDepthCeiling[] = {0.80, 0.90, 0.96};
 
 }  // namespace
-
-std::string ClsBranch::Id() const {
-  return StrFormat("c%d_f%d_d%d", shape, frames, depth);
-}
 
 ClsBranchSpace::ClsBranchSpace() {
   for (int shape : kClsShapes) {

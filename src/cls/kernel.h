@@ -10,7 +10,6 @@
 #define SRC_CLS_KERNEL_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/cls/task.h"
@@ -23,7 +22,6 @@ struct ClsBranch {
   int depth = 1;     // 0 = shallow, 1 = mid, 2 = deep network variant
 
   bool operator==(const ClsBranch&) const = default;
-  std::string Id() const;
 };
 
 class ClsBranchSpace {

@@ -8,26 +8,6 @@
 
 namespace litereconfig {
 
-Matrix Matrix::MatMul(const Matrix& other) const {
-  assert(cols_ == other.rows());
-  Matrix out(rows_, other.cols_);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* arow = RowPtr(i);
-    double* orow = out.RowPtr(i);
-    for (size_t k = 0; k < cols_; ++k) {
-      double aik = arow[k];
-      if (aik == 0.0) {
-        continue;
-      }
-      const double* brow = other.RowPtr(k);
-      for (size_t j = 0; j < other.cols_; ++j) {
-        orow[j] += aik * brow[j];
-      }
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::Transposed() const { return TransposeOf(data_, rows_, cols_); }
 
 Matrix Matrix::TransposeOf(std::span<const double> src, size_t rows, size_t cols) {

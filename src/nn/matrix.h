@@ -53,8 +53,6 @@ class Matrix {
   const Storage& data() const { return data_; }
   Storage& data() { return data_; }
 
-  // out = this * other. Requires cols() == other.rows().
-  Matrix MatMul(const Matrix& other) const;
   Matrix Transposed() const;
   // The cols x rows transpose of the row-major rows x cols array `src`,
   // written straight into fresh storage that is not zero-filled first.

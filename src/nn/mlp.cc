@@ -181,14 +181,6 @@ std::vector<double> Mlp::Predict(const std::vector<double>& input) const {
   return activations.back();
 }
 
-size_t Mlp::ForwardMacs() const {
-  size_t macs = 0;
-  for (size_t l = 0; l + 1 < config_.layer_dims.size(); ++l) {
-    macs += config_.layer_dims[l] * config_.layer_dims[l + 1];
-  }
-  return macs;
-}
-
 double Mlp::Train(const Matrix& x, const Matrix& y) {
   if (x.cols() != config_.layer_dims.front()) {
     throw std::invalid_argument("Mlp::Train: x width does not match layer_dims");

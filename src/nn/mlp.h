@@ -54,10 +54,6 @@ class Mlp {
   // Throws std::invalid_argument unless input has layer_dims.front() entries.
   std::vector<double> Predict(const std::vector<double>& input) const;
 
-  // Approximate multiply-accumulate count of one forward pass (used by the
-  // platform cost model to charge prediction latency consistently).
-  size_t ForwardMacs() const;
-
   const MlpConfig& config() const { return config_; }
 
   // The weights exported row-major (weights()[l] is layer_dims[l+1] x

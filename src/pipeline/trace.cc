@@ -166,17 +166,6 @@ std::optional<DecisionRecord> TraceReader::ParseLine(const std::string& line) {
   return record;
 }
 
-std::vector<DecisionRecord> TraceReader::ReadAll(std::istream& is) {
-  std::vector<DecisionRecord> records;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (auto record = ParseLine(line)) {
-      records.push_back(std::move(*record));
-    }
-  }
-  return records;
-}
-
 std::optional<std::vector<DecisionRecord>> TraceReader::ReadAllStrict(
     std::istream& is, std::string* error) {
   std::vector<DecisionRecord> records;

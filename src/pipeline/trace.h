@@ -85,10 +85,6 @@ class TraceReader {
   // Parses one JSONL line; nullopt on malformed input.
   static std::optional<DecisionRecord> ParseLine(const std::string& line);
 
-  // Reads all well-formed records from a stream, silently skipping malformed
-  // lines — convenient for ad-hoc analysis over partial traces.
-  static std::vector<DecisionRecord> ReadAll(std::istream& is);
-
   // Reads all records, failing loudly instead of undercounting: returns
   // nullopt on the first malformed non-blank line and describes it in *error
   // ("line N: ..."). Tools that report aggregate statistics must use this so a

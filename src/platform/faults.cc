@@ -26,6 +26,36 @@ std::string AsciiLower(std::string_view name) {
   return lower;
 }
 
+// The presets in their documented order (see the PresetNames declaration):
+// escalating transient schedules, thermal, Xavier shapes, then GPU denial.
+// Help and error text render exactly this sequence.
+struct Preset {
+  std::string_view name;
+  FaultSpec (*make)();
+};
+
+constexpr Preset kPresets[] = {
+    {"none", &FaultSpec::None},
+    {"mild", &FaultSpec::Mild},
+    {"moderate", &FaultSpec::Moderate},
+    {"severe", &FaultSpec::Severe},
+    {"ramp", &FaultSpec::Ramp},
+    {"mild_xavier", &FaultSpec::MildXavier},
+    {"severe_xavier", &FaultSpec::SevereXavier},
+    {"gpu_denied", &FaultSpec::GpuDenied},
+    {"denied_frequent", &FaultSpec::DeniedFrequent},
+    {"denied_moderate", &FaultSpec::DeniedModerate},
+    {"denied_severe", &FaultSpec::DeniedSevere},
+};
+
+// Per IntervalKind: the substream salt its start frames are drawn from, and
+// the failure its entry is booked as.
+constexpr uint64_t kIntervalSalt[kNumIntervalKinds] = {kBurstSalt, kRampSalt,
+                                                       kDenialSalt};
+constexpr FailureKind kIntervalFailure[kNumIntervalKinds] = {
+    FailureKind::kContentionBurst, FailureKind::kThermalRamp,
+    FailureKind::kGpuDenied};
+
 }  // namespace
 
 std::string_view FailureKindName(FailureKind kind) {
@@ -196,52 +226,22 @@ FaultSpec FaultSpec::DeniedSevere() {
 
 std::optional<FaultSpec> FaultSpec::FromName(std::string_view name) {
   std::string lower = AsciiLower(name);
-  if (lower == "none") {
-    return None();
-  }
-  if (lower == "mild") {
-    return Mild();
-  }
-  if (lower == "moderate") {
-    return Moderate();
-  }
-  if (lower == "severe") {
-    return Severe();
-  }
-  if (lower == "ramp") {
-    return Ramp();
-  }
-  if (lower == "mild_xavier") {
-    return MildXavier();
-  }
-  if (lower == "severe_xavier") {
-    return SevereXavier();
-  }
-  if (lower == "gpu_denied") {
-    return GpuDenied();
-  }
-  if (lower == "denied_frequent") {
-    return DeniedFrequent();
-  }
-  if (lower == "denied_moderate") {
-    return DeniedModerate();
-  }
-  if (lower == "denied_severe") {
-    return DeniedSevere();
+  for (const Preset& preset : kPresets) {
+    if (lower == preset.name) {
+      return preset.make();
+    }
   }
   return std::nullopt;
 }
 
 const std::vector<std::string_view>& FaultSpec::PresetNames() {
-  // The documented order (see the PresetNames declaration): escalating
-  // transient schedules, thermal, Xavier shapes, then GPU denial. Help and
-  // error text must render exactly this sequence.
-  static const std::vector<std::string_view>* names =
-      new std::vector<std::string_view>{
-          "none",        "mild",          "moderate",
-          "severe",      "ramp",          "mild_xavier",
-          "severe_xavier", "gpu_denied",  "denied_frequent",
-          "denied_moderate", "denied_severe"};
+  static const std::vector<std::string_view>* names = [] {
+    auto* list = new std::vector<std::string_view>;
+    for (const Preset& preset : kPresets) {
+      list->push_back(preset.name);
+    }
+    return list;
+  }();
   return *names;
 }
 
@@ -258,7 +258,7 @@ FaultSpec FaultSpec::WithoutIntervals() const {
   spec.bursts_per_100_frames = 0.0;
   spec.ramps_per_100_frames = 0.0;
   // GPU denial is device-wide by nature: in the multi-tenant service it lives
-  // in the shared ServiceFaultPlan, never per stream.
+  // in the shared device plan, never per stream.
   spec.denials_per_100_frames = 0.0;
   return spec;
 }
@@ -282,52 +282,30 @@ FaultPlan::FaultPlan(const FaultSpec& spec, uint64_t video_seed, int frame_count
   if (!active_) {
     return;
   }
-  if (spec_.bursts_per_100_frames > 0.0 && spec_.burst_frames > 0) {
-    // Bursts are drawn from one per-video substream and materialized up front:
-    // schedule shape depends only on the seeds, never on how the run queries it.
-    Pcg32 rng(HashKeys({seed_, kBurstSalt}));
-    double start_prob = std::min(1.0, spec_.bursts_per_100_frames / 100.0);
-    int frame = 0;
-    while (frame < frame_count) {
-      if (rng.Bernoulli(start_prob)) {
-        bursts_.push_back(Burst{frame, spec_.burst_frames, spec_.burst_level});
-        frame += spec_.burst_frames;
-      } else {
-        ++frame;
-      }
+  const double rates[kNumIntervalKinds] = {spec_.bursts_per_100_frames,
+                                           spec_.ramps_per_100_frames,
+                                           spec_.denials_per_100_frames};
+  for (int k = 0; k < kNumIntervalKinds; ++k) {
+    IntervalKind kind = static_cast<IntervalKind>(k);
+    int length = Length(kind);
+    bool enabled = rates[k] > 0.0 && length > 0 &&
+                   (kind != IntervalKind::kRamp || spec_.ramp_peak_scale > 1.0);
+    if (!enabled) {
+      continue;
     }
-  }
-  int ramp_span =
-      spec_.ramp_up_frames + spec_.ramp_plateau_frames + spec_.ramp_down_frames;
-  if (spec_.ramps_per_100_frames > 0.0 && ramp_span > 0 &&
-      spec_.ramp_peak_scale > 1.0) {
-    // Thermal ramps come from their own substream (independent of the burst
-    // schedule) and never overlap each other: heat dissipates before the SoC
-    // can throttle again.
-    Pcg32 rng(HashKeys({seed_, kRampSalt}));
-    double start_prob = std::min(1.0, spec_.ramps_per_100_frames / 100.0);
+    // Each kind is drawn from its own per-video substream and materialized up
+    // front: the schedule depends only on the seeds, never on how the run
+    // queries it. Intervals of one kind never overlap — a spike, a throttle
+    // or an outage ends before the next one of its kind starts — but
+    // different kinds do.
+    Pcg32 rng(HashKeys({seed_, kIntervalSalt[k]}));
+    double start_prob = std::min(1.0, rates[k] / 100.0);
+    std::vector<int>& starts = starts_[static_cast<size_t>(k)];
     int frame = 0;
     while (frame < frame_count) {
       if (rng.Bernoulli(start_prob)) {
-        ramps_.push_back(Ramp{frame, spec_.ramp_up_frames,
-                              spec_.ramp_plateau_frames, spec_.ramp_down_frames,
-                              spec_.ramp_peak_scale});
-        frame += ramp_span;
-      } else {
-        ++frame;
-      }
-    }
-  }
-  if (spec_.denials_per_100_frames > 0.0 && spec_.denial_frames > 0) {
-    // GPU-denied intervals: own substream, non-overlapping — the driver (or
-    // the exclusive co-tenant) gives the GPU back before it can vanish again.
-    Pcg32 rng(HashKeys({seed_, kDenialSalt}));
-    double start_prob = std::min(1.0, spec_.denials_per_100_frames / 100.0);
-    int frame = 0;
-    while (frame < frame_count) {
-      if (rng.Bernoulli(start_prob)) {
-        denials_.push_back(Denial{frame, spec_.denial_frames});
-        frame += spec_.denial_frames;
+        starts.push_back(frame);
+        frame += length;
       } else {
         ++frame;
       }
@@ -335,84 +313,68 @@ FaultPlan::FaultPlan(const FaultSpec& spec, uint64_t video_seed, int frame_count
   }
 }
 
-int FaultPlan::BurstIndexAt(int frame) const {
-  for (size_t i = 0; i < bursts_.size(); ++i) {
-    if (frame >= bursts_[i].start && frame < bursts_[i].start + bursts_[i].length) {
-      return static_cast<int>(i);
-    }
-    if (bursts_[i].start > frame) {
-      break;
-    }
+int FaultPlan::Length(IntervalKind kind) const {
+  switch (kind) {
+    case IntervalKind::kBurst:
+      return spec_.burst_frames;
+    case IntervalKind::kRamp:
+      return spec_.ramp_up_frames + spec_.ramp_plateau_frames +
+             spec_.ramp_down_frames;
+    case IntervalKind::kDenial:
+      return spec_.denial_frames;
   }
-  return -1;
+  return 0;
+}
+
+int FaultPlan::IndexAt(IntervalKind kind, int frame) const {
+  // Starts ascend and intervals of a kind never overlap, so only the last
+  // interval starting at or before `frame` can cover it.
+  const std::vector<int>& kind_starts = starts(kind);
+  auto after = std::upper_bound(kind_starts.begin(), kind_starts.end(), frame);
+  if (after == kind_starts.begin() || frame >= *(after - 1) + Length(kind)) {
+    return -1;
+  }
+  return static_cast<int>(after - kind_starts.begin()) - 1;
 }
 
 double FaultPlan::BurstLevelAt(int frame) const {
-  int index = BurstIndexAt(frame);
-  return index < 0 ? 0.0 : bursts_[static_cast<size_t>(index)].level;
-}
-
-int FaultPlan::RampIndexAt(int frame) const {
-  for (size_t i = 0; i < ramps_.size(); ++i) {
-    const Ramp& ramp = ramps_[i];
-    if (frame >= ramp.start &&
-        frame < ramp.start + ramp.up + ramp.plateau + ramp.down) {
-      return static_cast<int>(i);
-    }
-    if (ramp.start > frame) {
-      break;
-    }
-  }
-  return -1;
+  return IndexAt(IntervalKind::kBurst, frame) < 0 ? 0.0 : spec_.burst_level;
 }
 
 double FaultPlan::ThermalScaleAt(int frame) const {
-  int index = RampIndexAt(frame);
+  int index = IndexAt(IntervalKind::kRamp, frame);
   if (index < 0) {
     return 1.0;
   }
-  const Ramp& ramp = ramps_[static_cast<size_t>(index)];
-  int offset = frame - ramp.start;
-  double rise = ramp.peak - 1.0;
-  if (offset < ramp.up) {
+  int offset = frame - starts(IntervalKind::kRamp)[static_cast<size_t>(index)];
+  double peak = spec_.ramp_peak_scale;
+  double rise = peak - 1.0;
+  if (offset < spec_.ramp_up_frames) {
     // Heating: linear climb toward the throttled plateau.
     return 1.0 + rise * (static_cast<double>(offset) + 1.0) /
-                     static_cast<double>(ramp.up);
+                     static_cast<double>(spec_.ramp_up_frames);
   }
-  offset -= ramp.up;
-  if (offset < ramp.plateau) {
-    return ramp.peak;
+  offset -= spec_.ramp_up_frames;
+  if (offset < spec_.ramp_plateau_frames) {
+    return peak;
   }
-  offset -= ramp.plateau;
+  offset -= spec_.ramp_plateau_frames;
   // Cool-down: linear fall back to nominal.
-  return ramp.peak - rise * (static_cast<double>(offset) + 1.0) /
-                         static_cast<double>(ramp.down);
-}
-
-int FaultPlan::DenialIndexAt(int frame) const {
-  for (size_t i = 0; i < denials_.size(); ++i) {
-    if (frame >= denials_[i].start &&
-        frame < denials_[i].start + denials_[i].length) {
-      return static_cast<int>(i);
-    }
-    if (denials_[i].start > frame) {
-      break;
-    }
-  }
-  return -1;
+  return peak - rise * (static_cast<double>(offset) + 1.0) /
+                    static_cast<double>(spec_.ramp_down_frames);
 }
 
 bool FaultPlan::GpuDeniedAt(int frame) const {
-  return DenialIndexAt(frame) >= 0;
+  return IndexAt(IntervalKind::kDenial, frame) >= 0;
 }
 
 int FaultPlan::DenialEndAt(int frame) const {
-  int index = DenialIndexAt(frame);
+  int index = IndexAt(IntervalKind::kDenial, frame);
   if (index < 0) {
     return frame;
   }
-  const Denial& denial = denials_[static_cast<size_t>(index)];
-  return denial.start + denial.length;
+  return starts(IntervalKind::kDenial)[static_cast<size_t>(index)] +
+         Length(IntervalKind::kDenial);
 }
 
 double FaultPlan::DetectorOutlierScale(int frame) const {
@@ -453,49 +415,32 @@ FaultRuntime::FaultRuntime(const FaultSpec* spec, uint64_t video_seed,
       base_contention_(base_contention),
       frame_interval_ms_(frame_interval_ms) {}
 
-void FaultRuntime::RecordFault(FailureKind kind, int frame) {
+void FaultRuntime::Record(FailureKind kind, int frame, bool recovered,
+                          bool in_gof) {
   ++acc_.faults_injected;
-  ++gof_faults_;
+  if (in_gof) {
+    ++gof_faults_;
+  }
   FailureReport report;
   report.kind = kind;
   report.frame = frame;
-  report.recovered = true;
+  report.recovered = recovered;
   acc_.failures.push_back(report);
 }
 
-void FaultRuntime::NoteServiceBurst(int burst_index, int frame) {
-  if (burst_index >= 0 && burst_index != last_burst_recorded_) {
-    last_burst_recorded_ = burst_index;
-    RecordFault(FailureKind::kContentionBurst, frame);
+void FaultRuntime::EnterInterval(IntervalKind kind, int index, int frame) {
+  int& last = last_entered_[static_cast<size_t>(kind)];
+  if (index < 0 || index == last) {
+    return;
   }
-}
-
-void FaultRuntime::NoteServiceRamp(int ramp_index, int frame) {
-  if (ramp_index >= 0 && ramp_index != last_ramp_recorded_) {
-    last_ramp_recorded_ = ramp_index;
-    RecordFault(FailureKind::kThermalRamp, frame);
-  }
-}
-
-void FaultRuntime::NoteServiceDenial(int denial_index, int frame) {
-  if (denial_index >= 0 && denial_index != last_denial_recorded_) {
-    last_denial_recorded_ = denial_index;
-    RecordDenialEntry(frame);
-  }
-}
-
-void FaultRuntime::RecordDenialEntry(int frame) {
+  last = index;
   // A denial interval is a deterministic availability mask, not an invocation
   // fault: record it for accounting and tracing, but do not count it toward
   // the GoF's fault tally — entering a window must not arm the watchdog
   // fallback, because CPU pricing under denial is reliable (the masked
   // scheduler prices on the CPU clock, which contention cannot skew).
-  ++acc_.faults_injected;
-  FailureReport report;
-  report.kind = FailureKind::kGpuDenied;
-  report.frame = frame;
-  report.recovered = true;
-  acc_.failures.push_back(report);
+  Record(kIntervalFailure[static_cast<size_t>(kind)], frame, /*recovered=*/true,
+         /*in_gof=*/kind != IntervalKind::kDenial);
 }
 
 void FaultRuntime::RecordDeniedGof(bool cpu_fallback) {
@@ -505,36 +450,14 @@ void FaultRuntime::RecordDeniedGof(bool cpu_fallback) {
   }
 }
 
-void FaultRuntime::RecordServiceFault(FailureKind kind, int frame,
-                                      bool recovered) {
-  ++acc_.faults_injected;
-  ++gof_faults_;
-  FailureReport report;
-  report.kind = kind;
-  report.frame = frame;
-  report.recovered = recovered;
-  acc_.failures.push_back(report);
-}
-
 void FaultRuntime::BeginGof(int frame) {
   gof_faults_ = 0;
   if (!active()) {
     return;
   }
-  int burst = plan_.BurstIndexAt(frame);
-  if (burst >= 0 && burst != last_burst_recorded_) {
-    last_burst_recorded_ = burst;
-    RecordFault(FailureKind::kContentionBurst, frame);
-  }
-  int ramp = plan_.RampIndexAt(frame);
-  if (ramp >= 0 && ramp != last_ramp_recorded_) {
-    last_ramp_recorded_ = ramp;
-    RecordFault(FailureKind::kThermalRamp, frame);
-  }
-  int denial = plan_.DenialIndexAt(frame);
-  if (denial >= 0 && denial != last_denial_recorded_) {
-    last_denial_recorded_ = denial;
-    RecordDenialEntry(frame);
+  for (int k = 0; k < kNumIntervalKinds; ++k) {
+    IntervalKind kind = static_cast<IntervalKind>(k);
+    EnterInterval(kind, plan_.IndexAt(kind, frame), frame);
   }
 }
 

@@ -13,10 +13,11 @@
 //                        (none/mild/moderate/severe presets, plus the thermal
 //                        ramp and Xavier-shaped ramp/mild_xavier/severe_xavier
 //                        presets).
-//   * FaultPlan        — the per-video materialization: contention bursts and
-//                        thermal ramps as intervals, plus stateless point
-//                        queries for kernel outliers, transient detector
-//                        failures, and frame drops.
+//   * FaultPlan        — the per-video materialization: contention bursts,
+//                        thermal ramps and GPU denials as interval start
+//                        frames, plus stateless point queries for kernel
+//                        outliers, transient detector failures, and frame
+//                        drops.
 //   * FaultRuntime     — the per-stream watchdog the protocols drive: bounded
 //                        retry-with-backoff for transient failures, tracker-only
 //                        "coast" GoFs when the detector stays down, deadline-miss
@@ -31,6 +32,7 @@
 #ifndef SRC_PLATFORM_FAULTS_H_
 #define SRC_PLATFORM_FAULTS_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -130,9 +132,9 @@ struct FaultSpec {
   static const std::vector<std::string_view>& PresetNames();
 
   // Splits a schedule into its two halves for the multi-tenant service: the
-  // device-wide intervals (bursts, thermal ramps) become one shared
-  // ServiceFaultPlan, while the stateless point faults (outliers, detector
-  // failures, frame drops) stay per-stream.
+  // device-wide intervals (bursts, thermal ramps, GPU denials) become one
+  // shared device plan (DeviceFaultPlan), while the stateless point faults
+  // (outliers, detector failures, frame drops) stay per-stream.
   FaultSpec IntervalsOnly() const;
   FaultSpec WithoutIntervals() const;
 };
@@ -140,50 +142,44 @@ struct FaultSpec {
 // " | "-joined PresetNames(), the help/error text both CLI runners share.
 std::string FaultPresetList();
 
-// The deterministic per-video fault schedule. Bursts and thermal ramps are
-// materialized as intervals at construction; everything else is a stateless
-// pure function of (plan seed, frame, attempt), so queries are safe from any
-// thread and independent of query order.
+// The interval fault kinds, in the order a GoF books their entries (so failure
+// lists and traces list a burst before a ramp before a denial).
+enum class IntervalKind {
+  kBurst = 0,   // contention burst: extra GPU share held for burst_frames
+  kRamp = 1,    // thermal ramp: up, plateau, down phases of ramp_peak_scale
+  kDenial = 2,  // GPU denial: no GPU kernel runs for denial_frames
+};
+
+inline constexpr int kNumIntervalKinds = 3;
+
+// The deterministic per-video fault schedule. Every interval of a kind has the
+// shape its spec gives it, so the plan materializes only each kind's start
+// frames at construction (one seeded substream per kind, non-overlapping
+// within a kind) and derives every query from the spec; everything else is a
+// stateless pure function of (plan seed, frame, attempt), so queries are safe
+// from any thread and independent of query order.
 class FaultPlan {
  public:
-  struct Burst {
-    int start = 0;
-    int length = 0;
-    double level = 0.0;
-  };
-  struct Ramp {
-    int start = 0;
-    int up = 0;
-    int plateau = 0;
-    int down = 0;
-    double peak = 1.0;
-  };
-  struct Denial {
-    int start = 0;
-    int length = 0;
-  };
-
   FaultPlan() = default;
   FaultPlan(const FaultSpec& spec, uint64_t video_seed, int frame_count,
             uint64_t fault_seed);
 
   bool active() const { return active_; }
-  const std::vector<Burst>& bursts() const { return bursts_; }
-  const std::vector<Ramp>& ramps() const { return ramps_; }
-  const std::vector<Denial>& denials() const { return denials_; }
+  // Start frames of the kind's intervals, ascending.
+  const std::vector<int>& starts(IntervalKind kind) const {
+    return starts_[static_cast<size_t>(kind)];
+  }
+  // Length in frames of every interval of the kind.
+  int Length(IntervalKind kind) const;
+  // Index of the kind's interval covering `frame`, or -1.
+  int IndexAt(IntervalKind kind, int frame) const;
 
-  // Index of the burst covering `frame`, or -1.
-  int BurstIndexAt(int frame) const;
   // Additional contention level at `frame` (0.0 outside bursts).
   double BurstLevelAt(int frame) const;
-  // Index of the thermal ramp covering `frame`, or -1.
-  int RampIndexAt(int frame) const;
   // Multiplicative kernel-latency factor of the thermal drift at `frame`:
   // 1.0 outside ramps, linear 1.0 -> peak over the ramp-up, peak through the
   // plateau, linear peak -> 1.0 over the cool-down.
   double ThermalScaleAt(int frame) const;
-  // Index of the GPU-denied interval covering `frame`, or -1.
-  int DenialIndexAt(int frame) const;
   // Whether the GPU is denied outright at `frame` (no GPU kernel can run).
   bool GpuDeniedAt(int frame) const;
   // First frame past the denial covering `frame` (== `frame` when none): the
@@ -200,9 +196,7 @@ class FaultPlan {
   FaultSpec spec_;
   uint64_t seed_ = 0;
   bool active_ = false;
-  std::vector<Burst> bursts_;
-  std::vector<Ramp> ramps_;
-  std::vector<Denial> denials_;
+  std::array<std::vector<int>, kNumIntervalKinds> starts_;
 };
 
 // Robustness accounting carried per video and merged into the evaluation.
@@ -273,26 +267,26 @@ class FaultRuntime {
   double frame_interval_ms() const { return frame_interval_ms_; }
 
   // Multi-tenant mode: arms the accounting even when the per-stream plan is
-  // inactive (device-wide intervals live in the service's shared
-  // ServiceFaultPlan, not in this runtime's plan). An inactive plan answers
-  // every point query neutrally, so engaging is safe regardless.
+  // inactive (device-wide intervals live in the service's device plan, not in
+  // this runtime's plan). An inactive plan answers every point query
+  // neutrally, so engaging is safe regardless.
   void EngageServiceFaults() { service_active_ = true; }
 
-  // Records entry into a device-wide interval on behalf of the shared
-  // ServiceFaultPlan. Deduplicated per interval index, exactly like the
-  // per-stream plan's intervals in BeginGof; call after BeginGof so the fault
-  // counts toward the current GoF's absorption accounting.
-  void NoteServiceBurst(int burst_index, int frame);
-  void NoteServiceRamp(int ramp_index, int frame);
-  void NoteServiceDenial(int denial_index, int frame);
+  // Books entry into interval `index` of `kind` (-1 = none) at `frame`, once
+  // per interval. BeginGof calls it for this runtime's own plan; the service
+  // calls it after BeginGof for its device plan. A burst or ramp entry counts
+  // toward the current GoF's faults; a denial entry (an availability mask,
+  // not an invocation fault) does not.
+  void EnterInterval(IntervalKind kind, int index, int frame);
 
   // Records a service-originated failure (e.g. FailureKind::kEvicted) into
   // this stream's report stream.
-  void RecordServiceFault(FailureKind kind, int frame, bool recovered);
+  void RecordServiceFault(FailureKind kind, int frame, bool recovered) {
+    Record(kind, frame, recovered, /*in_gof=*/true);
+  }
 
-  // Starts the GoF anchored at `frame`: records a newly-entered contention
-  // burst, thermal ramp, or GPU-denied interval (once per interval) and
-  // resets the per-GoF fault count.
+  // Starts the GoF anchored at `frame`: enters the plan's intervals covering
+  // it, in IntervalKind order, and resets the per-GoF fault count.
   void BeginGof(int frame);
 
   // Absolute contention level to run the GoF at (base + any active burst).
@@ -353,8 +347,11 @@ class FaultRuntime {
   FaultAccounting TakeAccounting() { return std::move(acc_); }
 
  private:
-  void RecordFault(FailureKind kind, int frame);
-  void RecordDenialEntry(int frame);
+  // Books one failure report; `in_gof` counts it toward the GoF's faults.
+  void Record(FailureKind kind, int frame, bool recovered, bool in_gof);
+  void RecordFault(FailureKind kind, int frame) {
+    Record(kind, frame, /*recovered=*/true, /*in_gof=*/true);
+  }
 
   FaultPlan plan_;
   bool degrade_ = true;
@@ -363,9 +360,8 @@ class FaultRuntime {
   double frame_interval_ms_ = 0.0;
   FaultAccounting acc_;
   int gof_faults_ = 0;
-  int last_burst_recorded_ = -1;
-  int last_ramp_recorded_ = -1;
-  int last_denial_recorded_ = -1;
+  // The last interval index entered per IntervalKind (-1 = none yet).
+  std::array<int, kNumIntervalKinds> last_entered_ = {-1, -1, -1};
   bool fallback_ = false;
   bool in_episode_ = false;
   int episode_gofs_ = 0;

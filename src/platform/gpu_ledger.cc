@@ -33,8 +33,4 @@ double GpuShareLedger::LevelFor(size_t index) const {
   return std::min(kMaxEndogenousLevel, TotalShare() - shares_[index]);
 }
 
-double GpuShareLedger::LevelForAdditional() const {
-  return std::min(kMaxEndogenousLevel, TotalShare());
-}
-
 }  // namespace litereconfig

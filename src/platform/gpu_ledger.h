@@ -46,10 +46,6 @@ class GpuShareLedger {
   // *other* stream's share, clamped to kMaxEndogenousLevel.
   double LevelFor(size_t index) const;
 
-  // Level a hypothetical additional stream would experience (all current
-  // shares count), clamped. Used by admission control to price a candidate.
-  double LevelForAdditional() const;
-
  private:
   std::vector<double> shares_;
 };

@@ -2,18 +2,6 @@
 
 namespace litereconfig {
 
-std::string_view AdmissionVerdictName(AdmissionVerdict verdict) {
-  switch (verdict) {
-    case AdmissionVerdict::kAdmit:
-      return "admit";
-    case AdmissionVerdict::kQueue:
-      return "queue";
-    case AdmissionVerdict::kReject:
-      return "reject";
-  }
-  return "unknown";
-}
-
 AdmissionVerdict AdmissionController::Evaluate(
     const AdmissionRequest& request) const {
   // Rejections first: states no amount of waiting fixes, or saturation.

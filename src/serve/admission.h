@@ -11,7 +11,6 @@
 #define SRC_SERVE_ADMISSION_H_
 
 #include <cstddef>
-#include <string_view>
 
 namespace litereconfig {
 
@@ -31,8 +30,6 @@ enum class AdmissionVerdict {
   kQueue = 1,
   kReject = 2,
 };
-
-std::string_view AdmissionVerdictName(AdmissionVerdict verdict);
 
 // Everything the controller needs to judge one candidate.
 struct AdmissionRequest {

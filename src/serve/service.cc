@@ -1,6 +1,7 @@
 #include "src/serve/service.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <memory>
@@ -126,12 +127,8 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
   bool faults_active = config_.faults.spec.Any();
   result.faults_active = faults_active;
   bool degrade = faults_active && config_.faults.degrade;
-  ServiceFaultPlan device_plan;
-  if (faults_active) {
-    device_plan = ServiceFaultPlan(config_.faults.spec,
-                                   config_.faults.fault_seed,
-                                   config_.max_rounds);
-  }
+  const FaultPlan device_plan = DeviceFaultPlan(
+      config_.faults.spec, config_.faults.fault_seed, config_.max_rounds);
 
   result.denials_active =
       faults_active && config_.faults.spec.denials_per_100_frames > 0.0;
@@ -183,15 +180,17 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
     // Device-wide fault snapshot for the round, frozen alongside the
     // contention snapshot below: every admission probe, menu, budget, and
     // session step this round sees the same (burst, thermal) state.
-    double burst_level = faults_active ? device_plan.BurstLevelAt(round) : 0.0;
-    double thermal = faults_active ? device_plan.ThermalScaleAt(round) : 1.0;
-    int burst_index = faults_active ? device_plan.BurstIndexAt(round) : -1;
-    int ramp_index = faults_active ? device_plan.RampIndexAt(round) : -1;
+    double burst_level = device_plan.BurstLevelAt(round);
+    double thermal = device_plan.ThermalScaleAt(round);
+    std::array<int, kNumIntervalKinds> interval_index;
+    for (int k = 0; k < kNumIntervalKinds; ++k) {
+      interval_index[static_cast<size_t>(k)] =
+          device_plan.IndexAt(static_cast<IntervalKind>(k), round);
+    }
     // Correlated GPU denial: during a denied round no stream on the device
     // can invoke a GPU kernel. Every menu, fit check, and session step this
     // round prices from the CPU family (or coasts without one).
-    int denial_index = faults_active ? device_plan.DenialIndexAt(round) : -1;
-    bool gpu_available = denial_index < 0;
+    bool gpu_available = !device_plan.GpuDeniedAt(round);
     // 1. Arrivals join the pending queue.
     while (next_arrival < requests.size() &&
            requests[order[next_arrival]].arrival_round <= round) {
@@ -530,10 +529,8 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
           conditions.budget_ms = budgets[i];
           conditions.thermal_scale = thermal;
           conditions.coast = coast[i];
-          conditions.burst_index = burst_index;
-          conditions.ramp_index = ramp_index;
+          conditions.interval_index = interval_index;
           conditions.gpu_available = gpu_available && !cpu_only[i];
-          conditions.denial_index = denial_index;
           reports[i] = sessions[i]->StepGof(conditions);
         },
         ResolveThreadCount(config_.threads));

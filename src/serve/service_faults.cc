@@ -31,8 +31,10 @@ FaultSpec RoundScaled(const FaultSpec& spec) {
 
 }  // namespace
 
-ServiceFaultPlan::ServiceFaultPlan(const FaultSpec& spec, uint64_t fault_seed,
-                                   int round_horizon)
-    : plan_(RoundScaled(spec), kDeviceScheduleSalt, round_horizon, fault_seed) {}
+FaultPlan DeviceFaultPlan(const FaultSpec& spec, uint64_t fault_seed,
+                          int round_horizon) {
+  return FaultPlan(RoundScaled(spec), kDeviceScheduleSalt, round_horizon,
+                   fault_seed);
+}
 
 }  // namespace litereconfig

@@ -1,23 +1,23 @@
 // Device-wide fault injection for the multi-tenant service.
 //
-// On a shared mobile GPU a contention spike or a thermal ramp is not a
-// per-stream event: every co-located stream slows down together. The
-// ServiceFaultPlan is that correlation — one FaultPlan, keyed by a single
-// service fault seed, whose contention bursts and thermal ramps apply
-// exogenously on top of the endogenous GpuShareLedger level for *all* streams
-// in the same round snapshot. The stateless point faults of the same spec
-// (latency outliers, transient detector failures, frame drops) stay
-// per-stream: each StreamSession resolves them through its own FaultRuntime,
-// exactly like the single-tenant protocols.
+// On a shared mobile GPU a contention spike, a thermal ramp or a GPU denial is
+// not a per-stream event: every co-located stream sees it together. The device
+// plan is that correlation — one FaultPlan, keyed by a single service fault
+// seed, whose contention bursts, thermal ramps and denials apply exogenously on
+// top of the endogenous GpuShareLedger level for *all* streams in the same
+// round snapshot. The stateless point faults of the same spec (latency
+// outliers, transient detector failures, frame drops) stay per-stream: each
+// StreamSession resolves them through its own FaultRuntime, exactly like the
+// single-tenant protocols.
 //
 // The plan is queried by planning round, not frame: the service freezes
-// (endogenous level + burst level, thermal scale) once per round alongside the
-// contention snapshot, so every session prices and runs the round under the
-// same device state at any thread count. Preset rates are expressed per 100
-// frames; one round advances every stream by roughly one GoF
+// (endogenous level + burst level, thermal scale, denial) once per round
+// alongside the contention snapshot, so every session prices and runs the
+// round under the same device state at any thread count. Preset rates are
+// expressed per 100 frames; one round advances every stream by roughly one GoF
 // (kNominalGofFrames frames), so rates and interval lengths are rescaled to
-// round units at construction — a "severe" schedule stresses a 30-round
-// serving run the way it stresses a 240-frame single-tenant one.
+// round units — a "severe" schedule stresses a 30-round serving run the way it
+// stresses a 240-frame single-tenant one.
 #ifndef SRC_SERVE_SERVICE_FAULTS_H_
 #define SRC_SERVE_SERVICE_FAULTS_H_
 
@@ -39,34 +39,12 @@ struct ServiceFaultConfig {
   bool degrade = true;
 };
 
-class ServiceFaultPlan {
- public:
-  ServiceFaultPlan() = default;
-  // `round_horizon` bounds the materialized schedule (the service's
-  // max_rounds cap).
-  ServiceFaultPlan(const FaultSpec& spec, uint64_t fault_seed,
-                   int round_horizon);
-
-  // Whether the spec carries any device-wide intervals at all.
-  bool active() const { return plan_.active(); }
-
-  // Exogenous contention the device adds at `round` (stacked on the ledger
-  // level, then clamped to kMaxEndogenousLevel by the caller).
-  double BurstLevelAt(int round) const { return plan_.BurstLevelAt(round); }
-  int BurstIndexAt(int round) const { return plan_.BurstIndexAt(round); }
-
-  // Multiplicative kernel-latency factor of the thermal drift at `round`.
-  double ThermalScaleAt(int round) const { return plan_.ThermalScaleAt(round); }
-  int RampIndexAt(int round) const { return plan_.RampIndexAt(round); }
-
-  // Correlated GPU denial: during a denied round no stream on the device can
-  // run a GPU kernel (rescaled to round units like the other intervals).
-  bool GpuDeniedAt(int round) const { return plan_.GpuDeniedAt(round); }
-  int DenialIndexAt(int round) const { return plan_.DenialIndexAt(round); }
-
- private:
-  FaultPlan plan_;
-};
+// The device-wide plan: the spec's intervals (no point faults) in round
+// units, materialized over `round_horizon` rounds (the service's max_rounds
+// cap). A spec without intervals gives an inactive plan, which answers every
+// query neutrally.
+FaultPlan DeviceFaultPlan(const FaultSpec& spec, uint64_t fault_seed,
+                          int round_horizon);
 
 }  // namespace litereconfig
 

@@ -16,19 +16,6 @@ std::string_view SloClassName(SloClass slo_class) {
   return "unknown";
 }
 
-std::optional<SloClass> SloClassFromName(std::string_view name) {
-  if (name == "strict") {
-    return SloClass::kStrict;
-  }
-  if (name == "standard") {
-    return SloClass::kStandard;
-  }
-  if (name == "best_effort") {
-    return SloClass::kBestEffort;
-  }
-  return std::nullopt;
-}
-
 double SloClassWeight(SloClass slo_class) {
   switch (slo_class) {
     case SloClass::kStrict:

@@ -9,7 +9,6 @@
 #ifndef SRC_SERVE_SLO_CLASS_H_
 #define SRC_SERVE_SLO_CLASS_H_
 
-#include <optional>
 #include <string_view>
 
 namespace litereconfig {
@@ -23,7 +22,6 @@ enum class SloClass {
 inline constexpr int kNumSloClasses = 3;
 
 std::string_view SloClassName(SloClass slo_class);
-std::optional<SloClass> SloClassFromName(std::string_view name);
 
 // Allocator weight: multiplies marginal accuracy per ms when budget is
 // contested. Strict > standard > best-effort.

@@ -12,7 +12,7 @@ namespace {
 
 // Builds the session's fault runtime: only the spec's stateless point faults
 // are materialized here (device-wide intervals live in the service's shared
-// ServiceFaultPlan); the runtime is engaged anyway so interval faults the
+// device plan); the runtime is engaged anyway so interval faults the
 // service records on its behalf reach the same absorption/recovery books.
 FaultRuntime MakeSessionFaults(const ServiceFaultConfig* faults,
                                const StreamRequest& request, int frame_count,
@@ -208,15 +208,17 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
   const BranchSpace& space = *models_->space;
   // Device-wide intervals are shared state; the service passes the covering
   // interval indices in, and the session books them like its own.
-  faults.NoteServiceBurst(conditions.burst_index, t_);
-  faults.NoteServiceRamp(conditions.ramp_index, t_);
-  faults.NoteServiceDenial(conditions.denial_index, t_);
+  for (int k = 0; k < kNumIntervalKinds; ++k) {
+    faults.EnterInterval(static_cast<IntervalKind>(k),
+                         conditions.interval_index[static_cast<size_t>(k)], t_);
+  }
   // The GPU can be unavailable to this session for two reasons: a device-wide
-  // denial interval (denial_index >= 0, booked into the denial accounting) or
-  // a pressure-ladder demotion onto the CPU family (not a fault — only the
-  // demote/restore events record it).
+  // denial interval (booked into the denial accounting) or a pressure-ladder
+  // demotion onto the CPU family (not a fault — only the demote/restore events
+  // record it).
   const bool denied = !conditions.gpu_available;
-  const bool device_denied = conditions.denial_index >= 0;
+  const bool device_denied =
+      conditions.interval_index[static_cast<size_t>(IntervalKind::kDenial)] >= 0;
   report.frame = t_;
 
   if (!preheated_) {

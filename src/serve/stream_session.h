@@ -20,6 +20,7 @@
 #ifndef SRC_SERVE_STREAM_SESSION_H_
 #define SRC_SERVE_STREAM_SESSION_H_
 
+#include <array>
 #include <optional>
 #include <vector>
 
@@ -82,21 +83,19 @@ struct StepConditions {
   double thermal_scale = 1.0;
   // The pressure ladder shed this stream's detector load: track only.
   bool coast = false;
-  // Device-wide interval indices covering this round (-1 = none), recorded
-  // into the session's fault accounting once per interval.
-  int burst_index = -1;
-  int ramp_index = -1;
-  // Correlated GPU denial: false during a device-wide denied round. Sessions
-  // demote to the CPU-only family when the space has one, else coast.
+  // The device plan's interval covering this round per IntervalKind (-1 =
+  // none), entered into the session's fault accounting once per interval.
+  std::array<int, kNumIntervalKinds> interval_index = {-1, -1, -1};
+  // False during a device-wide denied round or a pressure-ladder demotion.
+  // Sessions demote to the CPU-only family when the space has one, else coast.
   bool gpu_available = true;
-  int denial_index = -1;
 };
 
 class StreamSession {
  public:
   // `faults` may be null (no fault injection). Only the spec's stateless
   // point faults are materialized per session — device-wide intervals belong
-  // to the service's shared ServiceFaultPlan.
+  // to the service's shared device plan (DeviceFaultPlan).
   StreamSession(const TrainedModels* models, SchedulerConfig config,
                 const StreamRequest& request,
                 const SwitchingCostModel* switching, uint64_t service_salt,

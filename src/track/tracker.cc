@@ -44,20 +44,6 @@ const TrackerTraits& GetTrackerTraits(TrackerType type) {
   return kTraits[idx];
 }
 
-std::vector<TrackState> TrackerSim::InitTracks(const DetectionList& detections) {
-  std::vector<TrackState> tracks;
-  tracks.reserve(detections.size());
-  for (const Detection& det : detections) {
-    TrackState track;
-    track.object_id = det.object_id;
-    track.class_id = det.class_id;
-    track.score = det.score;
-    track.last_box = det.box;
-    tracks.push_back(track);
-  }
-  return tracks;
-}
-
 void TrackBatch::Reset(const DetectionList& detections, double min_score) {
   object_id.clear();
   class_id.clear();
@@ -93,8 +79,8 @@ void TrackerSim::StepInto(const SyntheticVideo& video, int t,
   out.reserve(batch.size());
   // Substreams are keyed as {seed, t, object_id + 2, type, ds, salt, tag}; the
   // {seed, t} prefix is shared by every track in the frame, so it is mixed
-  // once and checkpointed — the per-track suffix replays the remaining five
-  // keys and yields exactly the HashKeys value Step computes.
+  // once and checkpointed — the per-track suffix mixes the remaining five keys
+  // and yields exactly HashKeys over all seven.
   HashState frame_prefix;
   frame_prefix.Mix(spec.seed);
   frame_prefix.Mix(static_cast<uint64_t>(t));
@@ -157,75 +143,6 @@ void TrackerSim::StepInto(const SyntheticVideo& video, int t,
     batch.last_box[i] = det.box;
     out.push_back(det);
   }
-}
-
-DetectionList TrackerSim::Step(const SyntheticVideo& video, int t,
-                               const TrackerConfig& config,
-                               std::vector<TrackState>& tracks, uint64_t run_salt) {
-  const VideoSpec& spec = video.spec();
-  const FrameTruth& frame = video.frame(t);
-  const TrackerTraits& traits = GetTrackerTraits(config.type);
-  double ds = static_cast<double>(config.downsample);
-  DetectionList out;
-  out.reserve(tracks.size());
-  for (TrackState& track : tracks) {
-    Pcg32 rng(HashKeys({spec.seed, static_cast<uint64_t>(t),
-                        static_cast<uint64_t>(track.object_id + 2),
-                        static_cast<uint64_t>(config.type),
-                        static_cast<uint64_t>(config.downsample), run_salt,
-                        0x77acull}));
-    const SceneObjectState* obj =
-        track.object_id >= 0 ? FindObject(frame, track.object_id) : nullptr;
-    if (track.lost || obj == nullptr) {
-      // A lost track (or a tracked false positive, or an exited object) keeps
-      // emitting its stale box with decaying confidence.
-      track.score *= 0.97;
-      Detection det;
-      det.box = track.last_box;
-      det.class_id = track.class_id;
-      det.score = track.score;
-      det.object_id = track.object_id;
-      out.push_back(det);
-      continue;
-    }
-    double speed = obj->Speed();
-    // Loss hazard: fast motion, heavy downsampling, and occlusion all raise it;
-    // robust trackers discount the occlusion term.
-    double hazard = traits.loss_hazard * (1.0 + speed / 25.0) *
-                    (0.5 + 0.5 * ds) *
-                    (1.0 + 3.0 * obj->occlusion * (1.0 - traits.occlusion_robustness));
-    if (rng.Bernoulli(std::min(0.5, hazard))) {
-      track.lost = true;
-      track.score *= 0.9;
-      Detection det;
-      det.box = track.last_box;
-      det.class_id = track.class_id;
-      det.score = track.score;
-      det.object_id = track.object_id;
-      out.push_back(det);
-      continue;
-    }
-    // Drift: the error offset random-walks with a step proportional to the
-    // tracker's drift coefficient, the apparent speed, and the downsampling.
-    double step = traits.drift * (0.6 + speed) * std::sqrt(ds) * 0.5;
-    track.offset_x += rng.Normal(0.0, step);
-    track.offset_y += rng.Normal(0.0, step);
-    track.scale_error *= rng.LogNormal(0.0, 0.004 * std::sqrt(ds) *
-                                                (1.0 + traits.drift * 10.0));
-    track.score *= 0.998;
-    Detection det;
-    det.box = Box::FromCenter(obj->gt.box.CenterX() + track.offset_x,
-                              obj->gt.box.CenterY() + track.offset_y,
-                              obj->gt.box.w * track.scale_error,
-                              obj->gt.box.h * track.scale_error)
-                  .ClippedTo(spec.width, spec.height);
-    det.class_id = track.class_id;
-    det.score = track.score;
-    det.object_id = track.object_id;
-    track.last_box = det.box;
-    out.push_back(det);
-  }
-  return out;
 }
 
 }  // namespace litereconfig

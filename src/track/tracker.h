@@ -53,64 +53,40 @@ struct TrackerTraits {
 
 const TrackerTraits& GetTrackerTraits(TrackerType type);
 
-// State of one tracked object between frames.
-struct TrackState {
-  int64_t object_id = -1;  // -1 when tracking a false positive
-  int class_id = 0;
-  double score = 0.0;
-  // Accumulated positional error (px, original frame coordinates).
-  double offset_x = 0.0;
-  double offset_y = 0.0;
-  // Multiplicative scale error.
-  double scale_error = 1.0;
-  bool lost = false;
-  // Last emitted box (used verbatim once the track is lost).
-  Box last_box;
-};
-
-// SoA layout for the per-frame tracker inner loop: one column per TrackState
-// field, all columns resized together. A batch is the arena for one GoF's
-// tracker half — Reset() reuses the column capacity, so in steady state a GoF
-// costs zero track-state allocations (vs. a std::vector<TrackState> rebuilt
-// per GoF). Field-for-field equivalent to the AoS form; StepInto advances it
-// with draws and arithmetic identical to Step (pinned by KernelTest /
-// TrackerTest batch-identity cases).
+// The tracked objects of one GoF, one column per field, all columns resized
+// together. A batch is the arena for one GoF's tracker half: Reset() reuses
+// the column capacity, so in steady state a GoF costs zero track-state
+// allocations.
 struct TrackBatch {
-  std::vector<int64_t> object_id;
+  std::vector<int64_t> object_id;  // -1 when tracking a false positive
   std::vector<int> class_id;
   std::vector<double> score;
+  // Accumulated positional error (px, original frame coordinates).
   std::vector<double> offset_x;
   std::vector<double> offset_y;
+  // Multiplicative scale error.
   std::vector<double> scale_error;
   std::vector<uint8_t> lost;
+  // Last emitted box (used verbatim once the track is lost).
   std::vector<Box> last_box;
 
   size_t size() const { return object_id.size(); }
 
   // Re-initializes the batch from the detections with score >= min_score (the
   // confident-filter policy the execution kernel applies to anchor outputs),
-  // in detection order — the same tracks InitTracks would build from the
-  // filtered list. Keeps column capacity.
+  // in detection order. Detections whose object_id is -1 (false positives)
+  // are tracked as static boxes. Keeps column capacity.
   void Reset(const DetectionList& detections, double min_score);
 };
 
 class TrackerSim {
  public:
-  // Initializes track states from the anchor-frame detections. Detections whose
-  // object_id is -1 (false positives) are tracked as static boxes.
-  static std::vector<TrackState> InitTracks(const DetectionList& detections);
-
-  // Advances all tracks to frame t of the video and emits that frame's outputs.
-  // Mutates `tracks` in place. run_salt distinguishes independent online runs.
-  static DetectionList Step(const SyntheticVideo& video, int t,
-                            const TrackerConfig& config,
-                            std::vector<TrackState>& tracks, uint64_t run_salt = 0);
-
-  // SoA form of Step: advances the batch and writes frame t's outputs into
-  // `out` (cleared and reserved; the caller owns placement, so GoF loops can
-  // write each frame straight into its final slot). Bit-identical to Step on
-  // the equivalent track states: same per-track substreams — keyed, not
-  // order-derived — and the same arithmetic in the same order.
+  // Advances every track of the batch to frame t of the video and writes that
+  // frame's outputs into `out` (cleared and reserved; the caller owns
+  // placement, so GoF loops can write each frame straight into its final
+  // slot). Each track draws from its own substream, keyed by (video seed, t,
+  // object, tracker, ds, run_salt) rather than by order; run_salt
+  // distinguishes independent online runs.
   static void StepInto(const SyntheticVideo& video, int t,
                        const TrackerConfig& config, TrackBatch& batch,
                        uint64_t run_salt, DetectionList& out);

@@ -14,7 +14,7 @@ FlagSet::FlagSet(std::string description) : description_(std::move(description))
 void FlagSet::Define(const std::string& name, const std::string& default_value,
                      const std::string& help) {
   assert(flags_.find(name) == flags_.end());
-  flags_[name] = Flag{default_value, default_value, help, false};
+  flags_[name] = Flag{default_value, default_value, help};
   order_.push_back(name);
 }
 
@@ -56,7 +56,6 @@ bool FlagSet::Parse(int argc, const char* const* argv) {
       }
     }
     it->second.value = value;
-    it->second.set = true;
   }
   return true;
 }
@@ -115,16 +114,6 @@ uint64_t FlagSet::GetUint64(const std::string& name) const {
     return 0;
   }
   return value;
-}
-
-bool FlagSet::GetBool(const std::string& name) const {
-  std::string v = GetString(name);
-  return v == "true" || v == "1" || v == "yes" || v == "on";
-}
-
-bool FlagSet::IsSet(const std::string& name) const {
-  auto it = flags_.find(name);
-  return it != flags_.end() && it->second.set;
 }
 
 void FlagSet::PrintHelp(std::ostream& os) const {

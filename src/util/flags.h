@@ -44,9 +44,6 @@ class FlagSet {
   double GetDouble(const std::string& name) const;
   int GetInt(const std::string& name) const;
   uint64_t GetUint64(const std::string& name) const;
-  bool GetBool(const std::string& name) const;
-  // Whether the flag was explicitly set on the command line.
-  bool IsSet(const std::string& name) const;
 
   // Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
@@ -61,7 +58,6 @@ class FlagSet {
     std::string default_value;
     std::string value;
     std::string help;
-    bool set = false;
   };
 
   std::string description_;

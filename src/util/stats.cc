@@ -19,25 +19,6 @@ void RunningStat::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStat::Merge(const RunningStat& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  double delta = other.mean_ - mean_;
-  size_t total = count_ + other.count_;
-  double na = static_cast<double>(count_);
-  double nb = static_cast<double>(other.count_);
-  mean_ += delta * nb / static_cast<double>(total);
-  m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(total);
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  count_ = total;
-}
-
 double RunningStat::variance() const {
   if (count_ < 2) {
     return 0.0;

@@ -12,7 +12,6 @@ namespace litereconfig {
 class RunningStat {
  public:
   void Add(double x);
-  void Merge(const RunningStat& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }

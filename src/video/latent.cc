@@ -65,25 +65,4 @@ std::vector<double> ComputeFrameLatent(const SyntheticVideo& video, int t) {
   return latent;
 }
 
-FrameContent SummarizeFrame(const SyntheticVideo& video, int t) {
-  const VideoSpec& spec = video.spec();
-  const FrameTruth& frame = video.frame(t);
-  FrameContent content;
-  content.object_count = static_cast<int>(frame.objects.size());
-  content.clutter = GetArchetypeParams(spec.archetype).clutter;
-  if (frame.objects.empty()) {
-    return content;
-  }
-  for (const SceneObjectState& obj : frame.objects) {
-    content.mean_size_fraction += obj.gt.box.h / spec.height;
-    content.mean_speed_fraction += obj.Speed() / spec.width;
-    content.mean_occlusion += obj.occlusion;
-  }
-  double n = static_cast<double>(frame.objects.size());
-  content.mean_size_fraction /= n;
-  content.mean_speed_fraction /= n;
-  content.mean_occlusion /= n;
-  return content;
-}
-
 }  // namespace litereconfig

@@ -20,17 +20,6 @@ inline constexpr int kFrameLatentDim = 18 + 30;
 
 std::vector<double> ComputeFrameLatent(const SyntheticVideo& video, int t);
 
-// Summary scalars frequently needed by the detector/tracker models.
-struct FrameContent {
-  int object_count = 0;
-  double mean_size_fraction = 0.0;   // mean box height / frame height
-  double mean_speed_fraction = 0.0;  // mean speed / frame width
-  double mean_occlusion = 0.0;
-  double clutter = 0.0;
-};
-
-FrameContent SummarizeFrame(const SyntheticVideo& video, int t);
-
 }  // namespace litereconfig
 
 #endif  // SRC_VIDEO_LATENT_H_

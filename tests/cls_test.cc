@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "src/cls/kernel.h"
 #include "src/cls/scheduler.h"
@@ -49,10 +50,10 @@ TEST(Top1AccuracyTest, CountsAndIgnoresUnlabeled) {
 TEST(ClsBranchSpaceTest, SizeAndIds) {
   const ClsBranchSpace& space = ClsBranchSpace::Default();
   EXPECT_EQ(space.size(), 3u * 4u * 3u);
-  EXPECT_EQ(space.at(0).Id().rfind("c112", 0), 0u);
-  std::set<std::string> ids;
+  EXPECT_EQ(space.at(0).shape, 112);
+  std::set<std::tuple<int, int, int>> ids;
   for (const ClsBranch& branch : space.branches()) {
-    ids.insert(branch.Id());
+    ids.insert({branch.shape, branch.frames, branch.depth});
   }
   EXPECT_EQ(ids.size(), space.size());
 }

@@ -222,21 +222,24 @@ TEST(DenialFaultTest, DenialIntervalsAreSeededSortedAndNonOverlapping) {
   FaultSpec spec = FaultSpec::GpuDenied();
   FaultPlan a(spec, /*video_seed=*/42, /*frame_count=*/400, /*fault_seed=*/7);
   FaultPlan b(spec, 42, 400, 7);
-  ASSERT_EQ(a.denials().size(), b.denials().size());
-  ASSERT_FALSE(a.denials().empty());
+  const std::vector<int>& starts = a.starts(IntervalKind::kDenial);
+  const int length = a.Length(IntervalKind::kDenial);
+  ASSERT_EQ(starts.size(), b.starts(IntervalKind::kDenial).size());
+  ASSERT_FALSE(starts.empty());
   int previous_end = 0;
-  for (size_t i = 0; i < a.denials().size(); ++i) {
-    EXPECT_EQ(a.denials()[i].start, b.denials()[i].start);
-    EXPECT_EQ(a.denials()[i].length, b.denials()[i].length);
-    EXPECT_GE(a.denials()[i].start, previous_end) << "overlap at " << i;
-    previous_end = a.denials()[i].start + a.denials()[i].length;
+  for (size_t i = 0; i < starts.size(); ++i) {
+    EXPECT_EQ(starts[i], b.starts(IntervalKind::kDenial)[i]);
+    EXPECT_EQ(length, b.Length(IntervalKind::kDenial));
+    EXPECT_GE(starts[i], previous_end) << "overlap at " << i;
+    previous_end = starts[i] + length;
   }
   for (int frame = 0; frame < 400; ++frame) {
-    int index = a.DenialIndexAt(frame);
+    int index = a.IndexAt(IntervalKind::kDenial, frame);
     EXPECT_EQ(a.GpuDeniedAt(frame), index >= 0) << frame;
     if (index >= 0) {
-      const auto& denial = a.denials()[static_cast<size_t>(index)];
-      EXPECT_EQ(a.DenialEndAt(frame), denial.start + denial.length) << frame;
+      EXPECT_EQ(a.DenialEndAt(frame),
+                starts[static_cast<size_t>(index)] + length)
+          << frame;
       EXPECT_GT(a.DenialEndAt(frame), frame) << frame;
     } else {
       EXPECT_EQ(a.DenialEndAt(frame), frame) << frame;

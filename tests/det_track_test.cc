@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "src/det/detector.h"
@@ -184,26 +185,32 @@ TEST(TrackerTest, NamesAreDistinct) {
   EXPECT_EQ(names.size(), static_cast<size_t>(kNumTrackerTypes));
 }
 
-TEST(TrackerTest, InitTracksMirrorsDetections) {
+// A Reset threshold that keeps every detection.
+constexpr double kKeepAll = -std::numeric_limits<double>::infinity();
+
+TEST(TrackerTest, ResetMirrorsDetections) {
   DetectionList dets(3);
   dets[0].object_id = 11;
   dets[1].object_id = -1;
   dets[2].object_id = 13;
   dets[2].score = 0.7;
-  std::vector<TrackState> tracks = TrackerSim::InitTracks(dets);
+  TrackBatch tracks;
+  tracks.Reset(dets, kKeepAll);
   ASSERT_EQ(tracks.size(), 3u);
-  EXPECT_EQ(tracks[0].object_id, 11);
-  EXPECT_EQ(tracks[1].object_id, -1);
-  EXPECT_DOUBLE_EQ(tracks[2].score, 0.7);
-  EXPECT_FALSE(tracks[0].lost);
+  EXPECT_EQ(tracks.object_id[0], 11);
+  EXPECT_EQ(tracks.object_id[1], -1);
+  EXPECT_DOUBLE_EQ(tracks.score[2], 0.7);
+  EXPECT_FALSE(tracks.lost[0]);
 }
 
 TEST(TrackerTest, EmitsOneOutputPerTrack) {
   SyntheticVideo video = MakeVideo(9, SceneArchetype::kSparse);
   DetectionList dets = DetectorSim::Detect(video, 0, {576, 100});
-  std::vector<TrackState> tracks = TrackerSim::InitTracks(dets);
+  TrackBatch tracks;
+  tracks.Reset(dets, kKeepAll);
   TrackerConfig config{TrackerType::kKcf, 2};
-  DetectionList out = TrackerSim::Step(video, 1, config, tracks);
+  DetectionList out;
+  TrackerSim::StepInto(video, 1, config, tracks, /*run_salt=*/0, out);
   EXPECT_EQ(out.size(), tracks.size());
 }
 
@@ -223,11 +230,12 @@ double MeanTrackingIou(SceneArchetype archetype, TrackerType type, int ds,
       det.object_id = obj.gt.object_id;
       anchor.push_back(det);
     }
-    std::vector<TrackState> tracks = TrackerSim::InitTracks(anchor);
+    TrackBatch tracks;
+    tracks.Reset(anchor, kKeepAll);
     TrackerConfig config{type, ds};
     DetectionList out;
     for (int t = 1; t <= horizon; ++t) {
-      out = TrackerSim::Step(video, t, config, tracks);
+      TrackerSim::StepInto(video, t, config, tracks, /*run_salt=*/0, out);
     }
     for (const Detection& det : out) {
       for (const SceneObjectState& obj : video.frame(horizon).objects) {
@@ -266,15 +274,18 @@ TEST(TrackerTest, SlowContentIsEasierToTrack) {
 
 TEST(TrackerTest, LostTrackEmitsStaleBoxWithDecayingScore) {
   SyntheticVideo video = MakeVideo(10, SceneArchetype::kSparse);
-  TrackState track;
+  Detection track;
   track.object_id = 999999;  // no such object -> behaves like lost
   track.class_id = 2;
   track.score = 0.8;
-  track.last_box = Box{10, 10, 50, 50};
-  std::vector<TrackState> tracks = {track};
+  track.box = Box{10, 10, 50, 50};
+  TrackBatch tracks;
+  tracks.Reset({track}, kKeepAll);
   TrackerConfig config{TrackerType::kKcf, 2};
-  DetectionList out1 = TrackerSim::Step(video, 1, config, tracks);
-  DetectionList out2 = TrackerSim::Step(video, 2, config, tracks);
+  DetectionList out1;
+  DetectionList out2;
+  TrackerSim::StepInto(video, 1, config, tracks, /*run_salt=*/0, out1);
+  TrackerSim::StepInto(video, 2, config, tracks, /*run_salt=*/0, out2);
   ASSERT_EQ(out1.size(), 1u);
   EXPECT_DOUBLE_EQ(out1[0].box.x, 10.0);
   EXPECT_LT(out2[0].score, out1[0].score);

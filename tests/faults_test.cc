@@ -5,13 +5,18 @@
 // count.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "src/baselines/approxdet.h"
 #include "src/baselines/fixed_protocols.h"
 #include "src/pipeline/litereconfig_protocol.h"
 #include "src/pipeline/runner.h"
 #include "src/platform/faults.h"
+#include "src/serve/service_faults.h"
+#include "src/util/rng.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -57,11 +62,13 @@ TEST(FaultPlanTest, IdenticalSeedsGiveIdenticalSchedules) {
   FaultSpec spec = FaultSpec::Severe();
   FaultPlan a(spec, /*video_seed=*/42, /*frame_count=*/200, /*fault_seed=*/7);
   FaultPlan b(spec, /*video_seed=*/42, /*frame_count=*/200, /*fault_seed=*/7);
-  ASSERT_EQ(a.bursts().size(), b.bursts().size());
-  for (size_t i = 0; i < a.bursts().size(); ++i) {
-    EXPECT_EQ(a.bursts()[i].start, b.bursts()[i].start);
-    EXPECT_EQ(a.bursts()[i].length, b.bursts()[i].length);
-    EXPECT_EQ(a.bursts()[i].level, b.bursts()[i].level);
+  const std::vector<int>& a_starts = a.starts(IntervalKind::kBurst);
+  const std::vector<int>& b_starts = b.starts(IntervalKind::kBurst);
+  ASSERT_EQ(a_starts.size(), b_starts.size());
+  for (size_t i = 0; i < a_starts.size(); ++i) {
+    EXPECT_EQ(a_starts[i], b_starts[i]);
+    EXPECT_EQ(a.Length(IntervalKind::kBurst), b.Length(IntervalKind::kBurst));
+    EXPECT_EQ(a.BurstLevelAt(a_starts[i]), b.BurstLevelAt(b_starts[i]));
   }
   for (int frame = 0; frame < 200; ++frame) {
     EXPECT_EQ(a.DetectorOutlierScale(frame), b.DetectorOutlierScale(frame));
@@ -87,13 +94,65 @@ TEST(FaultPlanTest, DifferentFaultSeedsChangeTheSchedule) {
   FaultSpec spec = FaultSpec::Severe();
   FaultPlan a(spec, 42, 300, /*fault_seed=*/1);
   FaultPlan b(spec, 42, 300, /*fault_seed=*/2);
-  bool any_difference = a.bursts().size() != b.bursts().size();
+  bool any_difference = a.starts(IntervalKind::kBurst).size() !=
+                        b.starts(IntervalKind::kBurst).size();
   for (int frame = 0; frame < 300 && !any_difference; ++frame) {
     any_difference = a.DetectorFails(frame, 0) != b.DetectorFails(frame, 0) ||
                      a.FrameDropped(frame) != b.FrameDropped(frame) ||
                      a.DetectorOutlierScale(frame) != b.DetectorOutlierScale(frame);
   }
   EXPECT_TRUE(any_difference);
+}
+
+// Mixes the start frames of every interval kind into `h`.
+void MixStarts(HashState& h, const FaultPlan& plan) {
+  for (int k = 0; k < kNumIntervalKinds; ++k) {
+    const std::vector<int>& starts = plan.starts(static_cast<IntervalKind>(k));
+    h.Mix(static_cast<uint64_t>(k));
+    h.Mix(starts.size());
+    for (int start : starts) {
+      h.Mix(static_cast<uint64_t>(start));
+    }
+  }
+}
+
+// Every preset's interval schedule, pinned by hash: the start frames of each
+// kind for three videos over 600 frames, then the device plan over 400
+// rounds. The determinism tests compare two plans of the same build, so only
+// this test sees a change that moves a schedule (a salt, a draw order, the
+// round scaling). The expected values predate the start-frame representation
+// of the plan; a refactor of the plan must reproduce them.
+TEST(FaultPlanTest, PresetSchedulesArePinned) {
+  struct Pinned {
+    std::string_view name;
+    uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {"none", 0x09d7d0c625b946bbull},
+      {"mild", 0xd05de7a1bc830451ull},
+      {"moderate", 0xf78b8ab407f95668ull},
+      {"severe", 0x68c7f188878ddfc4ull},
+      {"ramp", 0x0e39e039484fcbb4ull},
+      {"mild_xavier", 0x294d5a74faaafc19ull},
+      {"severe_xavier", 0xf073738811957253ull},
+      {"gpu_denied", 0xdc4fae9629879630ull},
+      {"denied_frequent", 0xaecb1dc6a6fa7743ull},
+      {"denied_moderate", 0xfb343b903e1a8709ull},
+      {"denied_severe", 0xee21a974eec856dcull},
+  };
+  const std::vector<std::string_view>& names = FaultSpec::PresetNames();
+  ASSERT_EQ(names.size(), std::size(pinned));
+  for (size_t i = 0; i < names.size(); ++i) {
+    ASSERT_EQ(names[i], pinned[i].name);
+    FaultSpec spec = *FaultSpec::FromName(names[i]);
+    HashState h;
+    for (uint64_t video_seed : {42ull, 7ull, 1234ull}) {
+      MixStarts(h, FaultPlan(spec, video_seed, /*frame_count=*/600,
+                             /*fault_seed=*/1));
+    }
+    MixStarts(h, DeviceFaultPlan(spec, /*fault_seed=*/7, /*round_horizon=*/400));
+    EXPECT_EQ(h.Get(), pinned[i].hash) << names[i];
+  }
 }
 
 TEST(FaultRuntimeTest, PersistentFailureRetriesWithBackoffThenCoasts) {

@@ -18,23 +18,6 @@
 namespace litereconfig {
 namespace {
 
-TEST(MatrixTest, MatMulKnown) {
-  Matrix a(2, 3);
-  Matrix b(3, 2);
-  // a = [[1,2,3],[4,5,6]]; b = [[7,8],[9,10],[11,12]].
-  double av[] = {1, 2, 3, 4, 5, 6};
-  double bv[] = {7, 8, 9, 10, 11, 12};
-  std::copy(av, av + 6, a.data().begin());
-  std::copy(bv, bv + 6, b.data().begin());
-  Matrix c = a.MatMul(b);
-  ASSERT_EQ(c.rows(), 2u);
-  ASSERT_EQ(c.cols(), 2u);
-  EXPECT_DOUBLE_EQ(c(0, 0), 58.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 64.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 139.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 154.0);
-}
-
 TEST(MatrixTest, TransposeRoundTrip) {
   Matrix a = Matrix::XavierUniform(4, 7, 3);
   Matrix att = a.Transposed().Transposed();
@@ -216,11 +199,6 @@ TEST(MlpTest, EarlyStoppingStops) {
   Mlp mlp(config);
   // Must terminate quickly (the test would time out otherwise) and fit well.
   EXPECT_LT(mlp.Train(x, y), 1e-3);
-}
-
-TEST(MlpTest, ForwardMacsCountsProducts) {
-  Mlp mlp(SmallConfig({4, 8, 2}, 1));
-  EXPECT_EQ(mlp.ForwardMacs(), 4u * 8u + 8u * 2u);
 }
 
 TEST(MlpTest, ParameterConstructorRoundTrip) {

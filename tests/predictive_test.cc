@@ -116,11 +116,13 @@ TEST(RampFaultPlanTest, IdenticalSeedsGiveIdenticalRamps) {
   FaultSpec spec = FaultSpec::Ramp();
   FaultPlan a(spec, /*video_seed=*/42, /*frame_count=*/400, /*fault_seed=*/7);
   FaultPlan b(spec, /*video_seed=*/42, /*frame_count=*/400, /*fault_seed=*/7);
-  ASSERT_EQ(a.ramps().size(), b.ramps().size());
-  EXPECT_FALSE(a.ramps().empty());
+  ASSERT_EQ(a.starts(IntervalKind::kRamp).size(),
+            b.starts(IntervalKind::kRamp).size());
+  EXPECT_FALSE(a.starts(IntervalKind::kRamp).empty());
   for (int frame = 0; frame < 400; ++frame) {
     EXPECT_EQ(a.ThermalScaleAt(frame), b.ThermalScaleAt(frame));
-    EXPECT_EQ(a.RampIndexAt(frame), b.RampIndexAt(frame));
+    EXPECT_EQ(a.IndexAt(IntervalKind::kRamp, frame),
+              b.IndexAt(IntervalKind::kRamp, frame));
   }
 }
 
@@ -128,7 +130,8 @@ TEST(RampFaultPlanTest, DifferentFaultSeedsChangeTheRamps) {
   FaultSpec spec = FaultSpec::Ramp();
   FaultPlan a(spec, 42, 400, /*fault_seed=*/1);
   FaultPlan b(spec, 42, 400, /*fault_seed=*/2);
-  bool any_difference = a.ramps().size() != b.ramps().size();
+  bool any_difference = a.starts(IntervalKind::kRamp).size() !=
+                        b.starts(IntervalKind::kRamp).size();
   for (int frame = 0; frame < 400 && !any_difference; ++frame) {
     any_difference = a.ThermalScaleAt(frame) != b.ThermalScaleAt(frame);
   }
@@ -138,20 +141,21 @@ TEST(RampFaultPlanTest, DifferentFaultSeedsChangeTheRamps) {
 TEST(RampFaultPlanTest, ThermalScaleFollowsTheRampShape) {
   FaultSpec spec = FaultSpec::Ramp();
   FaultPlan plan(spec, 11, 500, 3);
-  ASSERT_FALSE(plan.ramps().empty());
-  for (const FaultPlan::Ramp& ramp : plan.ramps()) {
+  ASSERT_FALSE(plan.starts(IntervalKind::kRamp).empty());
+  for (int start : plan.starts(IntervalKind::kRamp)) {
     // Plateau holds the peak; everywhere the scale stays in [1, peak].
-    EXPECT_DOUBLE_EQ(plan.ThermalScaleAt(ramp.start + ramp.up), ramp.peak);
-    int end = ramp.start + ramp.up + ramp.plateau + ramp.down;
-    for (int frame = ramp.start; frame < end && frame < 500; ++frame) {
+    EXPECT_DOUBLE_EQ(plan.ThermalScaleAt(start + spec.ramp_up_frames),
+                     spec.ramp_peak_scale);
+    int end = start + plan.Length(IntervalKind::kRamp);
+    for (int frame = start; frame < end && frame < 500; ++frame) {
       double scale = plan.ThermalScaleAt(frame);
       EXPECT_GE(scale, 1.0);
-      EXPECT_LE(scale, ramp.peak + 1e-12);
+      EXPECT_LE(scale, spec.ramp_peak_scale + 1e-12);
     }
   }
   // Outside every ramp the drift factor is exactly 1.
   for (int frame = 0; frame < 500; ++frame) {
-    if (plan.RampIndexAt(frame) < 0) {
+    if (plan.IndexAt(IntervalKind::kRamp, frame) < 0) {
       EXPECT_DOUBLE_EQ(plan.ThermalScaleAt(frame), 1.0);
     }
   }

@@ -1,4 +1,4 @@
-// Fault-tolerant serving contracts: the device-wide ServiceFaultPlan is a
+// Fault-tolerant serving contracts: the device-wide fault plan is a
 // deterministic function of the service fault seed, correlated intervals hit
 // every live stream in the same round, SLO renegotiation round-trips, the
 // pressure ladder evicts in strict reverse-priority order, the faulted
@@ -46,31 +46,35 @@ ServeConfig ChaosConfig(const FaultSpec& spec, uint64_t fault_seed,
   return config;
 }
 
-// --- ServiceFaultPlan determinism ---
+// --- Device fault plan determinism ---
 
-TEST(ServiceFaultPlanTest, ScheduleIsAFunctionOfTheFaultSeed) {
+TEST(DeviceFaultPlanTest, ScheduleIsAFunctionOfTheFaultSeed) {
   FaultSpec spec = FaultSpec::Severe();
-  ServiceFaultPlan a(spec, 7, 400);
-  ServiceFaultPlan b(spec, 7, 400);
-  ServiceFaultPlan other(spec, 8, 400);
+  FaultPlan a = DeviceFaultPlan(spec, 7, 400);
+  FaultPlan b = DeviceFaultPlan(spec, 7, 400);
+  FaultPlan other = DeviceFaultPlan(spec, 8, 400);
   ASSERT_TRUE(a.active());
   bool differs = false;
   for (int round = 0; round < 400; ++round) {
     EXPECT_DOUBLE_EQ(a.BurstLevelAt(round), b.BurstLevelAt(round)) << round;
     EXPECT_DOUBLE_EQ(a.ThermalScaleAt(round), b.ThermalScaleAt(round)) << round;
-    EXPECT_EQ(a.BurstIndexAt(round), b.BurstIndexAt(round)) << round;
-    EXPECT_EQ(a.RampIndexAt(round), b.RampIndexAt(round)) << round;
+    EXPECT_EQ(a.IndexAt(IntervalKind::kBurst, round),
+              b.IndexAt(IntervalKind::kBurst, round))
+        << round;
+    EXPECT_EQ(a.IndexAt(IntervalKind::kRamp, round),
+              b.IndexAt(IntervalKind::kRamp, round))
+        << round;
     differs = differs || a.BurstLevelAt(round) != other.BurstLevelAt(round) ||
               a.ThermalScaleAt(round) != other.ThermalScaleAt(round);
   }
   EXPECT_TRUE(differs) << "fault seeds 7 and 8 gave identical schedules";
 }
 
-TEST(ServiceFaultPlanTest, RoundScaledScheduleActuallyFires) {
+TEST(DeviceFaultPlanTest, RoundScaledScheduleActuallyFires) {
   // The per-100-frames preset rates are rescaled to round units; over a
   // serving-scale horizon the presets must produce their interval kinds.
-  ServiceFaultPlan severe(FaultSpec::Severe(), 7, 400);
-  ServiceFaultPlan thermal(FaultSpec::Ramp(), 7, 400);
+  FaultPlan severe = DeviceFaultPlan(FaultSpec::Severe(), 7, 400);
+  FaultPlan thermal = DeviceFaultPlan(FaultSpec::Ramp(), 7, 400);
   bool burst = false;
   bool ramp = false;
   for (int round = 0; round < 400; ++round) {
@@ -208,12 +212,12 @@ TEST(ServeFaultsTest, ResultsAreIdenticalAtAnyThreadCountUnderSevereChaos) {
 
 // --- Device-wide GPU denial ---
 
-TEST(ServiceFaultPlanTest, RoundScaledDenialsFireAndAreConsistent) {
-  ServiceFaultPlan plan(*FaultSpec::FromName("denied_severe"), 7, 400);
+TEST(DeviceFaultPlanTest, RoundScaledDenialsFireAndAreConsistent) {
+  FaultPlan plan = DeviceFaultPlan(*FaultSpec::FromName("denied_severe"), 7, 400);
   ASSERT_TRUE(plan.active());
   bool denied_round = false;
   for (int round = 0; round < 400; ++round) {
-    int index = plan.DenialIndexAt(round);
+    int index = plan.IndexAt(IntervalKind::kDenial, round);
     EXPECT_EQ(plan.GpuDeniedAt(round), index >= 0) << round;
     denied_round = denied_round || index >= 0;
   }

@@ -73,7 +73,6 @@ TEST(ServeLedgerTest, LevelExcludesOwnShare) {
   EXPECT_DOUBLE_EQ(ledger.LevelFor(0), 0.4);   // 0.3 + 0.1
   EXPECT_DOUBLE_EQ(ledger.LevelFor(1), 0.3);   // 0.2 + 0.1
   EXPECT_DOUBLE_EQ(ledger.LevelFor(2), 0.5);   // 0.2 + 0.3
-  EXPECT_DOUBLE_EQ(ledger.LevelForAdditional(), 0.6);
 }
 
 TEST(ServeLedgerTest, SharesClampAndLevelsCap) {
@@ -87,7 +86,6 @@ TEST(ServeLedgerTest, SharesClampAndLevelsCap) {
   // Levels cap at the oversubscription ceiling.
   ledger.SetShare(1, 0.8);
   EXPECT_DOUBLE_EQ(ledger.LevelFor(1), kMaxEndogenousLevel);
-  EXPECT_DOUBLE_EQ(ledger.LevelForAdditional(), kMaxEndogenousLevel);
 }
 
 TEST(ServeLedgerTest, RemoveStreamShiftsLaterIndices) {

@@ -156,35 +156,6 @@ TEST(RunningStatTest, EmptyIsZero) {
   EXPECT_EQ(stat.variance(), 0.0);
 }
 
-TEST(RunningStatTest, MergeMatchesCombined) {
-  RunningStat a;
-  RunningStat b;
-  RunningStat all;
-  Pcg32 rng(31);
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.Normal(1.0, 3.0);
-    (i % 2 == 0 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatTest, MergeWithEmpty) {
-  RunningStat a;
-  a.Add(5.0);
-  RunningStat empty;
-  a.Merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  empty.Merge(a);
-  EXPECT_EQ(empty.count(), 1u);
-  EXPECT_DOUBLE_EQ(empty.mean(), 5.0);
-}
-
 TEST(PercentileTest, KnownValues) {
   std::vector<double> v = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
   EXPECT_DOUBLE_EQ(Percentile(v, 0.0), 1.0);

@@ -201,17 +201,6 @@ TEST(LatentTest, TracksObjectCount) {
   EXPECT_GT(crowded_count.mean(), sparse_count.mean());
 }
 
-TEST(LatentTest, SummarizeFrameConsistent) {
-  SyntheticVideo video = SyntheticVideo::Generate(Spec(23, SceneArchetype::kCrowded));
-  FrameContent content = SummarizeFrame(video, 30);
-  EXPECT_EQ(content.object_count,
-            static_cast<int>(video.frame(30).objects.size()));
-  EXPECT_GE(content.mean_occlusion, 0.0);
-  EXPECT_LE(content.mean_occlusion, 1.0);
-  EXPECT_DOUBLE_EQ(content.clutter,
-                   GetArchetypeParams(SceneArchetype::kCrowded).clutter);
-}
-
 TEST(DatasetTest, BuildsRequestedVideos) {
   DatasetSpec spec;
   spec.num_videos = 7;

@@ -56,9 +56,12 @@ cases=(
   "lrc_naive_severe|litereconfig_run|--protocol=litereconfig --faults=severe --degrade=0"
   "approxdet_moderate|litereconfig_run|--protocol=approxdet --faults=moderate"
   "approxdet_severe_predictive|litereconfig_run|--protocol=approxdet --lat_req=100 --faults=severe --predictive=1"
+  "lrc_ramp_predictive|litereconfig_run|--protocol=litereconfig --faults=ramp --predictive=1"
+  "approxdet_severe_xavier|litereconfig_run|--protocol=approxdet --device=xavier --lat_req=20 --faults=severe_xavier --predictive=1"
   "ssd_moderate|litereconfig_run|--protocol=ssd --faults=moderate"
   "serve_64|serve_run|--streams=64"
   "serve_severe|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe --fault_seed=7"
+  "serve_severe_xavier|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe_xavier --fault_seed=7"
   "serve_denied_cpu|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=denied_severe --fault_seed=17 --cpu_family=1"
 )
 
