@@ -24,8 +24,8 @@ void Run() {
                       "P95 (ms)"});
   for (double slo : {33.3, 40.0, 50.0, 66.7, 100.0}) {
     for (const std::string& name : strategies) {
-      std::unique_ptr<LiteReconfigProtocol> protocol =
-          MakeVariant(&wb.models(), name);
+      std::unique_ptr<Protocol> protocol =
+          MakeProtocol(wb, DeviceType::kTx2, name, slo);
       EvalConfig config;
       config.slo_ms = slo;
       EvalResult result = OnlineRunner::Run(*protocol, wb.validation(), config);

@@ -15,23 +15,14 @@ void Run() {
   const Workbench& wb = Workbench::Get(DeviceType::kTx2);
   TablePrinter table({"SLO (ms)", "Protocol", "Detector %", "Tracker %", "Cost %",
                       "Total %"});
+  std::vector<std::string> names = {"SSD+", "YOLO+", "ApproxDet"};
+  for (const std::string& variant : VariantNames()) {
+    names.push_back(variant);
+  }
   for (double slo : {33.3, 50.0, 100.0}) {
-    std::vector<std::pair<std::string, std::unique_ptr<Protocol>>> protocols;
-    {
-      LatencyModel profile(DeviceType::kTx2, 0.0);
-      protocols.emplace_back("SSD+", std::make_unique<StaticKnobProtocol>(
-                                         BaselineFamily::kSsd, "SSD+", wb.train(),
-                                         profile, slo));
-      protocols.emplace_back("YOLO+", std::make_unique<StaticKnobProtocol>(
-                                          BaselineFamily::kYolo, "YOLO+", wb.train(),
-                                          profile, slo));
-    }
-    protocols.emplace_back("ApproxDet",
-                           std::make_unique<ApproxDetProtocol>(&wb.models()));
-    for (const std::string& name : VariantNames()) {
-      protocols.emplace_back(name, MakeVariant(&wb.models(), name));
-    }
-    for (auto& [name, protocol] : protocols) {
+    for (const std::string& name : names) {
+      std::unique_ptr<Protocol> protocol =
+          MakeProtocol(wb, DeviceType::kTx2, name, slo);
       EvalConfig config;
       config.slo_ms = slo;
       EvalResult result = OnlineRunner::Run(*protocol, wb.validation(), config);

@@ -22,17 +22,8 @@ void Run() {
   for (const std::string& name : names) {
     std::vector<std::string> cells = {name};
     for (double slo : {33.3, 50.0, 100.0}) {
-      std::unique_ptr<Protocol> protocol;
-      if (name == "SSD+" || name == "YOLO+") {
-        LatencyModel profile(DeviceType::kTx2, 0.0);
-        protocol = std::make_unique<StaticKnobProtocol>(
-            name == "SSD+" ? BaselineFamily::kSsd : BaselineFamily::kYolo, name,
-            wb.train(), profile, slo);
-      } else if (name == "ApproxDet") {
-        protocol = std::make_unique<ApproxDetProtocol>(&wb.models());
-      } else {
-        protocol = MakeVariant(&wb.models(), name);
-      }
+      std::unique_ptr<Protocol> protocol =
+          MakeProtocol(wb, DeviceType::kTx2, name, slo);
       EvalConfig config;
       config.slo_ms = slo;
       EvalResult result = OnlineRunner::Run(*protocol, wb.validation(), config);

@@ -38,20 +38,6 @@ struct ProtocolCase {
   bool predictive = false;
 };
 
-std::unique_ptr<Protocol> MakeProtocol(const Workbench& wb,
-                                       const std::string& name) {
-  if (name == "SSD+") {
-    LatencyModel profile(DeviceType::kTx2, 0.0);
-    return std::make_unique<StaticKnobProtocol>(BaselineFamily::kSsd, name,
-                                                wb.train(), profile, kSloMs);
-  }
-  if (name == "ApproxDet") {
-    return std::make_unique<ApproxDetProtocol>(&wb.models());
-  }
-  return std::make_unique<LiteReconfigProtocol>(
-      &wb.models(), LiteReconfigProtocol::FullConfig(), name);
-}
-
 int Run(int argc, char** argv) {
   BenchThreads(argc, argv);
   const Workbench& wb = Workbench::Get(DeviceType::kTx2);
@@ -83,7 +69,7 @@ int Run(int argc, char** argv) {
                                       ? "LiteReconfig"
                                       : pc.name;
       cell.make_protocol = [&wb, protocol_name] {
-        return MakeProtocol(wb, protocol_name);
+        return MakeProtocol(wb, DeviceType::kTx2, protocol_name, kSloMs);
       };
       cell.config.device = DeviceType::kTx2;
       cell.config.slo_ms = kSloMs;

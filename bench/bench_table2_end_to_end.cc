@@ -13,20 +13,6 @@ struct DeviceCase {
   std::vector<double> slos;
 };
 
-std::unique_ptr<Protocol> MakeProtocol(const Workbench& wb, DeviceType device,
-                                       const std::string& name, double slo) {
-  if (name == "SSD+" || name == "YOLO+") {
-    LatencyModel profile(device, 0.0);
-    return std::make_unique<StaticKnobProtocol>(
-        name == "SSD+" ? BaselineFamily::kSsd : BaselineFamily::kYolo, name,
-        wb.train(), profile, slo);
-  }
-  if (name == "ApproxDet") {
-    return std::make_unique<ApproxDetProtocol>(&wb.models());
-  }
-  return MakeVariant(&wb.models(), name);
-}
-
 void Run() {
   std::cout << "=== Table 2: end-to-end comparison (mAP % | P95 ms per SLO) ===\n";
   const std::vector<DeviceCase> devices = {

@@ -76,9 +76,21 @@ inline std::string LatencyCell(const EvalResult& result) {
   return FmtDouble(result.p95_ms, 1);
 }
 
-// The paper's four LiteReconfig variants (Section 4).
-inline std::unique_ptr<LiteReconfigProtocol> MakeVariant(const TrainedModels* models,
-                                                         const std::string& name) {
+// Builds a protocol by its paper name: the SSD+/YOLO+ static-knob baselines
+// (profiled on `device` for `slo_ms`), ApproxDet, and the four LiteReconfig
+// variants (Section 4). nullptr for any other name.
+inline std::unique_ptr<Protocol> MakeProtocol(const Workbench& wb, DeviceType device,
+                                              const std::string& name, double slo_ms) {
+  if (name == "SSD+" || name == "YOLO+") {
+    LatencyModel profile(device, 0.0);
+    return std::make_unique<StaticKnobProtocol>(
+        name == "SSD+" ? BaselineFamily::kSsd : BaselineFamily::kYolo, name,
+        wb.train(), profile, slo_ms);
+  }
+  if (name == "ApproxDet") {
+    return std::make_unique<ApproxDetProtocol>(&wb.models());
+  }
+  const TrainedModels* models = &wb.models();
   if (name == "LiteReconfig") {
     return std::make_unique<LiteReconfigProtocol>(
         models, LiteReconfigProtocol::FullConfig(), name);

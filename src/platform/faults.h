@@ -262,9 +262,6 @@ class FaultRuntime {
                double frame_interval_ms = kDefaultFrameIntervalMs);
 
   bool active() const { return plan_.active() || service_active_; }
-  bool degrade() const { return degrade_; }
-  const FaultPlan& plan() const { return plan_; }
-  double frame_interval_ms() const { return frame_interval_ms_; }
 
   // Multi-tenant mode: arms the accounting even when the per-stream plan is
   // inactive (device-wide intervals live in the service's device plan, not in

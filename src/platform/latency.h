@@ -51,7 +51,6 @@ class LatencyModel {
 
   // Multiplicative thermal-throttling factor (>= 1.0). Unlike GPU contention,
   // DVFS throttling slows the whole SoC, so it scales CPU kernels too.
-  double thermal_scale() const { return thermal_scale_; }
   void set_thermal_scale(double scale) { thermal_scale_ = scale; }
 
   // Mean latency of one detector invocation. GPU-resident unless the config

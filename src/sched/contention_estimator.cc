@@ -4,27 +4,24 @@
 
 namespace litereconfig {
 
-ContentionEstimator::ContentionEstimator(const ContentionEstimatorConfig& config)
-    : config_(config), expected_burst_gofs_(config.initial_burst_gofs) {}
-
 void ContentionEstimator::Observe(double predicted_ms, double observed_ms) {
   if (predicted_ms <= 0.0 || observed_ms <= 0.0) {
     return;
   }
-  double ratio = std::min(observed_ms / predicted_ms, config_.max_scale);
+  double ratio = std::min(observed_ms / predicted_ms, kMaxContentionRatio);
   if (!in_burst_) {
-    if (ratio > config_.onset_ratio) {
+    if (ratio > kBurstOnsetRatio) {
       in_burst_ = true;
       gofs_in_burst_ = 1;
       burst_level_ = ratio;
     }
     return;
   }
-  if (ratio < config_.clear_ratio) {
+  if (ratio < kBurstClearRatio) {
     // Burst over: fold its length into the expectation used for forecasting.
     expected_burst_gofs_ =
-        (1.0 - config_.length_ewma) * expected_burst_gofs_ +
-        config_.length_ewma * static_cast<double>(gofs_in_burst_);
+        (1.0 - kBurstLengthEwma) * expected_burst_gofs_ +
+        kBurstLengthEwma * static_cast<double>(gofs_in_burst_);
     in_burst_ = false;
     gofs_in_burst_ = 0;
     burst_level_ = 1.0;
@@ -32,7 +29,7 @@ void ContentionEstimator::Observe(double predicted_ms, double observed_ms) {
   }
   ++gofs_in_burst_;
   burst_level_ =
-      (1.0 - config_.level_ewma) * burst_level_ + config_.level_ewma * ratio;
+      (1.0 - kBurstLevelEwma) * burst_level_ + kBurstLevelEwma * ratio;
 }
 
 double ContentionEstimator::ForecastScale() const {

@@ -18,26 +18,21 @@
 
 namespace litereconfig {
 
-struct ContentionEstimatorConfig {
-  // Enter the burst state when observed/predicted exceeds this ratio.
-  double onset_ratio = 1.20;
-  // Leave the burst state when the ratio falls below this.
-  double clear_ratio = 1.08;
-  // Smoothing of the in-burst inflation estimate.
-  double level_ewma = 0.5;
-  // Smoothing of the learned typical burst length (in GoFs).
-  double length_ewma = 0.35;
-  // Prior burst length before any burst has completed.
-  double initial_burst_gofs = 3.0;
-  // Clamp on the per-GoF observed/predicted ratio (outlier protection).
-  double max_scale = 4.0;
-};
+// Enter the burst state when observed/predicted exceeds this ratio.
+inline constexpr double kBurstOnsetRatio = 1.20;
+// Leave the burst state when the ratio falls below this.
+inline constexpr double kBurstClearRatio = 1.08;
+// Smoothing of the in-burst inflation estimate.
+inline constexpr double kBurstLevelEwma = 0.5;
+// Smoothing of the learned typical burst length (in GoFs).
+inline constexpr double kBurstLengthEwma = 0.35;
+// Prior burst length before any burst has completed.
+inline constexpr double kPriorBurstGofs = 3.0;
+// Clamp on the per-GoF observed/predicted ratio (outlier protection).
+inline constexpr double kMaxContentionRatio = 4.0;
 
 class ContentionEstimator {
  public:
-  ContentionEstimator() : ContentionEstimator(ContentionEstimatorConfig{}) {}
-  explicit ContentionEstimator(const ContentionEstimatorConfig& config);
-
   // Feed one completed GoF: the scheduler's predicted per-frame latency and
   // the observed per-frame latency. Non-positive inputs are ignored.
   void Observe(double predicted_ms, double observed_ms);
@@ -53,16 +48,13 @@ class ContentionEstimator {
   bool BurstEndingSoon() const;
 
   bool in_burst() const { return in_burst_; }
-  int gofs_in_burst() const { return gofs_in_burst_; }
-  double burst_level() const { return burst_level_; }
   double expected_burst_gofs() const { return expected_burst_gofs_; }
 
  private:
-  ContentionEstimatorConfig config_;
   bool in_burst_ = false;
   int gofs_in_burst_ = 0;
   double burst_level_ = 1.0;
-  double expected_burst_gofs_;
+  double expected_burst_gofs_ = kPriorBurstGofs;
 };
 
 }  // namespace litereconfig

@@ -65,8 +65,8 @@ DriftStatus DriftMonitor::Check() const {
     double n = static_cast<double>(recent_content_.size());
     status.score_shift = std::abs(score_sum / n - baseline_.score_mean);
     status.count_shift = std::abs(count_sum / n - baseline_.count_mean);
-    status.content_drift = status.score_shift > config_.score_shift_threshold ||
-                           status.count_shift > config_.count_shift_threshold;
+    status.content_drift = status.score_shift > kScoreShiftThreshold ||
+                           status.count_shift > kCountShiftThreshold;
   }
   return status;
 }

@@ -28,11 +28,12 @@ struct DriftConfig {
   size_t window = 48;
   // Sustained |observed - predicted| / predicted above this flags latency drift.
   double latency_rel_threshold = 0.30;
-  // Shift of the mean detection confidence (absolute) that flags content drift.
-  double score_shift_threshold = 0.12;
-  // Shift of the mean confident-object count that flags content drift.
-  double count_shift_threshold = 1.5;
 };
+
+// Shift of the mean detection confidence (absolute) that flags content drift.
+inline constexpr double kScoreShiftThreshold = 0.12;
+// Shift of the mean confident-object count that flags content drift.
+inline constexpr double kCountShiftThreshold = 1.5;
 
 struct DriftStatus {
   bool latency_drift = false;

@@ -49,7 +49,6 @@ class LatencyPredictor {
   double DetectorMs(size_t index) const { return detector_ms_[index]; }
 
   size_t branch_count() const { return detector_ms_.size(); }
-  const BranchSpace* space() const { return space_; }
 
   // Serialization (see src/pipeline/serialize.cc).
   const std::vector<double>& detector_ms() const { return detector_ms_; }

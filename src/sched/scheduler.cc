@@ -161,7 +161,7 @@ SchedulerDecision LiteReconfigScheduler::Decide(const DecisionContext& ctx,
     size_t cur = *ctx.current_branch;
     double cur_ms = table.CostMs(cur, charged);
     if (cur_ms <= table.slo_limit_ms() &&
-        accuracy[cur] >= best_acc - config_.switch_hysteresis) {
+        accuracy[cur] >= best_acc - kSwitchHysteresis) {
       best_branch = cur;
       best_acc = accuracy[cur];
     }

@@ -51,6 +51,10 @@ struct TrainedModels {
   double FeatureCostMs(FeatureKind kind, double gpu_cal, double cpu_cal) const;
 };
 
+// Minimum predicted-accuracy improvement required to leave the current branch
+// (cost-aware anti-thrashing on top of the C(b0, b) constraint term).
+inline constexpr double kSwitchHysteresis = 0.003;
+
 enum class LiteReconfigMode {
   kFull,
   kMinCost,
@@ -68,9 +72,6 @@ struct SchedulerConfig {
   int max_heavy_features = 2;
   // Minimum benefit-objective gain required to add another feature.
   double min_feature_gain = 0.001;
-  // Minimum predicted-accuracy improvement required to leave the current branch
-  // (cost-aware anti-thrashing on top of the C(b0, b) constraint term).
-  double switch_hysteresis = 0.003;
   // The constraint targets this fraction of the SLO: the P95 guarantee needs
   // headroom above the predicted mean for execution noise and count drift
   // (paper Section 5.5: "using up its latency budget prudently").

@@ -4,11 +4,11 @@ namespace litereconfig {
 
 AdmissionVerdict AdmissionController::Evaluate(
     const AdmissionRequest& request) const {
-  // Rejections first: states no amount of waiting fixes, or saturation.
+  // Rejections first: the stream could never fit, or it has waited too long.
   if (!request.feasible_alone) {
     return AdmissionVerdict::kReject;
   }
-  if (request.rounds_queued >= config_.max_queue_rounds) {
+  if (request.rounds_queued >= kMaxQueueRounds) {
     return AdmissionVerdict::kReject;
   }
   // Admission: the marginal share fits under capacity (boundary inclusive —
@@ -19,10 +19,7 @@ AdmissionVerdict AdmissionController::Evaluate(
       request.keeps_existing_feasible) {
     return AdmissionVerdict::kAdmit;
   }
-  // Otherwise wait for departures — unless the queue itself is saturated.
-  if (request.queued_streams >= config_.max_queue) {
-    return AdmissionVerdict::kReject;
-  }
+  // Otherwise wait for departures.
   return AdmissionVerdict::kQueue;
 }
 

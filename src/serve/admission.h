@@ -5,8 +5,8 @@
 // already posted, and adding it must not push any existing stream's SLO
 // infeasible (every admitted stream must keep at least one feasible branch at
 // the inflated contention level). Otherwise the stream queues — in SLO-class
-// priority order — or is rejected outright when the service is saturated
-// (queue full, the stream could never fit, or it has waited too long).
+// priority order — or is rejected outright when it could never fit or has
+// waited too long.
 #ifndef SRC_SERVE_ADMISSION_H_
 #define SRC_SERVE_ADMISSION_H_
 
@@ -14,15 +14,14 @@
 
 namespace litereconfig {
 
+// Rounds a stream may wait in the queue before it is rejected.
+inline constexpr int kMaxQueueRounds = 200;
+
 struct AdmissionConfig {
   // Maximum total GPU share across admitted streams.
   double capacity = 0.90;
   // Hard cap on concurrently admitted streams.
   size_t max_streams = 16;
-  // Pending-queue length beyond which new arrivals are rejected.
-  size_t max_queue = 8;
-  // Rounds a stream may wait in the queue before it is rejected.
-  int max_queue_rounds = 200;
 };
 
 enum class AdmissionVerdict {
@@ -39,7 +38,6 @@ struct AdmissionRequest {
   // Sum of the shares currently posted by admitted streams.
   double total_share = 0.0;
   size_t active_streams = 0;
-  size_t queued_streams = 0;
   // Whether every existing stream keeps at least one SLO-feasible branch at
   // the contention level the candidate's share would inflate them to.
   bool keeps_existing_feasible = true;
@@ -53,8 +51,6 @@ struct AdmissionRequest {
 class AdmissionController {
  public:
   explicit AdmissionController(AdmissionConfig config) : config_(config) {}
-
-  const AdmissionConfig& config() const { return config_; }
 
   AdmissionVerdict Evaluate(const AdmissionRequest& request) const;
 

@@ -42,8 +42,8 @@ std::optional<AllocatorMode> AllocatorModeFromName(std::string_view name) {
   return std::nullopt;
 }
 
-std::vector<double> AllocateBudgets(const AllocatorConfig& config,
-                                    double frame_interval_ms,
+std::vector<double> AllocateBudgets(AllocatorMode mode, double capacity_ms,
+                                    double slo_margin,
                                     const std::vector<StreamDemand>& demands) {
   size_t n = demands.size();
   std::vector<double> budgets(n, 0.0);
@@ -54,11 +54,10 @@ std::vector<double> AllocateBudgets(const AllocatorConfig& config,
     // A lone stream owns the device: unconstrained (single-tenant behaviour).
     return budgets;
   }
-  double margin = config.slo_margin > 0.0 ? config.slo_margin : 1.0;
-  double capacity = frame_interval_ms * config.capacity_scale;
+  double margin = slo_margin > 0.0 ? slo_margin : 1.0;
 
-  if (config.mode == AllocatorMode::kEqualSplit) {
-    double share = capacity / static_cast<double>(n);
+  if (mode == AllocatorMode::kEqualSplit) {
+    double share = capacity_ms / static_cast<double>(n);
     for (size_t i = 0; i < n; ++i) {
       budgets[i] = std::min(demands[i].slo_ms, share / margin);
     }
@@ -69,7 +68,7 @@ std::vector<double> AllocateBudgets(const AllocatorConfig& config,
   // already affords (so the result can never be worse than equal-split), then
   // redistribute the quantization slack — the gap between each share and the
   // granted option's actual cost — as menu upgrades.
-  double share = capacity / static_cast<double>(n);
+  double share = capacity_ms / static_cast<double>(n);
   std::vector<size_t> level(n, 0);
   double spent = 0.0;
   for (size_t i = 0; i < n; ++i) {
@@ -83,7 +82,7 @@ std::vector<double> AllocateBudgets(const AllocatorConfig& config,
     }
     spent += menu[level[i]].frame_ms;
   }
-  double remaining = std::max(0.0, capacity - spent);
+  double remaining = std::max(0.0, capacity_ms - spent);
   // ...then the remaining budget buys menu upgrades, best weighted marginal
   // accuracy per millisecond first (ties to the lowest stream index).
   while (true) {

@@ -36,11 +36,6 @@ std::optional<AllocatorMode> AllocatorModeFromName(std::string_view name);
 
 struct AllocatorConfig {
   AllocatorMode mode = AllocatorMode::kCostBenefit;
-  // Scales the per-frame capacity (frame_interval_ms * scale).
-  double capacity_scale = 1.0;
-  // The scheduler's slo_margin: budgets are divided by it so that
-  // budget * margin lands exactly on the menu cost the allocator granted.
-  double slo_margin = 0.90;
 };
 
 // One stream's demand for the round.
@@ -52,11 +47,13 @@ struct StreamDemand {
   std::vector<BranchOption> menu;
 };
 
-// Splits `frame_interval_ms * config.capacity_scale` of per-frame compute
-// across the demands. Returns one budget_ms per demand (0 = unconstrained,
-// used when a stream is alone or nothing is feasible anyway).
-std::vector<double> AllocateBudgets(const AllocatorConfig& config,
-                                    double frame_interval_ms,
+// Splits `capacity_ms` of per-frame compute across the demands. `slo_margin`
+// is the scheduler's: budgets are divided by it so that budget * margin lands
+// exactly on the menu cost the allocator granted. Returns one budget_ms per
+// demand (0 = unconstrained, used when a stream is alone or nothing is
+// feasible anyway).
+std::vector<double> AllocateBudgets(AllocatorMode mode, double capacity_ms,
+                                    double slo_margin,
                                     const std::vector<StreamDemand>& demands);
 
 }  // namespace litereconfig

@@ -7,10 +7,19 @@
 
 namespace litereconfig {
 
+namespace {
+
+// SLO-class mix (relative weights).
+constexpr double kStrictWeight = 0.25;
+constexpr double kStandardWeight = 0.5;
+constexpr double kBestEffortWeight = 0.25;
+constexpr double kTotalWeight =
+    kStrictWeight + kStandardWeight + kBestEffortWeight;
+
+}  // namespace
+
 std::vector<StreamRequest> GenerateArrivals(const ArrivalSpec& spec) {
   Pcg32 rng(HashKeys({spec.seed, 0x5e21eull}));
-  double total_weight =
-      spec.strict_weight + spec.standard_weight + spec.best_effort_weight;
   std::vector<StreamRequest> requests;
   requests.reserve(static_cast<size_t>(std::max(spec.num_streams, 0)));
   double arrival = 0.0;
@@ -28,10 +37,10 @@ std::vector<StreamRequest> GenerateArrivals(const ArrivalSpec& spec) {
     request.video.fps = spec.fps;
     request.video.archetype = static_cast<SceneArchetype>(i % kNumArchetypes);
     request.slo_ms = spec.slo_ms;
-    double draw = total_weight > 0.0 ? rng.Uniform(0.0, total_weight) : 0.0;
-    if (draw < spec.strict_weight) {
+    double draw = rng.Uniform(0.0, kTotalWeight);
+    if (draw < kStrictWeight) {
       request.slo_class = SloClass::kStrict;
-    } else if (draw < spec.strict_weight + spec.standard_weight) {
+    } else if (draw < kStrictWeight + kStandardWeight) {
       request.slo_class = SloClass::kStandard;
     } else {
       request.slo_class = SloClass::kBestEffort;

@@ -37,10 +37,6 @@ struct ArrivalSpec {
   int height = 720;
   double fps = 30.0;
   double slo_ms = 33.3;
-  // SLO-class mix (relative weights; normalized internally).
-  double strict_weight = 0.25;
-  double standard_weight = 0.5;
-  double best_effort_weight = 0.25;
 };
 
 // Materializes the trace: requests sorted by (arrival_round, stream_id).

@@ -77,30 +77,6 @@ DecisionRecord ToRecord(const TrainedModels& models, const ServeEvent& event) {
 
 }  // namespace
 
-EvalResult StreamEvalResult(const StreamOutcome& outcome) {
-  EvalResult result;
-  result.map = outcome.map;
-  result.mean_ms = Mean(outcome.gof_frame_ms);
-  result.p95_ms = Percentile(outcome.gof_frame_ms, 0.95);
-  size_t violations = 0;
-  for (double v : outcome.gof_frame_ms) {
-    if (v > outcome.slo_ms) {
-      ++violations;
-    }
-  }
-  result.violation_rate =
-      outcome.gof_frame_ms.empty()
-          ? 0.0
-          : static_cast<double>(violations) /
-                static_cast<double>(outcome.gof_frame_ms.size());
-  result.switch_count = outcome.switch_count;
-  result.frames = outcome.frames;
-  result.deadline_misses = outcome.deadline_misses;
-  result.degraded_frames = outcome.forced_gofs;
-  result.gof_frame_ms = outcome.gof_frame_ms;
-  return result;
-}
-
 ServeEval ServeRunner::Run(const TrainedModels& models, const ArrivalSpec& spec,
                            const ServeConfig& config, TraceWriter* trace) {
   std::vector<StreamRequest> requests = GenerateArrivals(spec);
@@ -117,12 +93,6 @@ ServeEval ServeRunner::Run(const TrainedModels& models, const ArrivalSpec& spec,
   StreamingService service(&models, run_config);
   ServeEval eval;
   eval.result = service.Run(requests);
-  for (const StreamOutcome& outcome : eval.result.streams) {
-    if (outcome.admit_round < 0) {
-      continue;
-    }
-    eval.per_stream.push_back(StreamEvalResult(outcome));
-  }
   return eval;
 }
 

@@ -1,15 +1,13 @@
 // The serving evaluation harness: runs the multi-tenant StreamingService over
 // a seeded arrival trace and renders the outcome on the same surfaces the
-// single-tenant runner uses — per-stream EvalResults, a one-line JSON record
-// (the byte-diffable artifact of the serve-determinism CI job), and the
-// decision-trace format (TraceWriter).
+// single-tenant runner uses — a one-line JSON record (the byte-diffable
+// artifact of the serve-determinism CI job) and the decision-trace format
+// (TraceWriter).
 #ifndef SRC_SERVE_SERVE_RUNNER_H_
 #define SRC_SERVE_SERVE_RUNNER_H_
 
 #include <string>
-#include <vector>
 
-#include "src/pipeline/runner.h"
 #include "src/pipeline/trace.h"
 #include "src/serve/service.h"
 
@@ -17,9 +15,6 @@ namespace litereconfig {
 
 struct ServeEval {
   ServeResult result;
-  // One EvalResult per served stream, in stream_id order (rejected streams are
-  // skipped); latency metrics over the stream's GoF samples, mAP per stream.
-  std::vector<EvalResult> per_stream;
 };
 
 class ServeRunner {
@@ -31,9 +26,6 @@ class ServeRunner {
   static ServeEval Run(const TrainedModels& models, const ArrivalSpec& spec,
                        const ServeConfig& config, TraceWriter* trace = nullptr);
 };
-
-// Maps one stream's outcome onto the single-tenant result type.
-EvalResult StreamEvalResult(const StreamOutcome& outcome);
 
 // One-line JSON rendering of a serving run — aggregate accuracy, per-class
 // deadline misses, admission counters, and the per-stream results. Two runs

@@ -83,6 +83,37 @@ bool PendingBefore(const PendingStream& a, const PendingStream& b) {
   return a.request.stream_id < b.request.stream_id;
 }
 
+// An admitted stream. Its index in the live list is its GPU-ledger slot.
+struct LiveStream {
+  std::unique_ptr<StreamSession> session;
+  size_t outcome = 0;  // index into the outcomes vector
+  // Whether the stream's last detector-running round was on the CPU family;
+  // the demote/restore events fire on the edges.
+  bool cpu_mode = false;
+  // This round: the frozen contention level, the allocator demand, the
+  // pressure ladder's coast and CPU-only demotion, and the granted budget.
+  double level = 0.0;
+  StreamDemand demand;
+  bool coast = false;
+  bool cpu_only = false;
+  double budget_ms = 0.0;
+};
+
+// Later arrival, ties to the higher stream id: the order in which streams
+// yield to pressure.
+bool NewerThan(const LiveStream& a, const LiveStream& b) {
+  const StreamRequest& ra = a.session->request();
+  const StreamRequest& rb = b.session->request();
+  if (ra.arrival_round != rb.arrival_round) {
+    return ra.arrival_round > rb.arrival_round;
+  }
+  return ra.stream_id > rb.stream_id;
+}
+
+// Safety cap on planning rounds (a stalled queue cannot loop forever); also
+// the horizon of the device fault plan.
+constexpr int kMaxRounds = 100000;
+
 }  // namespace
 
 StreamingService::StreamingService(const TrainedModels* models,
@@ -116,10 +147,8 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
 
   SwitchingCostModel switching(models_->device);
   AdmissionController admission(config_.admission);
-  AllocatorConfig allocator = config_.allocator;
-  // The allocator must speak the scheduler's margin: a granted budget has to
-  // land exactly on the menu cost it paid for after the margin multiply.
-  allocator.slo_margin = config_.scheduler.slo_margin;
+  // The allocator speaks the scheduler's margin: a granted budget has to land
+  // exactly on the menu cost it paid for after the margin multiply.
   double slo_margin = config_.scheduler.slo_margin;
 
   // Device-wide fault schedule: one plan for the whole service, frozen into
@@ -128,27 +157,29 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
   result.faults_active = faults_active;
   bool degrade = faults_active && config_.faults.degrade;
   const FaultPlan device_plan = DeviceFaultPlan(
-      config_.faults.spec, config_.faults.fault_seed, config_.max_rounds);
+      config_.faults.spec, config_.faults.fault_seed, kMaxRounds);
 
   result.denials_active =
       faults_active && config_.faults.spec.denials_per_100_frames > 0.0;
 
   GpuShareLedger ledger;
-  std::vector<std::unique_ptr<StreamSession>> sessions;
-  std::vector<size_t> session_outcome;  // aligned with `sessions`
-  // Whether each live session's last detector-running round was on the CPU
-  // family; the demote/restore events fire on the edges.
-  std::vector<char> session_cpu_mode;  // aligned with `sessions`
+  std::vector<LiveStream> live;
   std::vector<PendingStream> queue;
+  int round = 0;
   auto emit = [&](const ServeEvent& event) {
     if (config_.observer) {
       config_.observer(event);
     }
   };
-  // Copies a live session's stats into its outcome (departure and eviction).
-  auto finalize = [&](size_t i, int round) {
-    StreamOutcome& outcome = result.streams[session_outcome[i]];
-    const StreamSession& session = *sessions[i];
+  // Departure or eviction: the session's stats go into its outcome, the
+  // event is emitted, and the ledger slot and the record are dropped.
+  auto retire = [&](size_t i, ServeEvent::Kind kind) {
+    StreamSession& session = *live[i].session;
+    bool evicted = kind == ServeEvent::Kind::kEvict;
+    if (evicted) {
+      session.RecordEviction();
+    }
+    StreamOutcome& outcome = result.streams[live[i].outcome];
     outcome.depart_round = round;
     outcome.map = session.eval().MeanAveragePrecision();
     outcome.frames = static_cast<size_t>(session.frames_emitted());
@@ -161,13 +192,41 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
     outcome.renegotiations = session.renegotiations();
     outcome.coasted_rounds = session.coasted_rounds();
     outcome.robustness = session.fault_accounting();
+    outcome.evicted = evicted;
+    ServeEvent event;
+    event.kind = kind;
+    event.stream_id = session.request().stream_id;
+    event.round = round;
+    emit(event);
+    ledger.RemoveStream(i);
+    live.erase(live.begin() + static_cast<long>(i));
+  };
+  // A renegotiation or a restore: the class now in effect goes to the
+  // allocator and out with the event.
+  auto class_changed = [&](LiveStream& stream) {
+    stream.demand.slo_class = stream.session->effective_class();
+    ServeEvent event;
+    event.kind = ServeEvent::Kind::kRenegotiate;
+    event.stream_id = stream.session->request().stream_id;
+    event.round = round;
+    event.new_class = stream.session->effective_class();
+    emit(event);
+  };
+  // The newest eligible live stream, live.size() when none is.
+  auto newest = [&](auto eligible) {
+    size_t pick = live.size();
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (eligible(live[i]) &&
+          (pick == live.size() || NewerThan(live[i], live[pick]))) {
+        pick = i;
+      }
+    }
+    return pick;
   };
 
   size_t next_arrival = 0;
-  int round = 0;
-  while (next_arrival < requests.size() || !queue.empty() ||
-         !sessions.empty()) {
-    if (round >= config_.max_rounds) {
+  while (next_arrival < requests.size() || !queue.empty() || !live.empty()) {
+    if (round >= kMaxRounds) {
       // Safety valve: whatever is still pending is turned away.
       for (PendingStream& pending : queue) {
         result.streams[pending.outcome].rejected = true;
@@ -226,17 +285,16 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
       double candidate_share = admitted_est.feasible ? admitted_est.share
                                                      : alone.share;
       bool keeps_feasible = admitted_est.feasible;
-      for (size_t i = 0; keeps_feasible && i < sessions.size(); ++i) {
+      for (size_t i = 0; keeps_feasible && i < live.size(); ++i) {
         double inflated = std::min(
             kMaxEndogenousLevel,
             ledger.LevelFor(i) + candidate_share + burst_level);
-        keeps_feasible = sessions[i]->FeasibleAt(inflated);
+        keeps_feasible = live[i].session->FeasibleAt(inflated);
       }
       AdmissionRequest request;
       request.candidate_share = candidate_share;
       request.total_share = ledger.TotalShare();
-      request.active_streams = sessions.size();
-      request.queued_streams = still_pending.size();
+      request.active_streams = live.size();
       request.keeps_existing_feasible = keeps_feasible;
       request.feasible_alone = alone.feasible;
       request.rounds_queued = pending.rounds_queued;
@@ -246,16 +304,16 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
       event.round = round;
       switch (verdict) {
         case AdmissionVerdict::kAdmit: {
-          auto session = std::make_unique<StreamSession>(
+          LiveStream stream;
+          stream.session = std::make_unique<StreamSession>(
               models_, config_.scheduler, pending.request, &switching,
               config_.service_salt,
               faults_active ? &config_.faults : nullptr);
+          stream.outcome = pending.outcome;
           size_t index = ledger.AddStream(candidate_share);
-          assert(index == sessions.size());
+          assert(index == live.size());
           (void)index;
-          sessions.push_back(std::move(session));
-          session_outcome.push_back(pending.outcome);
-          session_cpu_mode.push_back(0);
+          live.push_back(std::move(stream));
           outcome.admit_round = round;
           outcome.rounds_queued = pending.rounds_queued;
           ++result.admitted;
@@ -286,261 +344,178 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
     }
     queue = std::move(still_pending);
     result.peak_queue = std::max(result.peak_queue, queue.size());
-    result.peak_concurrency =
-        std::max(result.peak_concurrency, sessions.size());
-    if (sessions.empty()) {
+    result.peak_concurrency = std::max(result.peak_concurrency, live.size());
+    if (live.empty()) {
       ++round;
       continue;
     }
     // 3. Freeze the contention snapshot (previous round's posted shares plus
     // the device-wide burst) and collect demands; the allocator splits the
     // round's budget.
-    size_t active = sessions.size();
-    std::vector<double> levels(active);
-    std::vector<StreamDemand> demands(active);
     double frame_interval = std::numeric_limits<double>::infinity();
-    for (size_t i = 0; i < active; ++i) {
-      levels[i] =
+    for (size_t i = 0; i < live.size(); ++i) {
+      LiveStream& stream = live[i];
+      const StreamSession& session = *stream.session;
+      stream.level =
           std::min(kMaxEndogenousLevel, ledger.LevelFor(i) + burst_level);
-      demands[i].slo_ms = sessions[i]->request().slo_ms;
-      demands[i].slo_class = sessions[i]->effective_class();
-      demands[i].menu = sessions[i]->Menu(levels[i], thermal, gpu_available);
-      frame_interval = std::min(frame_interval, sessions[i]->FrameIntervalMs());
+      stream.demand.slo_ms = session.request().slo_ms;
+      stream.demand.slo_class = session.effective_class();
+      stream.demand.menu = session.Menu(stream.level, thermal, gpu_available);
+      stream.coast = false;
+      stream.cpu_only = false;
+      frame_interval = std::min(frame_interval, session.FrameIntervalMs());
     }
-    std::vector<bool> coast(active, false);
-    // Pressure-ladder demotions onto the CPU family for this round (distinct
-    // from the device-wide denial, which masks every stream at once).
-    std::vector<bool> cpu_only(active, false);
     if (degrade) {
       // 3b. Pressure ladder. The fit check asks whether every stream's
       // cheapest affordable round — coasted streams at their tracker-only
       // cost, the rest at the cheapest menu option — fits the round budget
       // under the faulted device state. When it does not, escalate
-      // deterministically: coast best-effort streams tracker-only, then
+      // deterministically, newest stream first: demote best-effort streams
+      // onto the CPU family, coast best-effort streams tracker-only, then
       // renegotiate standard streams down a class (restored when pressure
       // clears), then evict in strict reverse-priority/arrival order.
-      double capacity = frame_interval * allocator.capacity_scale;
-      auto stream_cost = [&](size_t i) {
-        if (coast[i] && sessions[i]->CanCoast()) {
-          return sessions[i]->CoastFrameMs(thermal);
+      auto stream_cost = [&](const LiveStream& stream) {
+        const StreamSession& session = *stream.session;
+        if (stream.coast) {
+          return session.CoastFrameMs(thermal);
         }
-        if (!demands[i].menu.empty()) {
-          return demands[i].menu.front().frame_ms;
+        if (!stream.demand.menu.empty()) {
+          return stream.demand.menu.front().frame_ms;
         }
         // Nothing SLO-feasible this round: the stream still runs its
         // cheapest *available* branch (the CPU family under a denial or a
         // demotion, a tracker-only coast when even that is absent), so the
         // fit check must still charge for it.
-        bool available = gpu_available && !cpu_only[i];
-        if (!available) {
-          if (sessions[i]->has_cpu_family()) {
-            return sessions[i]->CheapestFrameMs(levels[i], thermal,
-                                                /*gpu_available=*/false);
+        if (!gpu_available || stream.cpu_only) {
+          if (session.has_cpu_family()) {
+            return session.CheapestFrameMs(stream.level, thermal,
+                                           /*gpu_available=*/false);
           }
-          if (sessions[i]->CanCoast()) {
-            return sessions[i]->CoastFrameMs(thermal);
+          if (session.CanCoast()) {
+            return session.CoastFrameMs(thermal);
           }
         }
-        return sessions[i]->CheapestFrameMs(levels[i], thermal);
+        return session.CheapestFrameMs(stream.level, thermal);
       };
       auto total_cost = [&]() {
         double total = 0.0;
-        for (size_t i = 0; i < active; ++i) {
-          total += stream_cost(i);
+        for (const LiveStream& stream : live) {
+          total += stream_cost(stream);
         }
         return total;
       };
+      auto of_class = [](SloClass cls) {
+        return [cls](const LiveStream& stream) {
+          return stream.session->effective_class() == cls;
+        };
+      };
       // Pressure cleared: the nominal round (no coasts) fits again, so every
       // renegotiated stream gets its requested class back.
-      if (total_cost() <= capacity) {
-        for (size_t i = 0; i < active; ++i) {
-          StreamSession& session = *sessions[i];
+      if (total_cost() <= frame_interval) {
+        for (LiveStream& stream : live) {
+          StreamSession& session = *stream.session;
           if (session.effective_class() != session.request().slo_class) {
             session.RestoreClass();
-            demands[i].slo_class = session.effective_class();
-            ServeEvent event;
-            event.kind = ServeEvent::Kind::kRenegotiate;
-            event.stream_id = session.request().stream_id;
-            event.round = round;
-            event.new_class = session.effective_class();
-            emit(event);
+            class_changed(stream);
           }
         }
       }
-      // Latest arrival (ties to the highest stream id) yields first: the
-      // newest stream of the lowest surviving class absorbs the pressure.
-      auto latest = [&](SloClass cls, bool require_coastable,
-                        bool skip_coasted) {
-        size_t pick = active;
-        for (size_t i = 0; i < active; ++i) {
-          if (sessions[i]->effective_class() != cls) {
-            continue;
-          }
-          if (require_coastable && !sessions[i]->CanCoast()) {
-            continue;
-          }
-          if (skip_coasted && coast[i]) {
-            continue;
-          }
-          if (pick == active ||
-              sessions[i]->request().arrival_round >
-                  sessions[pick]->request().arrival_round ||
-              (sessions[i]->request().arrival_round ==
-                   sessions[pick]->request().arrival_round &&
-               sessions[i]->request().stream_id >
-                   sessions[pick]->request().stream_id)) {
-            pick = i;
-          }
-        }
-        return pick;
-      };
-      while (active >= 2 && total_cost() > capacity) {
-        // Rung 0: demote the newest best-effort stream onto the CPU-only
-        // family for the round — detection continues (unlike coasting) and
-        // the GPU is freed — but only when the CPU family is actually
-        // cheaper than what the stream would otherwise charge.
-        size_t demotee = active;
-        for (size_t i = 0; i < active; ++i) {
-          if (sessions[i]->effective_class() != SloClass::kBestEffort ||
-              !sessions[i]->has_cpu_family() || cpu_only[i] || coast[i]) {
-            continue;
-          }
-          double masked = sessions[i]->CheapestFrameMs(levels[i], thermal,
-                                                       /*gpu_available=*/false);
-          if (masked >= stream_cost(i)) {
-            continue;
-          }
-          if (demotee == active ||
-              sessions[i]->request().arrival_round >
-                  sessions[demotee]->request().arrival_round ||
-              (sessions[i]->request().arrival_round ==
-                   sessions[demotee]->request().arrival_round &&
-               sessions[i]->request().stream_id >
-                   sessions[demotee]->request().stream_id)) {
-            demotee = i;
-          }
-        }
-        if (demotee < active) {
-          cpu_only[demotee] = true;
-          demands[demotee].menu = sessions[demotee]->Menu(
-              levels[demotee], thermal, /*gpu_available=*/false);
+      while (live.size() >= 2 && total_cost() > frame_interval) {
+        // Rung 0: demote a best-effort stream onto the CPU-only family for
+        // the round — detection continues (unlike coasting) and the GPU is
+        // freed — but only when the CPU family is actually cheaper than what
+        // the stream would otherwise charge.
+        size_t pick = newest([&](const LiveStream& stream) {
+          const StreamSession& session = *stream.session;
+          return session.effective_class() == SloClass::kBestEffort &&
+                 session.has_cpu_family() && !stream.cpu_only &&
+                 !stream.coast &&
+                 session.CheapestFrameMs(stream.level, thermal,
+                                         /*gpu_available=*/false) <
+                     stream_cost(stream);
+        });
+        if (pick < live.size()) {
+          LiveStream& stream = live[pick];
+          stream.cpu_only = true;
+          stream.demand.menu = stream.session->Menu(stream.level, thermal,
+                                                    /*gpu_available=*/false);
           continue;
         }
         // Rung 1: coast a best-effort stream tracker-only for the round.
-        size_t victim = latest(SloClass::kBestEffort, /*require_coastable=*/true,
-                               /*skip_coasted=*/true);
-        if (victim < active) {
-          coast[victim] = true;
+        pick = newest([](const LiveStream& stream) {
+          return stream.session->effective_class() == SloClass::kBestEffort &&
+                 stream.session->CanCoast() && !stream.coast;
+        });
+        if (pick < live.size()) {
+          live[pick].coast = true;
           continue;
         }
         // Rung 2: renegotiate a standard stream down one class; it becomes
         // coastable on the next iteration.
-        victim = latest(SloClass::kStandard, /*require_coastable=*/false,
-                        /*skip_coasted=*/false);
-        if (victim < active) {
-          StreamSession& session = *sessions[victim];
-          session.Renegotiate(SloClass::kBestEffort);
-          demands[victim].slo_class = session.effective_class();
-          ServeEvent event;
-          event.kind = ServeEvent::Kind::kRenegotiate;
-          event.stream_id = session.request().stream_id;
-          event.round = round;
-          event.new_class = session.effective_class();
-          emit(event);
+        pick = newest(of_class(SloClass::kStandard));
+        if (pick < live.size()) {
+          live[pick].session->Renegotiate(SloClass::kBestEffort);
+          class_changed(live[pick]);
           continue;
         }
         // Rung 3: evict. Reverse priority order — a strict stream is never
         // shed while any lower class survives.
-        victim = active;
         for (SloClass cls : {SloClass::kBestEffort, SloClass::kStandard,
                              SloClass::kStrict}) {
-          victim = latest(cls, /*require_coastable=*/false,
-                          /*skip_coasted=*/false);
-          if (victim < active) {
+          pick = newest(of_class(cls));
+          if (pick < live.size()) {
             break;
           }
         }
-        if (victim >= active) {
-          break;
-        }
-        sessions[victim]->RecordEviction();
-        finalize(victim, round);
-        result.streams[session_outcome[victim]].evicted = true;
-        ServeEvent event;
-        event.kind = ServeEvent::Kind::kEvict;
-        event.stream_id = sessions[victim]->request().stream_id;
-        event.round = round;
-        emit(event);
-        ledger.RemoveStream(victim);
-        long v = static_cast<long>(victim);
-        sessions.erase(sessions.begin() + v);
-        session_outcome.erase(session_outcome.begin() + v);
-        session_cpu_mode.erase(session_cpu_mode.begin() + v);
-        levels.erase(levels.begin() + static_cast<long>(victim));
-        demands.erase(demands.begin() + static_cast<long>(victim));
-        coast.erase(coast.begin() + static_cast<long>(victim));
-        cpu_only.erase(cpu_only.begin() + static_cast<long>(victim));
-        --active;
-      }
-      if (sessions.empty()) {
-        ++round;
-        continue;
+        retire(pick, ServeEvent::Kind::kEvict);
       }
     }
     // 3c. Budgets: coasted streams run tracker-only off the top of the round
     // budget; the allocator splits what remains across the streams that still
     // invoke their detectors.
-    std::vector<double> budgets(active, 0.0);
-    bool any_coast = false;
-    for (size_t i = 0; i < active; ++i) {
-      any_coast = any_coast || (coast[i] && sessions[i]->CanCoast());
+    double coast_total = 0.0;
+    std::vector<StreamDemand> running;
+    for (const LiveStream& stream : live) {
+      if (stream.coast) {
+        coast_total += stream.session->CoastFrameMs(thermal);
+      } else {
+        running.push_back(stream.demand);
+      }
     }
-    if (!any_coast) {
-      budgets = AllocateBudgets(allocator, frame_interval, demands);
-    } else {
-      double coast_total = 0.0;
-      std::vector<size_t> running;
-      std::vector<StreamDemand> running_demands;
-      for (size_t i = 0; i < active; ++i) {
-        if (coast[i] && sessions[i]->CanCoast()) {
-          coast_total += sessions[i]->CoastFrameMs(thermal);
-        } else {
-          running.push_back(i);
-          running_demands.push_back(demands[i]);
-        }
-      }
-      AllocatorConfig shed = allocator;
-      shed.capacity_scale = std::max(
-          0.0, allocator.capacity_scale - coast_total / frame_interval);
-      std::vector<double> granted =
-          AllocateBudgets(shed, frame_interval, running_demands);
-      for (size_t r = 0; r < running.size(); ++r) {
-        budgets[running[r]] = granted[r];
-      }
+    std::vector<double> granted = AllocateBudgets(
+        config_.allocator.mode,
+        frame_interval * std::max(0.0, 1.0 - coast_total / frame_interval),
+        slo_margin, running);
+    for (size_t i = 0, r = 0; i < live.size(); ++i) {
+      live[i].budget_ms = live[i].coast ? 0.0 : granted[r++];
     }
     // 4. Parallel step: sessions touch only their own state; the coupling is
     // entirely in the StepConditions, all frozen above.
-    std::vector<GofReport> reports(active);
+    std::vector<GofReport> reports(live.size());
     ThreadPool::Shared().ParallelFor(
-        active,
+        live.size(),
         [&](size_t i) {
+          const LiveStream& stream = live[i];
           StepConditions conditions;
-          conditions.level = levels[i];
-          conditions.budget_ms = budgets[i];
+          conditions.level = stream.level;
+          conditions.budget_ms = stream.budget_ms;
           conditions.thermal_scale = thermal;
-          conditions.coast = coast[i];
+          conditions.coast = stream.coast;
           conditions.interval_index = interval_index;
-          conditions.gpu_available = gpu_available && !cpu_only[i];
-          reports[i] = sessions[i]->StepGof(conditions);
+          conditions.gpu_available = gpu_available && !stream.cpu_only;
+          reports[i] = stream.session->StepGof(conditions);
         },
         ResolveThreadCount(config_.threads));
     // 5. Sequential merge in stream order: post shares, emit events, depart.
-    for (size_t i = 0; i < active; ++i) {
-      ledger.SetShare(i, reports[i].gpu_share);
-      for (const FailureReport& failure : reports[i].faults) {
+    for (size_t i = 0; i < live.size(); ++i) {
+      LiveStream& stream = live[i];
+      const GofReport& report = reports[i];
+      uint64_t stream_id = stream.session->request().stream_id;
+      ledger.SetShare(i, report.gpu_share);
+      for (const FailureReport& failure : report.faults) {
         ServeEvent fault_event;
         fault_event.kind = ServeEvent::Kind::kFault;
-        fault_event.stream_id = sessions[i]->request().stream_id;
+        fault_event.stream_id = stream_id;
         fault_event.round = round;
         fault_event.fault = failure.kind;
         fault_event.fault_frame = failure.frame;
@@ -549,47 +524,37 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
       // Demote/restore edges: compare the family this round's detector ran
       // on against the stream's last detector-running round. Coasted and
       // tail rounds run no detector and leave the mode untouched.
-      bool ran_detector = !reports[i].coasted && !reports[i].tail &&
-                          reports[i].gof_length > 0;
-      if (ran_detector &&
-          reports[i].cpu_fallback != (session_cpu_mode[i] != 0)) {
-        session_cpu_mode[i] = reports[i].cpu_fallback ? 1 : 0;
+      bool ran_detector =
+          !report.coasted && !report.tail && report.gof_length > 0;
+      if (ran_detector && report.cpu_fallback != stream.cpu_mode) {
+        stream.cpu_mode = report.cpu_fallback;
         ServeEvent edge;
-        edge.kind = reports[i].cpu_fallback ? ServeEvent::Kind::kDemote
-                                            : ServeEvent::Kind::kRestore;
-        edge.stream_id = sessions[i]->request().stream_id;
+        edge.kind = report.cpu_fallback ? ServeEvent::Kind::kDemote
+                                        : ServeEvent::Kind::kRestore;
+        edge.stream_id = stream_id;
         edge.round = round;
         emit(edge);
       }
       ServeEvent event;
       event.kind = ServeEvent::Kind::kGof;
-      event.stream_id = sessions[i]->request().stream_id;
+      event.stream_id = stream_id;
       event.round = round;
-      event.gof = reports[i];
-      event.level = levels[i];
-      event.budget_ms = budgets[i];
+      event.gof = report;
+      event.level = stream.level;
+      event.budget_ms = stream.budget_ms;
       emit(event);
     }
-    for (size_t i = active; i-- > 0;) {
-      if (!sessions[i]->done()) {
-        continue;
+    for (size_t i = live.size(); i-- > 0;) {
+      if (live[i].session->done()) {
+        retire(i, ServeEvent::Kind::kDepart);
       }
-      finalize(i, round);
-      ServeEvent event;
-      event.kind = ServeEvent::Kind::kDepart;
-      event.stream_id = sessions[i]->request().stream_id;
-      event.round = round;
-      emit(event);
-      ledger.RemoveStream(i);
-      sessions.erase(sessions.begin() + static_cast<long>(i));
-      session_outcome.erase(session_outcome.begin() + static_cast<long>(i));
-      session_cpu_mode.erase(session_cpu_mode.begin() + static_cast<long>(i));
     }
     ++round;
   }
   result.rounds = round;
 
   // Aggregates over served streams; outcomes reported in stream_id order.
+  // Without faults every robustness counter summed here is zero.
   std::stable_sort(result.streams.begin(), result.streams.end(),
                    [](const StreamOutcome& a, const StreamOutcome& b) {
                      return a.stream_id < b.stream_id;
@@ -608,22 +573,18 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
     result.misses_by_class[cls] += outcome.deadline_misses;
     result.gofs_by_class[cls] += outcome.gofs;
     ++result.streams_by_class[cls];
-    if (faults_active) {
-      result.faults_injected += outcome.robustness.faults_injected;
-      result.faults_absorbed += outcome.robustness.faults_absorbed;
-      result.degraded_frames += outcome.robustness.degraded_frames;
-      result.recovery_events += outcome.robustness.recovery_events;
-      result.recovery_gofs += outcome.robustness.recovery_gofs;
-      result.renegotiations += outcome.renegotiations;
-      result.coasted_rounds += outcome.coasted_rounds;
-      if (outcome.evicted) {
-        ++result.evictions;
-        ++result.evictions_by_class[cls];
-      }
-      if (result.denials_active) {
-        result.denied_rounds += outcome.robustness.denied_gofs;
-        result.cpu_fallback_gofs += outcome.robustness.cpu_fallback_gofs;
-      }
+    result.faults_injected += outcome.robustness.faults_injected;
+    result.faults_absorbed += outcome.robustness.faults_absorbed;
+    result.degraded_frames += outcome.robustness.degraded_frames;
+    result.recovery_events += outcome.robustness.recovery_events;
+    result.recovery_gofs += outcome.robustness.recovery_gofs;
+    result.renegotiations += outcome.renegotiations;
+    result.coasted_rounds += outcome.coasted_rounds;
+    result.denied_rounds += outcome.robustness.denied_gofs;
+    result.cpu_fallback_gofs += outcome.robustness.cpu_fallback_gofs;
+    if (outcome.evicted) {
+      ++result.evictions;
+      ++result.evictions_by_class[cls];
     }
   }
   result.mean_accuracy =

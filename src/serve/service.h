@@ -80,8 +80,6 @@ struct ServeConfig {
   // default. Results are identical for every value.
   int threads = 0;
   uint64_t service_salt = 1;
-  // Safety cap on planning rounds (a stalled queue cannot loop forever).
-  int max_rounds = 100000;
   // Optional event stream; invoked sequentially between parallel regions.
   std::function<void(const ServeEvent&)> observer;
 };

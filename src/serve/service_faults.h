@@ -40,9 +40,9 @@ struct ServiceFaultConfig {
 };
 
 // The device-wide plan: the spec's intervals (no point faults) in round
-// units, materialized over `round_horizon` rounds (the service's max_rounds
-// cap). A spec without intervals gives an inactive plan, which answers every
-// query neutrally.
+// units, materialized over `round_horizon` rounds (the service's round cap).
+// A spec without intervals gives an inactive plan, which answers every query
+// neutrally.
 FaultPlan DeviceFaultPlan(const FaultSpec& spec, uint64_t fault_seed,
                           int round_horizon);
 

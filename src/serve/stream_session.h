@@ -102,7 +102,6 @@ class StreamSession {
                 const ServiceFaultConfig* faults = nullptr);
 
   const StreamRequest& request() const { return request_; }
-  const SyntheticVideo& video() const { return video_; }
   bool done() const { return t_ >= video_.frame_count(); }
   int frames_emitted() const { return t_; }
 

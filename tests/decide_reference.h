@@ -141,7 +141,7 @@ inline SchedulerDecision DecideReference(const TrainedModels& models,
     // better.
     size_t cur = *ctx.current_branch;
     double cur_ms = FrameCostMs(models, config, ctx, light, cur, charged);
-    if (cur_ms <= slo_limit && accuracy[cur] >= best_acc - config.switch_hysteresis) {
+    if (cur_ms <= slo_limit && accuracy[cur] >= best_acc - kSwitchHysteresis) {
       best_branch = cur;
       best_acc = accuracy[cur];
     }

@@ -47,16 +47,15 @@ TEST(ContentionEstimatorTest, ClearRatioExitsBurst) {
 }
 
 TEST(ContentionEstimatorTest, LearnsTypicalBurstLength) {
-  ContentionEstimatorConfig config;
-  ContentionEstimator estimator(config);
-  EXPECT_DOUBLE_EQ(estimator.expected_burst_gofs(), config.initial_burst_gofs);
+  ContentionEstimator estimator;
+  EXPECT_DOUBLE_EQ(estimator.expected_burst_gofs(), kPriorBurstGofs);
   // A 5-GoF burst, then a clean GoF ends it.
   for (int i = 0; i < 5; ++i) {
     estimator.Observe(10.0, 15.0);
   }
   estimator.Observe(10.0, 10.0);
-  double expected = (1.0 - config.length_ewma) * config.initial_burst_gofs +
-                    config.length_ewma * 5.0;
+  double expected = (1.0 - kBurstLengthEwma) * kPriorBurstGofs +
+                    kBurstLengthEwma * 5.0;
   EXPECT_NEAR(estimator.expected_burst_gofs(), expected, 1e-12);
 }
 
@@ -71,11 +70,10 @@ TEST(ContentionEstimatorTest, ForecastsBurstEndFromLearnedLength) {
 }
 
 TEST(ContentionEstimatorTest, RatioIsClampedAtMaxScale) {
-  ContentionEstimatorConfig config;
-  ContentionEstimator estimator(config);
+  ContentionEstimator estimator;
   estimator.Observe(10.0, 10000.0);  // pathological outlier
   EXPECT_TRUE(estimator.in_burst());
-  EXPECT_LE(estimator.ForecastScale(), config.max_scale);
+  EXPECT_LE(estimator.ForecastScale(), kMaxContentionRatio);
 }
 
 TEST(ContentionEstimatorTest, NonPositiveInputsAreIgnored) {

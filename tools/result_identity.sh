@@ -63,6 +63,14 @@ cases=(
   "serve_severe|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe --fault_seed=7"
   "serve_severe_xavier|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe_xavier --fault_seed=7"
   "serve_denied_cpu|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=denied_severe --fault_seed=17 --cpu_family=1"
+  # Every rung of the pressure ladder: coasts, renegotiations and evictions
+  # of all three classes; with --cpu_family=1 also the demote rung.
+  "serve_ladder|serve_run|--streams=200 --arrival_seed=3 --interarrival=0.5 --faults=moderate --fault_seed=5"
+  "serve_ladder_cpu|serve_run|--streams=200 --arrival_seed=3 --interarrival=0.5 --faults=moderate --fault_seed=5 --cpu_family=1"
+  # A long head-of-line queue under the equal-split allocator.
+  "serve_queue_equalsplit|serve_run|--streams=40 --arrival_seed=6 --interarrival=0.2 --capacity=0.3 --max_streams=3 --allocator=equalsplit"
+  # Admission rejections: most candidates are infeasible while the GPU is denied.
+  "serve_reject_denied|serve_run|--streams=60 --arrival_seed=2 --interarrival=0.5 --faults=denied_frequent --fault_seed=2"
 )
 
 run_side() {  # run_side <base|head>
