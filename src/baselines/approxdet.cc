@@ -53,6 +53,8 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
   VideoRunStats stats;
   // Frames land in place, as in LiteReconfigProtocol::RunVideo.
   stats.frames.resize(static_cast<size_t>(video.frame_count()));
+  // Branches that ran a detector GoF; their ids are formatted once, at the end.
+  std::vector<bool> used(space.size(), false);
   GofExecutor exec = OfflineExecutor(
       video, env, HashKeys({spec.seed, env.run_salt, 0xa99de7ull}), &space);
   FaultRuntime& faults = exec.faults();
@@ -151,11 +153,16 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
                         drawn.switch_ms + outcome.penalty_ms) /
                            len +
                        kPerFrameOverheadMs;
-    stats.branches_used.insert(branch.Id());
+    used[choice] = true;
     exec.Book(gof_frame, /*coasted=*/false, forecast_planned);
     exec.TrackRemainder(t, branch, length, gof_frames);
     anchor = gof_frames;
     t += length;
+  }
+  for (size_t b = 0; b < used.size(); ++b) {
+    if (used[b]) {
+      stats.branches_used.insert(space.at(b).Id());
+    }
   }
   TakeBooks(exec, stats);
   return stats;

@@ -81,6 +81,8 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   // One cost table per stream, rebuilt in place by every decision (it keeps
   // its switch-cost row while the current branch holds).
   DecisionCostTable table;
+  // Branches that ran a detector GoF; their ids are formatted once, at the end.
+  std::vector<bool> used(space.size(), false);
   GofExecutor exec =
       OfflineExecutor(video, env, HashKeys({seed, env.run_salt, 0x117e2ull}), &space);
   FaultRuntime& faults = exec.faults();
@@ -342,7 +344,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     if (charge_overhead) {
       gof_total += decision.scheduler_cost_ms;
     }
-    stats.branches_used.insert(branch.Id());
+    used[decision.branch_index] = true;
     double observed_frame_ms = gof_total / len;
     bool missed = exec.Book(observed_frame_ms, /*coasted=*/false, forecast_planned);
     if (denied) {
@@ -433,6 +435,11 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     t += length;
   }
   stats.phases.switch_row_reuses += table.switch_row_reuses();
+  for (size_t b = 0; b < used.size(); ++b) {
+    if (used[b]) {
+      stats.branches_used.insert(space.at(b).Id());
+    }
+  }
   TakeBooks(exec, stats);
   if (now != nullptr) {
     stats.phases.run_us += now() - run_t0;

@@ -43,7 +43,7 @@ struct PhaseProfile {
   double track_us = 0.0;       // tracker simulation
   double defer_join_us = 0.0;  // always 0; perfbench reads it
   double eval_us = 0.0;        // per-video AP matching, frame by frame (runner)
-  double merge_us = 0.0;       // video-order record append + mAP and stats (runner)
+  double merge_us = 0.0;       // video-order stats merge + per-class mAP tasks (runner)
   double run_us = 0.0;         // whole RunVideo wall time
 
   long gofs = 0;

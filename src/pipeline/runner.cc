@@ -66,7 +66,8 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
   // Merge in video order — bitwise identical to a sequential walk.
   EvalResult result;
   ScopedPhase merge_phase(config.now_us, &result.phases.merge_us);
-  ApEvaluator evaluator;
+  std::vector<const ApEvaluator*> evals;
+  evals.reserve(per_video.size());
   std::set<std::string> branches;
   double detector_ms = 0.0;
   double tracker_ms = 0.0;
@@ -85,7 +86,7 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
       result.oom = true;
       return result;
     }
-    evaluator.Merge(per_video[v].eval);
+    evals.push_back(&per_video[v].eval);
     result.phases.Merge(stats.phases);
     result.frames += per_video[v].frame_count;
     result.gof_frame_ms.insert(result.gof_frame_ms.end(), stats.gof_frame_ms.begin(),
@@ -113,7 +114,7 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
       recovery_events > 0
           ? static_cast<double>(recovery_gofs) / static_cast<double>(recovery_events)
           : 0.0;
-  result.map = evaluator.MeanAveragePrecision();
+  result.map = ApEvaluator::MergedMeanAveragePrecision(evals, threads);
   result.mean_ms = Mean(result.gof_frame_ms);
   result.p95_ms = Percentile(result.gof_frame_ms, 0.95);
   size_t violations = 0;

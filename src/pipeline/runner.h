@@ -19,9 +19,9 @@ struct EvalConfig {
   double gpu_contention = 0.0;
   double slo_ms = 33.3;
   uint64_t run_salt = 1;
-  // Worker threads for the per-video fan-out; <= 0 resolves to the process
-  // default (see src/util/thread_pool.h). Results are identical for every
-  // value: videos are evaluated independently and merged in video order.
+  // Worker threads for the per-video fan-out and the per-class mAP tasks; <= 0
+  // resolves to the process default (see src/util/thread_pool.h). Results are
+  // identical for every value: videos and class records merge in video order.
   int threads = 0;
   // Deterministic fault injection (src/platform/faults.h): the default spec is
   // empty (no faults). Identical (faults, fault_seed) pairs produce identical

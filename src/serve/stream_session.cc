@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "src/features/light.h"
-#include "src/sched/cost_table.h"
 
 namespace litereconfig {
 
@@ -275,7 +274,7 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
     ctx.cpu_cal = conditions.thermal_scale;
     ctx.budget_ms = conditions.budget_ms;
     ctx.gpu_available = !mask_gpu;
-    decision = scheduler_.Decide(ctx);
+    decision = scheduler_.Decide(ctx, table_);
   }
   report.infeasible = decision.infeasible;
   if (decision.infeasible) {

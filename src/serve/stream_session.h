@@ -28,6 +28,7 @@
 #include "src/platform/switching.h"
 #include "src/runtime/gof_executor.h"
 #include "src/sched/branch_menu.h"
+#include "src/sched/cost_table.h"
 #include "src/sched/scheduler.h"
 #include "src/serve/arrivals.h"
 #include "src/serve/service_faults.h"
@@ -196,6 +197,9 @@ class StreamSession {
 
   const TrainedModels* models_;
   LiteReconfigScheduler scheduler_;
+  // Rebuilt in place by every scheduler pass; keeps its switch-cost row while
+  // the current branch holds.
+  DecisionCostTable table_;
   StreamRequest request_;
   SyntheticVideo video_;
   // The stream's executor, declared after video_, which it references. Its

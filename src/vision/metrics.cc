@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "src/util/thread_pool.h"
+
 namespace litereconfig {
 
 ApEvaluator::ApEvaluator(double iou_threshold) : iou_threshold_(iou_threshold) {}
@@ -61,21 +63,24 @@ double ApEvaluator::AveragePrecision(int class_id) const {
   if (it == classes_.end() || it->second.total_ground_truth == 0) {
     return 0.0;
   }
-  const ClassData& data = it->second;
-  std::vector<MatchedDetection> dets = data.detections;
-  std::stable_sort(dets.begin(), dets.end(),
+  return RankedAveragePrecision(it->second.detections, it->second.total_ground_truth);
+}
+
+double ApEvaluator::RankedAveragePrecision(std::vector<MatchedDetection> records,
+                                           size_t total_ground_truth) {
+  std::stable_sort(records.begin(), records.end(),
                    [](const MatchedDetection& a, const MatchedDetection& b) {
                      return a.score > b.score;
                    });
   // Precision-recall curve with the interpolated (monotone envelope) AP.
-  double total_gt = static_cast<double>(data.total_ground_truth);
+  double total_gt = static_cast<double>(total_ground_truth);
   std::vector<double> precision;
   std::vector<double> recall;
-  precision.reserve(dets.size());
-  recall.reserve(dets.size());
+  precision.reserve(records.size());
+  recall.reserve(records.size());
   double tp = 0.0;
   double fp = 0.0;
-  for (const MatchedDetection& det : dets) {
+  for (const MatchedDetection& det : records) {
     if (det.true_positive) {
       tp += 1.0;
     } else {
@@ -103,6 +108,49 @@ double ApEvaluator::MeanAveragePrecision() const {
   double sum = 0.0;
   for (int class_id : classes) {
     sum += AveragePrecision(class_id);
+  }
+  return classes.empty() ? 0.0 : sum / static_cast<double>(classes.size());
+}
+
+double ApEvaluator::MergedMeanAveragePrecision(
+    std::span<const ApEvaluator* const> parts, int threads) {
+  // What Merge would append per class, as runs in part order.
+  struct ClassRuns {
+    std::vector<const std::vector<MatchedDetection>*> runs;
+    size_t records = 0;
+    size_t total_ground_truth = 0;
+  };
+  std::map<int, ClassRuns> joined;
+  for (const ApEvaluator* part : parts) {
+    assert(part->iou_threshold_ == parts.front()->iou_threshold_);
+    for (const auto& [class_id, data] : part->classes_) {
+      ClassRuns& cls = joined[class_id];
+      cls.runs.push_back(&data.detections);
+      cls.records += data.detections.size();
+      cls.total_ground_truth += data.total_ground_truth;
+    }
+  }
+  std::vector<const ClassRuns*> classes;  // GroundTruthClasses() order
+  for (const auto& [class_id, cls] : joined) {
+    if (cls.total_ground_truth > 0) {
+      classes.push_back(&cls);
+    }
+  }
+  std::vector<double> ap(classes.size());
+  ThreadPool::Shared().ParallelFor(
+      classes.size(),
+      [&](size_t c) {
+        std::vector<MatchedDetection> records;
+        records.reserve(classes[c]->records);
+        for (const std::vector<MatchedDetection>* run : classes[c]->runs) {
+          records.insert(records.end(), run->begin(), run->end());
+        }
+        ap[c] = RankedAveragePrecision(std::move(records), classes[c]->total_ground_truth);
+      },
+      threads);
+  double sum = 0.0;
+  for (double class_ap : ap) {
+    sum += class_ap;
   }
   return classes.empty() ? 0.0 : sum / static_cast<double>(classes.size());
 }

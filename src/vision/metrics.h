@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/vision/box.h"
@@ -43,6 +44,14 @@ class ApEvaluator {
   // Classes observed in the ground truth so far.
   std::vector<int> GroundTruthClasses() const;
 
+  // Bit for bit what Merge-ing `parts` in order into an empty evaluator and
+  // calling MeanAveragePrecision() returns, without building that evaluator:
+  // each class joins its records from the parts in part order and is ranked
+  // in its own ThreadPool::Shared() task, up to `threads` at a time. The APs
+  // are summed in class order. All parts must use the same IoU threshold.
+  static double MergedMeanAveragePrecision(std::span<const ApEvaluator* const> parts,
+                                           int threads);
+
   size_t frame_count() const { return frame_count_; }
 
  private:
@@ -55,6 +64,10 @@ class ApEvaluator {
     std::vector<MatchedDetection> detections;
     size_t total_ground_truth = 0;
   };
+
+  // AP of one class's records, in frame order, given its positive GT count.
+  static double RankedAveragePrecision(std::vector<MatchedDetection> records,
+                                       size_t total_ground_truth);
 
   double iou_threshold_;
   size_t frame_count_ = 0;

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "src/util/rng.h"
 #include "src/vision/box.h"
@@ -266,9 +267,11 @@ TEST(ApEvaluatorTest, RandomizedMatchesGlobalReference) {
     ReferenceApEvaluator reference;
     ApEvaluator merged;
     ApEvaluator video;
+    std::vector<ApEvaluator> parts;
     for (uint32_t frames = rng.UniformInt(30); frames > 0; --frames) {
       if (rng.UniformInt(6) == 0) {
         merged.Merge(video);
+        parts.push_back(video);
         video = ApEvaluator();
       }
       auto [truth, dets] = RandomFrame(rng.NextU32());
@@ -276,6 +279,7 @@ TEST(ApEvaluatorTest, RandomizedMatchesGlobalReference) {
       video.AddFrame(truth, dets);
     }
     merged.Merge(video);
+    parts.push_back(video);
 
     EXPECT_EQ(merged.frame_count(), reference.frame_count());
     EXPECT_EQ(merged.GroundTruthClasses(), reference.GroundTruthClasses());
@@ -284,6 +288,30 @@ TEST(ApEvaluatorTest, RandomizedMatchesGlobalReference) {
           << "class " << class_id;
     }
     EXPECT_EQ(merged.MeanAveragePrecision(), reference.MeanAveragePrecision());
+    std::vector<const ApEvaluator*> part_ptrs;
+    for (const ApEvaluator& part : parts) {
+      part_ptrs.push_back(&part);
+    }
+    for (int threads : {1, 2, 4, 8}) {
+      EXPECT_EQ(ApEvaluator::MergedMeanAveragePrecision(part_ptrs, threads),
+                reference.MeanAveragePrecision())
+          << "threads " << threads;
+    }
+  }
+}
+
+// With no ground truth there is no class to average: no parts, or parts whose
+// only class never appears in the ground truth, give 0.
+TEST(ApEvaluatorTest, MergedMeanAveragePrecisionWithoutGroundTruthIsZero) {
+  EXPECT_EQ(ApEvaluator::MergedMeanAveragePrecision({}, 4), 0.0);
+  ApEvaluator first;
+  ApEvaluator second;
+  first.AddFrame({}, {Det(0, 0, 10, 10, kDetectionOnlyClass, 0.9)});
+  second.AddFrame({}, {});
+  second.AddFrame({}, {Det(5, 5, 10, 10, kDetectionOnlyClass, 0.4)});
+  std::vector<const ApEvaluator*> parts = {&first, &second};
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(ApEvaluator::MergedMeanAveragePrecision(parts, threads), 0.0);
   }
 }
 
