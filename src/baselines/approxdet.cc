@@ -118,9 +118,9 @@ VideoRunStats ApproxDetProtocol::RunVideo(const SyntheticVideo& video,
     FaultRuntime::DetectorOutcome outcome = faults.ResolveDetector(t, det_mean, t > 0);
     if (outcome.coast) {
       // Coast mode (see LiteReconfigProtocol): the detector is down, extend
-      // tracking from the last emitted outputs.
-      const Branch& coast_branch =
-          exec.current().has_value() ? space.at(*exec.current()) : branch;
+      // tracking from the last emitted outputs. A coast needs t > 0, and the
+      // first GoF always runs a detector, so a branch is current.
+      const Branch& coast_branch = space.at(*exec.current());
       int length = std::min(coast_branch.has_tracker ? coast_branch.gof : branch.gof,
                             video.frame_count() - t);
       exec.Track(t, length, CoastTracker(coast_branch),

@@ -50,7 +50,7 @@ ClsTrainedModels ClsTrainer::Train(const ClsTrainConfig& config, DeviceType devi
   std::vector<Row> rows;
   for (const SyntheticVideo& video : train.videos) {
     for (int start = 0; start + kClsWindowFrames <= video.frame_count();
-         start += config.window_stride) {
+         start += kClsWindowFrames) {
       int label = ClipLabel(video, start);
       if (label < 0) {
         continue;

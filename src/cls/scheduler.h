@@ -30,7 +30,6 @@ struct ClsTrainedModels {
 struct ClsTrainConfig {
   DatasetSpec train_spec{/*base_seed=*/77, /*num_videos=*/40,
                          /*frames_per_video=*/96};
-  int window_stride = kClsWindowFrames;
   // Independent kernel runs averaged into each correctness label.
   int label_salts = 4;
   size_t hidden_width = 48;

@@ -270,8 +270,9 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
     if (outcome.coast) {
       // Coast mode: the detector is down (or the capture dropped); extend
       // tracking from the last emitted outputs and mark the frames degraded.
-      const Branch& coast_branch =
-          exec.current().has_value() ? space.at(*exec.current()) : branch;
+      // Every coast needs have_frames, and the first GoF always runs a
+      // detector, so a branch is current.
+      const Branch& coast_branch = space.at(*exec.current());
       int length = std::min(coast_branch.has_tracker ? coast_branch.gof : branch.gof,
                             video.frame_count() - t);
       if (denied && has_cpu_family) {

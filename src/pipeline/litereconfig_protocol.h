@@ -28,8 +28,6 @@ class LiteReconfigProtocol : public Protocol {
   // to the call, seeded from the video seed and run salt.
   VideoRunStats RunVideo(const SyntheticVideo& video, const RunEnv& env) override;
 
-  const LiteReconfigScheduler& scheduler() const { return scheduler_; }
-
   // Optional decision tracing; the writer must outlive the protocol's runs.
   void set_trace_writer(TraceWriter* writer) { trace_ = writer; }
 

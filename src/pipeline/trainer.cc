@@ -23,6 +23,10 @@ namespace {
 // object statistics, CPoP logits) on a training snippet's first frame.
 constexpr DetectorConfig kReferenceDetector{448, 100};
 
+// Seeds the kernel runs behind the accuracy labels and the Ben(F) holdout
+// evaluations; part of the model-cache fingerprint.
+constexpr uint64_t kLabelSalt = 0x7abe1ull;
+
 }  // namespace
 
 TrainConfig TrainConfig::Tiny() {
@@ -45,7 +49,7 @@ uint64_t TrainConfig::Fingerprint() const {
                    static_cast<uint64_t>(max_snippets),
                    static_cast<uint64_t>(hidden_width), static_cast<uint64_t>(epochs),
                    static_cast<uint64_t>(device),
-                   static_cast<uint64_t>(holdout_fraction * 1000.0), label_salt,
+                   static_cast<uint64_t>(holdout_fraction * 1000.0), kLabelSalt,
                    // v4: per-video contention calibration changed the Ben
                    // tabulation, so older cached bundles are stale.
                    /*format version=*/4ull});
@@ -77,15 +81,15 @@ std::vector<SnippetData> OfflineTrainer::BuildSnippetData(const TrainConfig& con
     row.labels.reserve(space.size());
     for (const Branch& branch : space.branches()) {
       double a = ExecutionKernel::SnippetAccuracy(
-          *snippet.video, snippet.start, snippet.length, branch, config.label_salt);
+          *snippet.video, snippet.start, snippet.length, branch, kLabelSalt);
       double b = ExecutionKernel::SnippetAccuracy(*snippet.video, snippet.start,
                                                   snippet.length, branch,
-                                                  config.label_salt + 1);
+                                                  kLabelSalt + 1);
       row.labels.push_back(0.5 * (a + b));
     }
     // All scheduler features from the snippet's first frame.
     DetectionList anchor = FasterRcnnSim::Detect(*snippet.video, snippet.start,
-                                                 kReferenceDetector, config.label_salt);
+                                                 kReferenceDetector, kLabelSalt);
     row.features.resize(kNumFeatureKinds);
     for (int k = 0; k < kNumFeatureKinds; ++k) {
       row.features[static_cast<size_t>(k)] = ExtractFeature(
@@ -188,7 +192,7 @@ TrainedModels OfflineTrainer::Train(const TrainConfig& config,
     EvalConfig eval;
     eval.device = config.device;
     eval.slo_ms = slo_ms;
-    eval.run_salt = HashKeys({config.label_salt, 0xbe4ull});
+    eval.run_salt = HashKeys({kLabelSalt, 0xbe4ull});
     return OnlineRunner::Run(protocol, ben_holdout, eval).map;
   };
   // Every (bucket, scheduler-config) holdout evaluation is independent; flatten

@@ -36,7 +36,6 @@ struct TrainConfig {
   // snippets never enter predictor training). The tabulation is an end-to-end
   // measurement, so it needs a substantial slice to be reliable.
   double holdout_fraction = 0.25;
-  uint64_t label_salt = 0x7abe1ull;
 
   // A down-scaled configuration for unit tests.
   static TrainConfig Tiny();

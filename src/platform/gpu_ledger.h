@@ -4,7 +4,8 @@
 // every stream posts the GPU share its current branch occupies (detector time
 // per frame interval), and the contention level any one stream experiences is
 // the sum of the *other* streams' shares — the endogenous replacement for the
-// simulated ContentionGenerator level (see LatencyModel::SetEndogenousContention).
+// simulated ContentionGenerator level (StreamSession::StepGof posts it to the
+// stream's LatencyModel each round).
 //
 // Concurrency contract: the serving round loop writes shares sequentially
 // between rounds and only reads them (via snapshots) while per-stream work is

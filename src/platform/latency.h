@@ -28,26 +28,10 @@ class LatencyModel {
 
   DeviceType device() const { return device_; }
   const ContentionGenerator& contention() const { return contention_; }
-  // Simulated contention (the paper's contention generator, fault bursts).
-  // Ignored while endogenous contention is engaged: in serving mode the
-  // co-located streams *are* the contention, and stacking a simulated level on
-  // top would double-count the same GPU pressure.
-  void set_contention_level(double level) {
-    if (endogenous_) {
-      return;
-    }
-    contention_.set_level(level);
-  }
-
-  // Serving mode: engages endogenous contention sourced from the co-located
-  // streams' GPU shares (src/platform/gpu_ledger.h) and sets the level. From
-  // this point on, simulated set_contention_level calls are ignored rather
-  // than double-counted; the level is whatever the serving layer posts here.
-  void SetEndogenousContention(double level) {
-    endogenous_ = true;
-    contention_.set_level(level);
-  }
-  bool endogenous_contention() const { return endogenous_; }
+  // GPU contention level: the paper's contention generator plus fault bursts
+  // offline; in serving, the co-located streams' shares
+  // (src/platform/gpu_ledger.h) plus device-wide bursts.
+  void set_contention_level(double level) { contention_.set_level(level); }
 
   // Multiplicative thermal-throttling factor (>= 1.0). Unlike GPU contention,
   // DVFS throttling slows the whole SoC, so it scales CPU kernels too.
@@ -84,9 +68,6 @@ class LatencyModel {
   DeviceType device_;
   ContentionGenerator contention_;
   double thermal_scale_ = 1.0;
-  // Serving mode marker: the contention level is owned by the serving layer
-  // (endogenous), and simulated writes are dropped.
-  bool endogenous_ = false;
 };
 
 }  // namespace litereconfig

@@ -35,15 +35,6 @@ LiteReconfigScheduler::LiteReconfigScheduler(const TrainedModels* models,
   assert(models_ != nullptr && models_->space != nullptr);
 }
 
-std::vector<FeatureKind> LiteReconfigScheduler::SelectFeatures(
-    const std::vector<double>& light, const std::vector<double>& light_pred,
-    const DecisionContext& ctx) const {
-  DecisionCostTable table = DecisionCostTable::Build(*models_, config_, ctx, light);
-  return SelectFeatures(light_pred, ctx, [&table](size_t b, double sched_ms) {
-    return table.Feasible(b, sched_ms);
-  });
-}
-
 std::vector<double> LiteReconfigScheduler::PredictAccuracy(
     const std::vector<FeatureKind>& heavy, const std::vector<double>& light,
     const std::vector<double>& light_pred, const DecisionContext& ctx) const {

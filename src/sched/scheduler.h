@@ -160,14 +160,10 @@ class LiteReconfigScheduler {
   SchedulerDecision Decide(const DecisionContext& ctx,
                            DecisionCostTable& table) const;
 
-  // Greedy cost-benefit feature selection (Eq. 4) over a table built for
-  // `ctx`. Public so the perf harness can time the selection stage alone.
-  std::vector<FeatureKind> SelectFeatures(const std::vector<double>& light,
-                                          const std::vector<double>& light_pred,
-                                          const DecisionContext& ctx) const;
-  // The greedy loop itself. `feasible(branch, sched_ms)` says whether a branch
-  // meets the SLO when the decision charges `sched_ms` of scheduler cost; the
-  // product passes DecisionCostTable::Feasible.
+  // Greedy cost-benefit feature selection (Eq. 4). `feasible(branch,
+  // sched_ms)` says whether a branch meets the SLO when the decision charges
+  // `sched_ms` of scheduler cost; the product passes
+  // DecisionCostTable::Feasible.
   template <typename FeasibleFn>
   std::vector<FeatureKind> SelectFeatures(const std::vector<double>& light_pred,
                                           const DecisionContext& ctx,

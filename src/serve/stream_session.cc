@@ -29,14 +29,6 @@ FaultRuntime MakeSessionFaults(const ServiceFaultConfig* faults,
   return runtime;
 }
 
-// Serving mode from the start: the co-located streams are the contention;
-// any simulated contention write from here on is dropped, not stacked.
-LatencyModel ServingPlatform(DeviceType device) {
-  LatencyModel platform(device, 0.0);
-  platform.SetEndogenousContention(0.0);
-  return platform;
-}
-
 }  // namespace
 
 StreamSession::StreamSession(const TrainedModels* models,
@@ -49,7 +41,7 @@ StreamSession::StreamSession(const TrainedModels* models,
       scheduler_(models, config),
       request_(request),
       video_(SyntheticVideo::Generate(request.video)),
-      exec_(video_, ServingPlatform(models->device),
+      exec_(video_, LatencyModel(models->device, 0.0),
             MakeSessionFaults(faults, request, video_.frame_count(),
                               1000.0 / request.video.fps),
             HashKeys({request.video.seed, service_salt, 0x5e55ull}),
@@ -115,9 +107,8 @@ double StreamSession::CheapestFrameMs(double level, double thermal_scale,
 }
 
 double StreamSession::CoastFrameMs(double thermal_scale) const {
-  TrackerConfig tracker = exec_.current().has_value()
-                              ? CoastTracker(models_->space->at(*exec_.current()))
-                              : kDefaultCoastTracker;
+  // Only streams that CanCoast() are priced, so a branch is current.
+  TrackerConfig tracker = CoastTracker(models_->space->at(*exec_.current()));
   LatencyModel probe(models_->device, 0.0);
   probe.set_thermal_scale(thermal_scale);
   return probe.TrackerMs(tracker, std::max(CountConfident(last_frame_), 1));
@@ -198,10 +189,11 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
   FaultRuntime& faults = exec_.faults();
   size_t fault_mark = faults.accounting().failures.size();
   exec_.BeginGof(t_);
-  // The round's frozen device state, set after BeginGof so it overrides the
-  // interval-free per-stream plan.
+  // The round's frozen device state. It must be set after BeginGof, which
+  // writes the level and thermal scale of the session's own plan (no
+  // intervals) whenever the session has faults.
   LatencyModel& platform = exec_.platform();
-  platform.SetEndogenousContention(conditions.level);
+  platform.set_contention_level(conditions.level);
   platform.set_thermal_scale(conditions.thermal_scale);
   double gpu_cal = AnalyticGpuCal(conditions.level) * conditions.thermal_scale;
   const BranchSpace& space = *models_->space;
@@ -229,11 +221,11 @@ GofReport StreamSession::StepGof(const StepConditions& conditions) {
   }
 
   // A coasted round: one tracker-only GoF on the current branch from the
-  // last emitted outputs, its frames marked degraded.
+  // last emitted outputs, its frames marked degraded. Every branch's GoF is
+  // at least 1 frame.
   auto coast = [&](double penalty_ms) {
     TrackGof(report,
-             std::min(std::max(space.at(*exec_.current()).gof, 1),
-                      video_.frame_count() - t_),
+             std::min(space.at(*exec_.current()).gof, video_.frame_count() - t_),
              penalty_ms);
     FinishGof(report, fault_mark, /*coasted=*/true, device_denied);
   };

@@ -203,9 +203,9 @@ class StreamSession {
   StreamRequest request_;
   SyntheticVideo video_;
   // The stream's executor, declared after video_, which it references. Its
-  // platform has endogenous contention engaged, so simulated contention
-  // writes cannot double-count (see LatencyModel); the service records
-  // device-wide intervals into its fault runtime via StepConditions.
+  // platform's contention level is the round's StepConditions level, written
+  // after every BeginGof; the service records device-wide intervals into its
+  // fault runtime via StepConditions.
   GofExecutor exec_;
   // The frames of the GoF in progress, reused across GoFs: a stream's output
   // goes straight into the AP accumulation and is not kept.

@@ -25,7 +25,6 @@ class LR_CAPABILITY("mutex") Mutex {
 
   void Lock() LR_ACQUIRE() { mu_.lock(); }
   void Unlock() LR_RELEASE() { mu_.unlock(); }
-  bool TryLock() LR_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

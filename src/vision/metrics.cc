@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "src/util/thread_pool.h"
 
@@ -163,20 +162,6 @@ std::vector<int> ApEvaluator::GroundTruthClasses() const {
     }
   }
   return out;
-}
-
-double MeanAveragePrecision(const std::vector<GroundTruthList>& ground_truth,
-                            const std::vector<DetectionList>& detections,
-                            double iou_threshold) {
-  if (ground_truth.size() != detections.size()) {
-    throw std::invalid_argument(
-        "MeanAveragePrecision: ground truth and detections differ in frame count");
-  }
-  ApEvaluator eval(iou_threshold);
-  for (size_t i = 0; i < ground_truth.size(); ++i) {
-    eval.AddFrame(ground_truth[i], detections[i]);
-  }
-  return eval.MeanAveragePrecision();
 }
 
 }  // namespace litereconfig

@@ -77,11 +77,6 @@ class ApEvaluator {
   std::vector<bool> claimed_;
 };
 
-// Single-shot mAP of equal-length frame sequences (else std::invalid_argument).
-double MeanAveragePrecision(const std::vector<GroundTruthList>& ground_truth,
-                            const std::vector<DetectionList>& detections,
-                            double iou_threshold = 0.5);
-
 }  // namespace litereconfig
 
 #endif  // SRC_VISION_METRICS_H_

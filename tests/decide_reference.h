@@ -1,4 +1,4 @@
-// Reference scheduler for tests and the perf-smoke floor: every feasibility
+// Reference scheduler for tests and bench_perf's floor: every feasibility
 // probe re-runs the latency predictor for one branch.
 //
 // FrameCostMs prices one branch with its own latency-predictor pass, and

@@ -1,4 +1,4 @@
-// Reference dense layer and MLP forward for tests and the perf-smoke floor:
+// Reference dense layer and MLP forward for tests and bench_perf's floor:
 // one running sum per output row.
 //
 // Each output is its bias (+0.0 without one), then += w[o][i] * a[i] for

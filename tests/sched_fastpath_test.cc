@@ -230,7 +230,11 @@ TEST(SchedFastPathTest, SelectFeaturesMatchesReference) {
       ctx.current_branch = rng.NextU32() % models.space->size();
     }
 
-    std::vector<FeatureKind> fast = scheduler.SelectFeatures(light, light_pred, ctx);
+    DecisionCostTable table =
+        DecisionCostTable::Build(models, SchedulerConfig{}, ctx, light);
+    std::vector<FeatureKind> fast = scheduler.SelectFeatures(
+        light_pred, ctx,
+        [&table](size_t b, double sched_ms) { return table.Feasible(b, sched_ms); });
     std::vector<FeatureKind> reference =
         SelectFeaturesReference(models, SchedulerConfig{}, light, light_pred, ctx);
     ASSERT_EQ(fast.size(), reference.size()) << "trial " << trial;

@@ -288,6 +288,38 @@ TEST(ServeFaultsTest, NonDenialSchedulesEmitNoDenialFields) {
   EXPECT_EQ(json.find("\"cpu_fallback_gofs\""), std::string::npos);
 }
 
+// --- A faulted session runs at the round's level ---
+
+TEST(ServeFaultsTest, FaultedSessionRunsAtTheRoundLevel) {
+  // GpuDenied() holds denials only, so the session's own plan is empty, but
+  // its fault runtime is engaged and every BeginGof writes that plan's level
+  // (0). The round's level is written after BeginGof and must be the one the
+  // GoF is decided and charged at, as for a session without faults.
+  const TrainedModels& models = TinyModels();
+  SwitchingCostModel switching(models.device);
+  StreamRequest request;
+  request.video.seed = 23;
+  request.video.frame_count = 60;
+  ServiceFaultConfig denials;
+  denials.spec = FaultSpec::GpuDenied();
+  StreamSession plain(&models, SchedulerConfig{}, request, &switching, 1);
+  StreamSession faulted(&models, SchedulerConfig{}, request, &switching, 1,
+                        &denials);
+  StreamSession idle(&models, SchedulerConfig{}, request, &switching, 1);
+  bool differs = false;
+  for (int gof = 0; !plain.done(); ++gof) {
+    GofReport a = plain.StepGof(/*level=*/0.5, /*budget_ms=*/0.0);
+    GofReport b = faulted.StepGof(/*level=*/0.5, /*budget_ms=*/0.0);
+    GofReport c = idle.StepGof(/*level=*/0.0, /*budget_ms=*/0.0);
+    EXPECT_EQ(a.branch, b.branch) << "gof " << gof;
+    EXPECT_EQ(a.gof_length, b.gof_length) << "gof " << gof;
+    EXPECT_EQ(a.frame_ms, b.frame_ms) << "gof " << gof;
+    differs = differs || a.branch != c.branch || a.frame_ms != c.frame_ms;
+  }
+  EXPECT_TRUE(faulted.done());
+  EXPECT_TRUE(differs) << "levels 0.5 and 0 stepped the stream identically";
+}
+
 // --- The fault path is inert when disabled ---
 
 TEST(ServeFaultsTest, NoFaultRunIsBitIdenticalToTheFaultFreeService) {

@@ -1,5 +1,4 @@
-// The multi-tenant serving layer's contracts: endogenous contention replaces
-// (never stacks on) the simulated generator, the GPU-share ledger prices
+// The multi-tenant serving layer's contracts: the GPU-share ledger prices
 // co-located streams correctly, admission control handles the capacity and
 // saturation edges, the cost-benefit allocator never does worse than its
 // equal-split seeding, and the whole service is bit-identical at any thread
@@ -14,7 +13,6 @@
 #include "src/mbek/kernel.h"
 #include "src/serve/serve_runner.h"
 #include "src/platform/gpu_ledger.h"
-#include "src/platform/latency.h"
 #include "src/sched/branch_menu.h"
 #include "src/sched/scheduler.h"
 #include "src/serve/admission.h"
@@ -27,40 +25,6 @@
 
 namespace litereconfig {
 namespace {
-
-// --- Endogenous contention exclusivity (the double-count fix) ---
-
-TEST(ServeContentionTest, SimulatedLevelsIgnoredOnceEndogenous) {
-  // Simulated mode: set_contention_level works as before.
-  LatencyModel simulated(DeviceType::kTx2, 0.0);
-  simulated.set_contention_level(0.5);
-  EXPECT_FALSE(simulated.endogenous_contention());
-  EXPECT_DOUBLE_EQ(simulated.contention().level(), 0.5);
-
-  // Serving mode: the endogenous level sticks; simulated pokes are no-ops.
-  LatencyModel serving(DeviceType::kTx2, 0.0);
-  serving.SetEndogenousContention(0.3);
-  EXPECT_TRUE(serving.endogenous_contention());
-  EXPECT_DOUBLE_EQ(serving.contention().level(), 0.3);
-  serving.set_contention_level(0.8);
-  EXPECT_DOUBLE_EQ(serving.contention().level(), 0.3);
-  // The serving layer itself can still move the level between rounds.
-  serving.SetEndogenousContention(0.6);
-  EXPECT_DOUBLE_EQ(serving.contention().level(), 0.6);
-}
-
-TEST(ServeContentionTest, EndogenousLevelIsNotDoubleCounted) {
-  // A serving-mode model that received a (ignored) simulated level must
-  // predict the same latency as a plain model at the endogenous level alone.
-  DetectorConfig det;
-  det.shape = 320;
-  det.nprop = 10;
-  LatencyModel serving(DeviceType::kTx2, 0.0);
-  serving.SetEndogenousContention(0.4);
-  serving.set_contention_level(0.9);  // must be ignored, not stacked
-  LatencyModel reference(DeviceType::kTx2, 0.4);
-  EXPECT_EQ(serving.DetectorMs(det), reference.DetectorMs(det));
-}
 
 // --- GPU-share ledger ---
 

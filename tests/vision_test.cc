@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -189,19 +188,6 @@ TEST(ApEvaluatorTest, ApForUnknownClassIsZero) {
   ApEvaluator eval;
   EXPECT_DOUBLE_EQ(eval.AveragePrecision(17), 0.0);
   EXPECT_DOUBLE_EQ(eval.MeanAveragePrecision(), 0.0);
-}
-
-TEST(MeanAveragePrecisionTest, ConvenienceMatchesEvaluator) {
-  std::vector<GroundTruthList> gts = {OneGt(0, 0, 10, 10, 2)};
-  std::vector<DetectionList> dets = {{Det(0, 0, 10, 10, 2, 0.8)}};
-  EXPECT_DOUBLE_EQ(MeanAveragePrecision(gts, dets), 1.0);
-}
-
-TEST(MeanAveragePrecisionTest, MismatchedFrameCountsThrow) {
-  std::vector<GroundTruthList> gts = {OneGt(0, 0, 10, 10, 2), OneGt(0, 0, 10, 10, 2)};
-  std::vector<DetectionList> dets = {{Det(0, 0, 10, 10, 2, 0.8)}};
-  EXPECT_THROW(MeanAveragePrecision(gts, dets), std::invalid_argument);
-  EXPECT_THROW(MeanAveragePrecision({}, dets), std::invalid_argument);
 }
 
 // Class 9 only ever appears in detections.
