@@ -117,6 +117,7 @@ double ExecutionKernel::SnippetAccuracy(const SyntheticVideo& video, int start,
                                         uint64_t run_salt,
                                         const DetectorQuality& quality) {
   ApEvaluator eval;
+  GroundTruthList truth;
   int end = std::min(video.frame_count(), start + length);
   int t = start;
   while (t < end) {
@@ -126,7 +127,8 @@ double ExecutionKernel::SnippetAccuracy(const SyntheticVideo& video, int start,
     }
     for (size_t i = 0; i < gof.frames.size() && t + static_cast<int>(i) < end; ++i) {
       int frame_idx = t + static_cast<int>(i);
-      eval.AddFrame(video.frame(frame_idx).VisibleGroundTruth(), gof.frames[i]);
+      video.frame(frame_idx).VisibleGroundTruth(truth);
+      eval.AddFrame(truth, gof.frames[i]);
     }
     t += static_cast<int>(gof.frames.size());
   }

@@ -52,9 +52,10 @@ EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,
           return;
         }
         ScopedPhase eval_phase(env.now_us, &pv.stats.phases.eval_us);
+        GroundTruthList truth;
         for (size_t t = 0; t < pv.stats.frames.size(); ++t) {
-          pv.eval.AddFrame(videos[i].frame(static_cast<int>(t)).VisibleGroundTruth(),
-                           pv.stats.frames[t]);
+          videos[i].frame(static_cast<int>(t)).VisibleGroundTruth(truth);
+          pv.eval.AddFrame(truth, pv.stats.frames[t]);
         }
         // The merge reads only the count: free every detection list now
         // rather than keep all videos' lists alive until it runs.

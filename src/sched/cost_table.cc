@@ -5,20 +5,6 @@
 
 namespace litereconfig {
 
-size_t CheapestBranchIndex(size_t branch_count,
-                           const std::function<double(size_t)>& cost_ms) {
-  size_t cheapest = 0;
-  double cheapest_ms = std::numeric_limits<double>::infinity();
-  for (size_t b = 0; b < branch_count; ++b) {
-    double ms = cost_ms(b);
-    if (ms < cheapest_ms) {
-      cheapest_ms = ms;
-      cheapest = b;
-    }
-  }
-  return cheapest;
-}
-
 DecisionCostTable DecisionCostTable::Build(const TrainedModels& models,
                                            const SchedulerConfig& config,
                                            const DecisionContext& ctx,

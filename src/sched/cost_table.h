@@ -22,7 +22,7 @@
 #define SRC_SCHED_COST_TABLE_H_
 
 #include <cstddef>
-#include <functional>
+#include <limits>
 #include <vector>
 
 #include "src/sched/scheduler.h"
@@ -33,9 +33,21 @@ namespace litereconfig {
 // cheapest-branch scan. Scans in index order with a strict '<' update, so the
 // first minimum wins ties — the tie rule every consumer (the scheduler's
 // degradation target, the watchdog-fallback ranking) relies on. Returns 0 for
-// an empty range.
-size_t CheapestBranchIndex(size_t branch_count,
-                           const std::function<double(size_t)>& cost_ms);
+// an empty range. A template, so the cost callable inlines into the scan:
+// DecisionCostTable::Cheapest runs it once per branch on every decision.
+template <typename CostFn>
+size_t CheapestBranchIndex(size_t branch_count, CostFn&& cost_ms) {
+  size_t cheapest = 0;
+  double cheapest_ms = std::numeric_limits<double>::infinity();
+  for (size_t b = 0; b < branch_count; ++b) {
+    double ms = cost_ms(b);
+    if (ms < cheapest_ms) {
+      cheapest_ms = ms;
+      cheapest = b;
+    }
+  }
+  return cheapest;
+}
 
 class DecisionCostTable {
  public:

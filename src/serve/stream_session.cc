@@ -132,7 +132,8 @@ void StreamSession::RecordEviction() {
 void StreamSession::EmitFrames(int count) {
   last_frame_ = window_[count - 1];
   for (int i = 0; i < count; ++i) {
-    eval_.AddFrame(video_.frame(t_).VisibleGroundTruth(), window_[i]);
+    video_.frame(t_).VisibleGroundTruth(truth_);
+    eval_.AddFrame(truth_, window_[i]);
     ++t_;
   }
 }

@@ -227,6 +227,8 @@ class StreamSession {
   int coasted_rounds_ = 0;
 
   ApEvaluator eval_;
+  // The emitted frame's visible ground truth, refilled for every frame.
+  GroundTruthList truth_;
   int forced_gofs_ = 0;
   int infeasible_gofs_ = 0;
 };

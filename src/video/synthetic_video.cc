@@ -36,14 +36,19 @@ struct ObjectPlan {
 
 double SceneObjectState::Speed() const { return std::hypot(vx, vy); }
 
-GroundTruthList FrameTruth::VisibleGroundTruth() const {
-  GroundTruthList out;
+void FrameTruth::VisibleGroundTruth(GroundTruthList& out) const {
+  out.clear();
   out.reserve(objects.size());
   for (const SceneObjectState& obj : objects) {
     if (obj.occlusion < 0.95 && !obj.gt.box.Empty()) {
       out.push_back(obj.gt);
     }
   }
+}
+
+GroundTruthList FrameTruth::VisibleGroundTruth() const {
+  GroundTruthList out;
+  VisibleGroundTruth(out);
   return out;
 }
 
@@ -118,10 +123,18 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
     vxs[i] = plans[i].vx;
     vys[i] = plans[i].vy;
   }
-  video.frames_.resize(static_cast<size_t>(spec.frame_count));
+  // Each plan is on screen over [enter_frame, min(exit_frame, frame_count)):
+  // reserve the scene buffer once.
+  size_t total_states = 0;
+  for (const ObjectPlan& plan : plans) {
+    total_states += static_cast<size_t>(
+        std::max(0, std::min(plan.exit_frame, spec.frame_count) - plan.enter_frame));
+  }
+  video.states_.reserve(total_states);
+  video.offsets_.reserve(static_cast<size_t>(spec.frame_count) + 1);
   for (int t = 0; t < spec.frame_count; ++t) {
     double phase_mult = video.PhaseSpeedMultiplier(t);
-    FrameTruth& frame = video.frames_[static_cast<size_t>(t)];
+    const size_t frame_begin = video.states_.size();
     for (size_t i = 0; i < plans.size(); ++i) {
       const ObjectPlan& plan = plans[i];
       if (t < plan.enter_frame || t >= plan.exit_frame) {
@@ -171,14 +184,16 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
         double ramp = 1.0 - std::abs(t - mid) / half;
         state.occlusion = plan.occl_peak * std::clamp(ramp, 0.0, 1.0);
       }
-      frame.objects.push_back(state);
+      video.states_.push_back(state);
     }
     // Overlap-induced occlusion: a later-listed object passing over an earlier one
-    // hides the fraction of the earlier object's area it covers.
-    for (size_t a = 0; a < frame.objects.size(); ++a) {
-      for (size_t b = a + 1; b < frame.objects.size(); ++b) {
-        const Box& ba = frame.objects[a].gt.box;
-        const Box& bb = frame.objects[b].gt.box;
+    // hides the fraction of the earlier object's area it covers. Only this
+    // frame's states, just appended, take part.
+    std::span<SceneObjectState> objects = std::span(video.states_).subspan(frame_begin);
+    for (size_t a = 0; a < objects.size(); ++a) {
+      for (size_t b = a + 1; b < objects.size(); ++b) {
+        const Box& ba = objects[a].gt.box;
+        const Box& bb = objects[b].gt.box;
         double ix0 = std::max(ba.x, bb.x);
         double iy0 = std::max(ba.y, bb.y);
         double ix1 = std::min(ba.x + ba.w, bb.x + bb.w);
@@ -186,11 +201,12 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
         double inter = std::max(0.0, ix1 - ix0) * std::max(0.0, iy1 - iy0);
         if (inter > 0.0 && ba.Area() > 0.0) {
           double frac = inter / ba.Area();
-          frame.objects[a].occlusion =
-              std::min(1.0, std::max(frame.objects[a].occlusion, 0.85 * frac));
+          objects[a].occlusion =
+              std::min(1.0, std::max(objects[a].occlusion, 0.85 * frac));
         }
       }
     }
+    video.offsets_.push_back(video.states_.size());
   }
   return video;
 }

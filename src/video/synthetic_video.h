@@ -10,7 +10,9 @@
 #ifndef SRC_VIDEO_SYNTHETIC_VIDEO_H_
 #define SRC_VIDEO_SYNTHETIC_VIDEO_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/video/scene.h"
@@ -35,10 +37,15 @@ struct SceneObjectState {
   double Speed() const;
 };
 
+// One frame's objects: a view into the owning video's scene buffer, valid while
+// that video lives.
 struct FrameTruth {
-  std::vector<SceneObjectState> objects;
+  std::span<const SceneObjectState> objects;
 
   // Ground truth for evaluation: objects that are not (almost) fully hidden.
+  // Clears `out` and fills it, so a loop that reuses one list allocates only
+  // when a frame shows more objects than any frame before it.
+  void VisibleGroundTruth(GroundTruthList& out) const;
   GroundTruthList VisibleGroundTruth() const;
 };
 
@@ -58,14 +65,21 @@ class SyntheticVideo {
   static SyntheticVideo Generate(const VideoSpec& spec);
 
   const VideoSpec& spec() const { return spec_; }
-  int frame_count() const { return static_cast<int>(frames_.size()); }
-  const FrameTruth& frame(int t) const { return frames_[static_cast<size_t>(t)]; }
+  int frame_count() const { return static_cast<int>(offsets_.size()) - 1; }
+  FrameTruth frame(int t) const {
+    const size_t i = static_cast<size_t>(t);
+    return {std::span(states_).subspan(offsets_[i], offsets_[i + 1] - offsets_[i])};
+  }
   // Speed multiplier of the activity phase active at frame t.
   double PhaseSpeedMultiplier(int t) const;
 
  private:
   VideoSpec spec_;
-  std::vector<FrameTruth> frames_;
+  // Every frame's object states, frame after frame: frame t owns
+  // states_[offsets_[t], offsets_[t + 1]). Offsets, not views, so a copied or
+  // moved video reads only its own buffer.
+  std::vector<SceneObjectState> states_;
+  std::vector<size_t> offsets_ = {0};
   // (start_frame, speed multiplier) pairs, sorted by start_frame.
   std::vector<std::pair<int, double>> phases_;
 };

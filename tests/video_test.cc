@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <iterator>
+#include <memory>
 #include <set>
 
+#include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/video/classes.h"
 #include "src/video/dataset.h"
@@ -172,16 +176,78 @@ TEST(SyntheticVideoTest, PhaseMultiplierIsPositiveAndPiecewise) {
   }
 }
 
+// Mixes every frame's object count and the bit pattern of every state field
+// into `h`.
+void MixScene(HashState& h, const SyntheticVideo& video) {
+  h.Mix(static_cast<uint64_t>(video.frame_count()));
+  for (int t = 0; t < video.frame_count(); ++t) {
+    const FrameTruth& frame = video.frame(t);
+    h.Mix(frame.objects.size());
+    for (const SceneObjectState& obj : frame.objects) {
+      for (double v : {obj.gt.box.x, obj.gt.box.y, obj.gt.box.w, obj.gt.box.h}) {
+        h.Mix(std::bit_cast<uint64_t>(v));
+      }
+      h.Mix(static_cast<uint64_t>(obj.gt.class_id));
+      h.Mix(static_cast<uint64_t>(obj.gt.object_id));
+      for (double v : {obj.vx, obj.vy, obj.occlusion, obj.r, obj.g, obj.b, obj.texture}) {
+        h.Mix(std::bit_cast<uint64_t>(v));
+      }
+    }
+  }
+}
+
+// Every archetype's generated scenes, pinned by hash: three seeds, 300 frames
+// each. The determinism tests compare two videos of the same build, so only
+// this test sees a change that moves a state (a draw order, an FP expression,
+// the overlap pass's object range). The expected values predate the
+// one-buffer scene storage.
+TEST(VideoTest, GeneratedScenesArePinned) {
+  const uint64_t pinned[] = {
+      0x4bd42ff7d2f6ccf9ull,  // kSlowLarge
+      0xe1072edc877e74deull,  // kFastSmall
+      0x5696d6a6f6539f93ull,  // kCrowded
+      0x03e7db605a6f96dcull,  // kSparse
+      0x4e4ce6c1896c9119ull,  // kHighClutter
+  };
+  ASSERT_EQ(std::size(pinned), static_cast<size_t>(kNumArchetypes));
+  for (int a = 0; a < kNumArchetypes; ++a) {
+    HashState h;
+    for (uint64_t seed : {3ull, 42ull, 1234ull}) {
+      MixScene(h, SyntheticVideo::Generate(
+                      Spec(seed, static_cast<SceneArchetype>(a), /*frames=*/300)));
+    }
+    EXPECT_EQ(h.Get(), pinned[a]) << ArchetypeName(static_cast<SceneArchetype>(a));
+  }
+
+  // A copy reads only its own buffer: it hashes the same once the source is
+  // gone (under AddressSanitizer, a view into the source fails here).
+  auto source = std::make_unique<SyntheticVideo>(
+      SyntheticVideo::Generate(Spec(42, SceneArchetype::kCrowded, /*frames=*/300)));
+  HashState expected;
+  MixScene(expected, *source);
+  SyntheticVideo copy = *source;
+  source.reset();
+  HashState copied;
+  MixScene(copied, copy);
+  EXPECT_EQ(copied.Get(), expected.Get());
+}
+
 TEST(FrameTruthTest, VisibleGroundTruthExcludesFullyHidden) {
-  FrameTruth frame;
   SceneObjectState visible;
   visible.gt.box = Box{0, 0, 10, 10};
   visible.occlusion = 0.3;
   SceneObjectState hidden;
   hidden.gt.box = Box{20, 20, 10, 10};
   hidden.occlusion = 0.99;
-  frame.objects = {visible, hidden};
+  const SceneObjectState objects[] = {visible, hidden};
+  const FrameTruth frame{objects};
   EXPECT_EQ(frame.VisibleGroundTruth().size(), 1u);
+  // The reused-list form drops whatever the list held before.
+  GroundTruthList truth(3, hidden.gt);
+  frame.VisibleGroundTruth(truth);
+  ASSERT_EQ(truth.size(), 1u);
+  EXPECT_EQ(truth[0].box.x, visible.gt.box.x);
+  EXPECT_EQ(truth[0].box.y, visible.gt.box.y);
 }
 
 TEST(LatentTest, DimensionMatches) {
