@@ -10,7 +10,7 @@ namespace litereconfig {
 
 ApproxDetProtocol::ApproxDetProtocol(const TrainedModels* models) : models_(models) {
   assert(models_ != nullptr && models_->space != nullptr);
-  assert(models_->mean_branch_accuracy.size() == models_->space->size());
+  assert(models_->mean_branch_accuracy().size() == models_->space->size());
 }
 
 size_t ApproxDetProtocol::Decide(const std::vector<double>& light, double gpu_cal,
@@ -35,8 +35,8 @@ size_t ApproxDetProtocol::Decide(const std::vector<double>& light, double gpu_ca
     if (frame_ms > slo_ms * kSloMargin) {
       continue;
     }
-    if (models_->mean_branch_accuracy[b] > best_acc) {
-      best_acc = models_->mean_branch_accuracy[b];
+    if (models_->mean_branch_accuracy()[b] > best_acc) {
+      best_acc = models_->mean_branch_accuracy()[b];
       best = b;
     }
   }

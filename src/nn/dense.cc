@@ -64,7 +64,10 @@ template <typename V, bool kDense, size_t... kVec>
   double sums[sizeof...(kVec) * kLanes];
   std::memcpy(sums, acc, sizeof(acc));
   for (size_t k = 0; k < std::size(sums); ++k) {
-    args.output[o + k] = args.relu ? std::max(0.0, sums[k]) : sums[k];
+    double sum = args.relu ? std::max(0.0, sums[k]) : sums[k];
+    // A select, not a branch: a mask's flags follow no pattern.
+    args.output[o + k] =
+        args.needed == nullptr || args.needed[o + k] != 0 ? sum : args.output[o + k];
   }
 }
 
@@ -82,7 +85,7 @@ template <typename V, size_t kVecs>
   }
 }
 
-// The last block, of `vecs` < kBlockVectors whole vectors.
+// One block of `vecs` <= kVecs whole vectors.
 template <typename V, size_t kVecs>
 [[gnu::always_inline]] inline void RunTail(const DenseArgs& args, size_t o, size_t vecs,
                                            size_t num_live, bool any_negative_zero) {
@@ -93,6 +96,16 @@ template <typename V, size_t kVecs>
       RunTail<V, kVecs - 1>(args, o, vecs, num_live, any_negative_zero);
     }
   }
+}
+
+// Whether any of the kLanes outputs from `needed` on is needed.
+template <size_t kLanes>
+[[gnu::always_inline]] inline bool AnyNeeded(const uint8_t* needed) {
+  uint8_t any = 0;
+  for (size_t k = 0; k < kLanes; ++k) {
+    any |= needed[k];
+  }
+  return any != 0;
 }
 
 template <typename V>
@@ -109,15 +122,29 @@ template <typename V>
   }
   bool any_negative_zero =
       args.bias != nullptr && std::any_of(args.bias, args.bias + out, IsNegativeZero);
-  constexpr size_t kBlockOutputs = kBlockVectors * kLanes;
-  size_t o = 0;
-  for (; o + kBlockOutputs <= out; o += kBlockOutputs) {
-    RunBlock<V, kBlockVectors>(args, o, num_live, any_negative_zero);
+  const size_t vectors = out / kLanes;
+  for (size_t v = 0; v < vectors; v += kBlockVectors) {
+    size_t first = v;
+    size_t end = std::min(v + kBlockVectors, vectors);
+    if (args.needed != nullptr) {
+      // Only the block's vectors from its first needed output to its last:
+      // one contiguous run, so it takes the same path as a whole block.
+      while (first < end && !AnyNeeded<kLanes>(args.needed + first * kLanes)) {
+        ++first;
+      }
+      while (end > first && !AnyNeeded<kLanes>(args.needed + (end - 1) * kLanes)) {
+        --end;
+      }
+    }
+    if (first < end) {
+      RunTail<V, kBlockVectors>(args, first * kLanes, end - first, num_live,
+                                any_negative_zero);
+    }
   }
-  size_t vecs = (out - o) / kLanes;
-  RunTail<V, kBlockVectors - 1>(args, o, vecs, num_live, any_negative_zero);
-  for (o += vecs * kLanes; o < out; ++o) {
-    RunBlock<double, 1>(args, o, num_live, any_negative_zero);
+  for (size_t o = vectors * kLanes; o < out; ++o) {
+    if (args.needed == nullptr || args.needed[o] != 0) {
+      RunBlock<double, 1>(args, o, num_live, any_negative_zero);
+    }
   }
 }
 

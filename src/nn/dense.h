@@ -13,6 +13,11 @@
 // of a vector multiply or add is the scalar IEEE operation on that lane, so
 // every output is bit-identical to its scalar chain at any vector width
 // (DESIGN.md, "Blocked MLP forward").
+//
+// A call with a `needed` mask computes, in each block, only the vectors from
+// its first needed output to its last, on the same chains, and writes only
+// the needed outputs: every other output keeps the value it had (DESIGN.md,
+// "A decision reads only the branches that fit").
 #ifndef SRC_NN_DENSE_H_
 #define SRC_NN_DENSE_H_
 
@@ -29,6 +34,7 @@ struct DenseArgs {
   bool relu = false;                // max(0.0, sum) instead of the sum
   uint32_t* live = nullptr;         // scratch for in input indices
   double* output = nullptr;         // out values
+  const uint8_t* needed = nullptr;  // out flags (non-zero: compute), or nullptr: all
 };
 
 // Runs the kernel at the widest vector the CPU offers: four lanes (AVX2) when

@@ -153,7 +153,8 @@ void RowProduct(const Matrix& m, const double* d, std::vector<uint32_t>& live,
 }  // namespace
 
 void Mlp::Forward(const double* input,
-                  std::vector<std::vector<double>>& activations) const {
+                  std::vector<std::vector<double>>& activations,
+                  const uint8_t* needed) const {
   const std::vector<size_t>& dims = config_.layer_dims;
   size_t num_layers = weights_.size();
   activations.resize(num_layers + 1);
@@ -167,18 +168,25 @@ void Mlp::Forward(const double* input,
                   .input = activations[l].data(),
                   .relu = l + 1 < num_layers,
                   .live = live.data(),
-                  .output = activations[l + 1].data()});
+                  .output = activations[l + 1].data(),
+                  .needed = l + 1 < num_layers ? nullptr : needed});
   }
 }
 
-std::vector<double> Mlp::Predict(const std::vector<double>& input) const {
+std::vector<double> Mlp::Predict(const std::vector<double>& input,
+                                 std::span<const uint8_t> needed) const {
   if (input.size() != config_.layer_dims.front()) {
     throw std::invalid_argument(
         "Mlp::Predict: input width does not match layer_dims");
   }
+  if (!needed.empty() && needed.size() != config_.layer_dims.back()) {
+    throw std::invalid_argument(
+        "Mlp::Predict: output mask width does not match layer_dims");
+  }
+  // Fresh activations: the outputs a mask skips keep their 0.0.
   std::vector<std::vector<double>> activations;
-  Forward(input.data(), activations);
-  return activations.back();
+  Forward(input.data(), activations, needed.empty() ? nullptr : needed.data());
+  return std::move(activations.back());
 }
 
 double Mlp::Train(const Matrix& x, const Matrix& y) {

@@ -9,6 +9,7 @@
 #define SRC_NN_MLP_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/nn/matrix.h"
@@ -51,8 +52,13 @@ class Mlp {
   // output_dim columns and both have the same number of rows.
   double Train(const Matrix& x, const Matrix& y);
 
-  // Throws std::invalid_argument unless input has layer_dims.front() entries.
-  std::vector<double> Predict(const std::vector<double>& input) const;
+  // With a non-empty `needed` (one flag per output), only the flagged
+  // outputs are computed, each bit-identical to the unmasked forward; the
+  // others read 0.0. Throws std::invalid_argument unless input has
+  // layer_dims.front() entries and `needed` is empty or has
+  // layer_dims.back().
+  std::vector<double> Predict(const std::vector<double>& input,
+                              std::span<const uint8_t> needed = {}) const;
 
   const MlpConfig& config() const { return config_; }
 
@@ -67,7 +73,9 @@ class Mlp {
   Mlp(const MlpConfig& config, std::vector<Matrix> weights,
       std::vector<std::vector<double>> biases, InputMajor);
 
-  void Forward(const double* input, std::vector<std::vector<double>>& activations) const;
+  // `needed` masks the output layer (DenseArgs::needed).
+  void Forward(const double* input, std::vector<std::vector<double>>& activations,
+               const uint8_t* needed = nullptr) const;
 
   MlpConfig config_;
   // weights_[l] is input-major, dims[l] x dims[l+1]; biases_[l] has dims[l+1].

@@ -139,7 +139,7 @@ bool WriteBundle(const TrainedModels& models, uint64_t fingerprint,
     }
   }
 
-  WriteDoubles(os, models.mean_branch_accuracy);
+  WriteDoubles(os, models.mean_branch_accuracy());
 
   // Ben table.
   WriteU64(os, models.ben.entries().size());
@@ -269,10 +269,11 @@ std::optional<TrainedModels> LoadTrainedModels(const std::string& path,
     }
   }
 
-  if (!ReadDoubles(is, models.mean_branch_accuracy) ||
-      models.mean_branch_accuracy.size() != space.size()) {
+  std::vector<double> mean_accuracy;
+  if (!ReadDoubles(is, mean_accuracy) || mean_accuracy.size() != space.size()) {
     return std::nullopt;
   }
+  models.SetMeanBranchAccuracy(std::move(mean_accuracy));
 
   uint64_t num_ben = 0;
   if (!ReadU64(is, num_ben) || num_ben > 1024) {

@@ -138,15 +138,16 @@ TrainedModels OfflineTrainer::Train(const TrainConfig& config,
   size_t fit_n = n;
 
   // Dataset-mean accuracy per branch (ApproxDet's content-agnostic view).
-  models.mean_branch_accuracy.assign(space.size(), 0.0);
+  std::vector<double> mean_accuracy(space.size(), 0.0);
   for (const SnippetData& row : data) {
     for (size_t b = 0; b < space.size(); ++b) {
-      models.mean_branch_accuracy[b] += row.labels[b];
+      mean_accuracy[b] += row.labels[b];
     }
   }
-  for (double& v : models.mean_branch_accuracy) {
+  for (double& v : mean_accuracy) {
     v /= static_cast<double>(n);
   }
+  models.SetMeanBranchAccuracy(std::move(mean_accuracy));
 
   // One accuracy predictor per feature kind (kLight = content-agnostic model).
   // The per-kind trainings are independent; train them concurrently and emplace

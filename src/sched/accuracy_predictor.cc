@@ -92,8 +92,10 @@ std::vector<double> AccuracyPredictor::BuildInput(
 
 std::vector<double> AccuracyPredictor::Predict(
     const std::vector<double>& light_features,
-    const std::vector<double>& content_feature) const {
-  std::vector<double> out = mlp_.Predict(BuildInput(light_features, content_feature));
+    const std::vector<double>& content_feature,
+    std::span<const uint8_t> needed) const {
+  std::vector<double> out =
+      mlp_.Predict(BuildInput(light_features, content_feature), needed);
   for (double& v : out) {
     v = std::clamp(v, 0.0, 1.0);
   }

@@ -12,6 +12,8 @@
 #ifndef SRC_SCHED_ACCURACY_PREDICTOR_H_
 #define SRC_SCHED_ACCURACY_PREDICTOR_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/features/feature.h"
@@ -43,9 +45,12 @@ class AccuracyPredictor {
   std::vector<double> BuildInput(const std::vector<double>& light_features,
                                  const std::vector<double>& content_feature) const;
 
-  // Per-branch predicted accuracy, clamped to [0, 1].
+  // Per-branch predicted accuracy, clamped to [0, 1]. With a non-empty
+  // `needed` (one flag per branch), only the flagged branches are computed,
+  // and the others read 0.0 (Mlp::Predict).
   std::vector<double> Predict(const std::vector<double>& light_features,
-                              const std::vector<double>& content_feature) const;
+                              const std::vector<double>& content_feature,
+                              std::span<const uint8_t> needed = {}) const;
 
   FeatureKind kind() const { return kind_; }
   const Mlp& mlp() const { return mlp_; }

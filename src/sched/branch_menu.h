@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "src/sched/cost_table.h"
 #include "src/sched/scheduler.h"
 
 namespace litereconfig {
@@ -30,15 +31,19 @@ struct BranchOption {
   double accuracy = 0.0;
 };
 
-// Builds the menu for one stream: every SLO-feasible branch priced by the
-// DecisionCostTable, reduced to the Pareto frontier (ascending cost, strictly
-// increasing accuracy). The first entry is the cheapest feasible option.
-// Empty when no branch fits the margin-adjusted SLO (ctx.budget_ms is ignored
-// here: the menu is an input to budget assignment, not an output of it).
+// Builds the menu for one stream on `table`, which it rebuilds in place for
+// ctx (so a stream's own table keeps its switch-cost row for the round's
+// decision): every SLO-feasible branch priced at the light-only scheduler
+// charge, reduced to the Pareto frontier (ascending cost, strictly increasing
+// accuracy, equal costs ordered by branch index). The first entry is the
+// cheapest feasible option. Empty when no branch fits the margin-adjusted
+// SLO (ctx.budget_ms is ignored here: the menu is an input to budget
+// assignment, not an output of it).
 std::vector<BranchOption> BuildBranchMenu(const TrainedModels& models,
                                           const SchedulerConfig& config,
                                           const DecisionContext& ctx,
-                                          const std::vector<double>& light);
+                                          const std::vector<double>& light,
+                                          DecisionCostTable& table);
 
 }  // namespace litereconfig
 

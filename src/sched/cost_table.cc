@@ -5,15 +5,6 @@
 
 namespace litereconfig {
 
-DecisionCostTable DecisionCostTable::Build(const TrainedModels& models,
-                                           const SchedulerConfig& config,
-                                           const DecisionContext& ctx,
-                                           const std::vector<double>& light) {
-  DecisionCostTable table;
-  table.Rebuild(models, config, ctx, light);
-  return table;
-}
-
 void DecisionCostTable::Rebuild(const TrainedModels& models,
                                 const SchedulerConfig& config,
                                 const DecisionContext& ctx,
@@ -74,6 +65,17 @@ void DecisionCostTable::Rebuild(const TrainedModels& models,
 size_t DecisionCostTable::Cheapest(double sched_ms) const {
   return CheapestBranchIndex(
       size(), [this, sched_ms](size_t b) { return CostMs(b, sched_ms); });
+}
+
+std::vector<uint32_t> DecisionCostTable::FittingBranches(double sched_ms) const {
+  std::vector<uint32_t> fits;
+  fits.reserve(size());
+  for (size_t b = 0; b < size(); ++b) {
+    if (Feasible(b, sched_ms)) {
+      fits.push_back(static_cast<uint32_t>(b));
+    }
+  }
+  return fits;
 }
 
 }  // namespace litereconfig

@@ -22,6 +22,7 @@
 #define SRC_SCHED_COST_TABLE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -51,21 +52,15 @@ size_t CheapestBranchIndex(size_t branch_count, CostFn&& cost_ms) {
 
 class DecisionCostTable {
  public:
-  // Builds a fresh table for one decision: per-branch conservative latency
-  // prediction under (gpu_cal, cpu_cal), per-branch offline switch cost from
+  // Prices every branch for one decision, in place, into the capacity of the
+  // previous one: per-branch conservative latency prediction under
+  // (gpu_cal, cpu_cal), per-branch offline switch cost from
   // ctx.current_branch (zero when switching costs are off or there is no
   // current branch), and the effective GoF amortization lengths capped by
-  // ctx.frames_remaining.
-  static DecisionCostTable Build(const TrainedModels& models,
-                                 const SchedulerConfig& config,
-                                 const DecisionContext& ctx,
-                                 const std::vector<double>& light);
-
-  // Rebuilds this table in place for the next decision of the same stream,
-  // into the capacity of the previous one; the result equals Build's. The
-  // switch-cost row is a pure function of the device, the current branch and
-  // whether switching is charged, so it is recomputed only when one of them
-  // changed since the last rebuild; every other column is recomputed.
+  // ctx.frames_remaining. The switch-cost row is a pure function of the
+  // device, the current branch and whether switching is charged, so it is
+  // recomputed only when one of them changed since the last rebuild; every
+  // other column is recomputed.
   void Rebuild(const TrainedModels& models, const SchedulerConfig& config,
                const DecisionContext& ctx, const std::vector<double>& light);
 
@@ -82,6 +77,11 @@ class DecisionCostTable {
 
   // Cheapest branch at `sched_ms` (first index wins ties).
   size_t Cheapest(double sched_ms) const;
+
+  // The branches that meet the SLO at `sched_ms`, in index order. CostMs
+  // never falls as `sched_ms` grows, so none of the others meets it at any
+  // larger charge.
+  std::vector<uint32_t> FittingBranches(double sched_ms) const;
 
   size_t size() const { return branch_ms_.size(); }
   // The constraint threshold: slo_ms * slo_margin.

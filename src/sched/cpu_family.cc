@@ -86,14 +86,14 @@ TrainedModels ExtendWithCpuFamily(const TrainedModels& base) {
                             ExtendPredictor(predictor, base_space, extended));
   }
 
-  models.mean_branch_accuracy = base.mean_branch_accuracy;
-  models.mean_branch_accuracy.reserve(extended.size());
+  std::vector<double> mean_accuracy = base.mean_branch_accuracy();
+  mean_accuracy.reserve(extended.size());
   for (size_t b = base_space.size(); b < extended.size(); ++b) {
     size_t source = ReferenceIndex(base_space, extended.at(b));
-    models.mean_branch_accuracy.push_back(
-        CpuBranchAccuracyFactor(extended.at(b).gof) *
-        base.mean_branch_accuracy[source]);
+    mean_accuracy.push_back(CpuBranchAccuracyFactor(extended.at(b).gof) *
+                            base.mean_branch_accuracy()[source]);
   }
+  models.SetMeanBranchAccuracy(std::move(mean_accuracy));
 
   models.ben = base.ben;
   models.feature_extract_ms = base.feature_extract_ms;

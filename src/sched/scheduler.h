@@ -12,10 +12,11 @@
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
 
-#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/features/costs.h"
@@ -37,9 +38,6 @@ struct TrainedModels {
   // One accuracy predictor per feature, including the content-agnostic
   // (FeatureKind::kLight) model.
   std::map<FeatureKind, AccuracyPredictor> accuracy;
-  // Dataset-mean accuracy per branch (the fully content-agnostic view used by
-  // the ApproxDet baseline).
-  std::vector<double> mean_branch_accuracy;
   BenefitTable ben;
   // Per-feature costs at zero contention on the target device (ms).
   std::array<double, kNumFeatureKinds> feature_extract_ms = {};
@@ -49,6 +47,24 @@ struct TrainedModels {
   std::optional<SwitchingCostModel> switching;
 
   double FeatureCostMs(FeatureKind kind, double gpu_cal, double cpu_cal) const;
+
+  // Dataset-mean accuracy per branch: the fully content-agnostic view used by
+  // the ApproxDet baseline and the serving menus.
+  const std::vector<double>& mean_branch_accuracy() const {
+    return mean_branch_accuracy_;
+  }
+  // The branch indices by descending mean accuracy, the lower index first
+  // among equal accuracies: the order the serving menu walks
+  // (src/sched/branch_menu.h). Derived here, never stored in the model cache.
+  const std::vector<uint32_t>& branches_by_mean_accuracy() const {
+    return branches_by_mean_accuracy_;
+  }
+  // Sets the mean accuracies and derives the order from them.
+  void SetMeanBranchAccuracy(std::vector<double> mean_accuracy);
+
+ private:
+  std::vector<double> mean_branch_accuracy_;
+  std::vector<uint32_t> branches_by_mean_accuracy_;
 };
 
 // Minimum predicted-accuracy improvement required to leave the current branch
@@ -150,9 +166,11 @@ class LiteReconfigScheduler {
 
   // One decision: a DecisionCostTable prices every branch once (src/sched/
   // cost_table.h), and feature selection, the branch scan and the hysteresis
-  // check read their feasibility probes off it. Bit-identical to the
-  // reference scheduler in tests/decide_reference.h
-  // (tests/sched_fastpath_test.cc).
+  // check read their feasibility probes off it. Only the branches that fit at
+  // the light-only charge are probed after that, and only the accuracy rows
+  // the decision reads are computed (DESIGN.md, "A decision reads only the
+  // branches that fit"). Bit-identical to the reference scheduler in
+  // tests/decide_reference.h (tests/sched_fastpath_test.cc).
   SchedulerDecision Decide(const DecisionContext& ctx) const;
   // The same decision through a table the caller keeps across the decisions
   // of one stream: `table` is rebuilt in place, which reuses its capacity and,
@@ -160,109 +178,39 @@ class LiteReconfigScheduler {
   SchedulerDecision Decide(const DecisionContext& ctx,
                            DecisionCostTable& table) const;
 
-  // Greedy cost-benefit feature selection (Eq. 4). `feasible(branch,
-  // sched_ms)` says whether a branch meets the SLO when the decision charges
-  // `sched_ms` of scheduler cost; the product passes
-  // DecisionCostTable::Feasible.
-  template <typename FeasibleFn>
+  // Greedy cost-benefit feature selection (Eq. 4) over `fits`, the branches
+  // that meet the SLO in `table` at the light-only charge, in index order
+  // (DecisionCostTable::FittingBranches): every candidate charges at least
+  // that much, so no other branch can meet it. Reads light_pred only at
+  // `fits`.
   std::vector<FeatureKind> SelectFeatures(const std::vector<double>& light_pred,
                                           const DecisionContext& ctx,
-                                          const FeasibleFn& feasible) const;
-
-  // Which heavy features the configured mode requests; kFull runs the greedy
-  // selection with `feasible`.
-  template <typename FeasibleFn>
-  std::vector<FeatureKind> ChooseHeavyFeatures(const std::vector<double>& light_pred,
-                                               const DecisionContext& ctx,
-                                               const FeasibleFn& feasible) const;
+                                          std::span<const uint32_t> fits,
+                                          const DecisionCostTable& table) const;
 
   // Extracts the chosen heavy features and blends their accuracy predictions
-  // with the light-only model.
+  // with the light-only model. With a non-empty `needed` (one flag per
+  // branch), every heavy forward computes only the flagged rows, and only
+  // those rows of the result are meaningful.
   std::vector<double> PredictAccuracy(const std::vector<FeatureKind>& heavy,
                                       const std::vector<double>& light,
                                       const std::vector<double>& light_pred,
-                                      const DecisionContext& ctx) const;
+                                      const DecisionContext& ctx,
+                                      std::span<const uint8_t> needed = {}) const;
 
   const SchedulerConfig& config() const { return config_; }
 
  private:
+  // Which heavy features the configured mode requests; kFull runs the greedy
+  // selection.
+  std::vector<FeatureKind> ChooseHeavyFeatures(const std::vector<double>& light_pred,
+                                               const DecisionContext& ctx,
+                                               std::span<const uint32_t> fits,
+                                               const DecisionCostTable& table) const;
+
   const TrainedModels* models_;
   SchedulerConfig config_;
 };
-
-template <typename FeasibleFn>
-std::vector<FeatureKind> LiteReconfigScheduler::SelectFeatures(
-    const std::vector<double>& light_pred, const DecisionContext& ctx,
-    const FeasibleFn& feasible) const {
-  double s0 = models_->FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
-  // Best achievable light-only predicted accuracy under a given scheduler cost.
-  auto base_best = [&](double sched_ms) {
-    double best = -1.0;
-    for (size_t b = 0; b < models_->space->size(); ++b) {
-      if (feasible(b, sched_ms)) {
-        best = std::max(best, light_pred[b]);
-      }
-    }
-    return best;
-  };
-
-  std::vector<FeatureKind> selected;
-  double selected_cost = 0.0;
-  double objective = base_best(s0);
-  if (objective < 0.0) {
-    // Not even the cheapest branch fits: no budget for content features.
-    return selected;
-  }
-  while (static_cast<int>(selected.size()) < config_.max_heavy_features) {
-    FeatureKind best_kind = FeatureKind::kLight;
-    double best_objective = objective;
-    for (FeatureKind kind : kHeavyFeatures) {
-      if (std::find(selected.begin(), selected.end(), kind) != selected.end()) {
-        continue;
-      }
-      std::vector<FeatureKind> candidate = selected;
-      candidate.push_back(kind);
-      double cand_cost =
-          selected_cost + models_->FeatureCostMs(kind, ctx.gpu_cal, ctx.cpu_cal);
-      double charged = config_.charge_feature_overhead ? s0 + cand_cost : s0;
-      double base = base_best(charged);
-      if (base < 0.0) {
-        continue;  // the feature's cost leaves no feasible branch
-      }
-      double obj = base + models_->ben.BenSubset(candidate, ctx.slo_ms);
-      if (obj > best_objective + config_.min_feature_gain) {
-        best_objective = obj;
-        best_kind = kind;
-      }
-    }
-    if (best_kind == FeatureKind::kLight) {
-      break;
-    }
-    selected.push_back(best_kind);
-    selected_cost += models_->FeatureCostMs(best_kind, ctx.gpu_cal, ctx.cpu_cal);
-    objective = best_objective;
-  }
-  return selected;
-}
-
-template <typename FeasibleFn>
-std::vector<FeatureKind> LiteReconfigScheduler::ChooseHeavyFeatures(
-    const std::vector<double>& light_pred, const DecisionContext& ctx,
-    const FeasibleFn& feasible) const {
-  switch (config_.mode) {
-    case LiteReconfigMode::kFull:
-      return SelectFeatures(light_pred, ctx, feasible);
-    case LiteReconfigMode::kMinCost:
-      return {};
-    case LiteReconfigMode::kMaxContentResNet:
-      return {FeatureKind::kResNet50};
-    case LiteReconfigMode::kMaxContentMobileNet:
-      return {FeatureKind::kMobileNetV2};
-    case LiteReconfigMode::kForceFeature:
-      return {config_.forced_feature};
-  }
-  return {};
-}
 
 }  // namespace litereconfig
 

@@ -355,7 +355,7 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
     double frame_interval = std::numeric_limits<double>::infinity();
     for (size_t i = 0; i < live.size(); ++i) {
       LiveStream& stream = live[i];
-      const StreamSession& session = *stream.session;
+      StreamSession& session = *stream.session;
       stream.level =
           std::min(kMaxEndogenousLevel, ledger.LevelFor(i) + burst_level);
       stream.demand.slo_ms = session.request().slo_ms;

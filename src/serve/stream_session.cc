@@ -73,7 +73,7 @@ bool StreamSession::FeasibleAt(double level) const {
 
 std::vector<BranchOption> StreamSession::Menu(double level,
                                               double thermal_scale,
-                                              bool gpu_available) const {
+                                              bool gpu_available) {
   DecisionContext ctx;
   ctx.video = &video_;
   ctx.frame = t_;
@@ -87,7 +87,7 @@ std::vector<BranchOption> StreamSession::Menu(double level,
   ctx.gpu_available = gpu_available;
   std::vector<double> light = ComputeLightFeatures(
       video_.spec().width, video_.spec().height, anchor_);
-  return BuildBranchMenu(*models_, scheduler_.config(), ctx, light);
+  return BuildBranchMenu(*models_, scheduler_.config(), ctx, light, table_);
 }
 
 double StreamSession::CheapestFrameMs(double level, double thermal_scale,

@@ -119,8 +119,10 @@ class StreamSession {
   // trades along. With the GPU denied, GPU-backed branches price +inf and
   // drop off the frontier; only the CPU family (if present) survives.
   // Consumes no RNG.
+  // Rebuilds the session's cost table, which keeps its switch-cost row for
+  // the round's decision while the current branch holds.
   std::vector<BranchOption> Menu(double level, double thermal_scale = 1.0,
-                                 bool gpu_available = true) const;
+                                 bool gpu_available = true);
 
   // Mean per-frame cost of the cheapest branch at the given device state —
   // what the stream costs if it runs at all. The pressure ladder's fit check
@@ -197,8 +199,8 @@ class StreamSession {
 
   const TrainedModels* models_;
   LiteReconfigScheduler scheduler_;
-  // Rebuilt in place by every scheduler pass; keeps its switch-cost row while
-  // the current branch holds.
+  // Rebuilt in place by every menu and every scheduler pass; keeps its
+  // switch-cost row while the current branch holds.
   DecisionCostTable table_;
   StreamRequest request_;
   SyntheticVideo video_;

@@ -81,9 +81,9 @@ TEST(CpuFamilyGraftTest, OriginalBranchSurfacesAreBitIdentical) {
         << b;
   }
   // Dataset-mean accuracy: original entries verbatim.
-  ASSERT_EQ(extended.mean_branch_accuracy.size(), extended.space->size());
+  ASSERT_EQ(extended.mean_branch_accuracy().size(), extended.space->size());
   for (size_t b = 0; b < base.space->size(); ++b) {
-    EXPECT_EQ(base.mean_branch_accuracy[b], extended.mean_branch_accuracy[b]);
+    EXPECT_EQ(base.mean_branch_accuracy()[b], extended.mean_branch_accuracy()[b]);
   }
 }
 
@@ -99,9 +99,9 @@ TEST(CpuFamilyGraftTest, CpuBranchesInheritScaledAccuracyAndCpuLatency) {
     size_t ref = *base_space.Find(reference);
     // Mean accuracy is exactly the factor-scaled reference, and the factor
     // decays with GoF length (tracker extrapolation compounds anchor noise).
-    EXPECT_EQ(extended.mean_branch_accuracy[b],
+    EXPECT_EQ(extended.mean_branch_accuracy()[b],
               CpuBranchAccuracyFactor(branch.gof) *
-                  base.mean_branch_accuracy[ref])
+                  base.mean_branch_accuracy()[ref])
         << branch.Id();
     EXPECT_LE(CpuBranchAccuracyFactor(branch.gof), kCpuAccuracyFactor);
     EXPECT_GE(CpuBranchAccuracyFactor(branch.gof),
@@ -121,8 +121,9 @@ TEST(CpuFamilyMenuTest, ParetoFrontierStaysValidWithCpuFamily) {
   for (double slo : {25.0, 33.3, 50.0}) {
     for (bool gpu_available : {true, false}) {
       DecisionContext ctx = MenuContext(gpu_available, slo);
+      DecisionCostTable table;
       std::vector<BranchOption> menu =
-          BuildBranchMenu(extended, config, ctx, kLightProbe);
+          BuildBranchMenu(extended, config, ctx, kLightProbe, table);
       double limit = slo * config.slo_margin;
       for (size_t i = 0; i < menu.size(); ++i) {
         EXPECT_TRUE(std::isfinite(menu[i].frame_ms));
@@ -144,8 +145,9 @@ TEST(CpuFamilyMenuTest, MaskedMenuIsNonEmptyAndCpuOnly) {
   SchedulerConfig config = LiteReconfigProtocol::FullConfig();
   for (double slo : {25.0, 33.3, 50.0, 100.0}) {
     DecisionContext ctx = MenuContext(/*gpu_available=*/false, slo);
+    DecisionCostTable table;
     std::vector<BranchOption> menu =
-        BuildBranchMenu(extended, config, ctx, kLightProbe);
+        BuildBranchMenu(extended, config, ctx, kLightProbe, table);
     // While the space holds a CPU family, masking the GPU away never leaves
     // the allocator without options...
     EXPECT_FALSE(menu.empty()) << "slo " << slo;
@@ -155,7 +157,7 @@ TEST(CpuFamilyMenuTest, MaskedMenuIsNonEmptyAndCpuOnly) {
     }
     // ...whereas the same mask over the default space leaves nothing.
     std::vector<BranchOption> base_menu =
-        BuildBranchMenu(base, config, ctx, kLightProbe);
+        BuildBranchMenu(base, config, ctx, kLightProbe, table);
     EXPECT_TRUE(base_menu.empty()) << "slo " << slo;
   }
 }
@@ -165,10 +167,10 @@ TEST(CpuFamilyMenuTest, MaskedCostTablePricesGpuBranchesInfinite) {
   SchedulerConfig config = LiteReconfigProtocol::FullConfig();
   DecisionContext masked = MenuContext(/*gpu_available=*/false);
   DecisionContext open = MenuContext(/*gpu_available=*/true);
-  DecisionCostTable masked_table =
-      DecisionCostTable::Build(extended, config, masked, kLightProbe);
-  DecisionCostTable open_table =
-      DecisionCostTable::Build(extended, config, open, kLightProbe);
+  DecisionCostTable masked_table;
+  masked_table.Rebuild(extended, config, masked, kLightProbe);
+  DecisionCostTable open_table;
+  open_table.Rebuild(extended, config, open, kLightProbe);
   ASSERT_EQ(masked_table.size(), extended.space->size());
   for (size_t b = 0; b < extended.space->size(); ++b) {
     if (extended.space->at(b).detector.cpu) {

@@ -1,13 +1,14 @@
 // Reference scheduler for tests and bench_perf's floor: every feasibility
-// probe re-runs the latency predictor for one branch.
+// probe re-runs the latency predictor for one branch, over every branch.
 //
 // FrameCostMs prices one branch with its own latency-predictor pass, and
 // DecideReference scans the branches with it. The product's
 // LiteReconfigScheduler::Decide (src/sched/scheduler.h) prices each branch
-// once into a DecisionCostTable and reads every probe off it; the greedy
-// feature selection is the product's own loop, run here with the per-probe
-// feasibility test. Tests compare the two paths field for field with
-// EXPECT_EQ.
+// once into a DecisionCostTable, probes only the branches that fit at the
+// light-only charge, and computes only the accuracy rows it reads; the
+// oracle keeps its own copy of the unrestricted greedy feature selection and
+// computes every row, so it does not share the restriction it checks. Tests
+// compare the two paths field for field with EXPECT_EQ.
 #ifndef TESTS_DECIDE_REFERENCE_H_
 #define TESTS_DECIDE_REFERENCE_H_
 
@@ -64,13 +65,80 @@ inline auto ReferenceFeasible(const TrainedModels& models, const SchedulerConfig
   };
 }
 
+// Greedy cost-benefit feature selection (Eq. 4), probing every branch at
+// every candidate charge.
 inline std::vector<FeatureKind> SelectFeaturesReference(
     const TrainedModels& models, const SchedulerConfig& config,
     const std::vector<double>& light, const std::vector<double>& light_pred,
     const DecisionContext& ctx) {
-  LiteReconfigScheduler scheduler(&models, config);
-  return scheduler.SelectFeatures(light_pred, ctx,
-                                  ReferenceFeasible(models, config, ctx, light));
+  auto feasible = ReferenceFeasible(models, config, ctx, light);
+  double s0 = models.FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
+  // Best achievable light-only predicted accuracy under a given scheduler cost.
+  auto base_best = [&](double sched_ms) {
+    double best = -1.0;
+    for (size_t b = 0; b < models.space->size(); ++b) {
+      if (feasible(b, sched_ms)) {
+        best = std::max(best, light_pred[b]);
+      }
+    }
+    return best;
+  };
+
+  std::vector<FeatureKind> selected;
+  double selected_cost = 0.0;
+  double objective = base_best(s0);
+  if (objective < 0.0) {
+    return selected;
+  }
+  while (static_cast<int>(selected.size()) < config.max_heavy_features) {
+    FeatureKind best_kind = FeatureKind::kLight;
+    double best_objective = objective;
+    for (FeatureKind kind : kHeavyFeatures) {
+      if (std::find(selected.begin(), selected.end(), kind) != selected.end()) {
+        continue;
+      }
+      std::vector<FeatureKind> candidate = selected;
+      candidate.push_back(kind);
+      double cand_cost =
+          selected_cost + models.FeatureCostMs(kind, ctx.gpu_cal, ctx.cpu_cal);
+      double charged = config.charge_feature_overhead ? s0 + cand_cost : s0;
+      double base = base_best(charged);
+      if (base < 0.0) {
+        continue;
+      }
+      double obj = base + models.ben.BenSubset(candidate, ctx.slo_ms);
+      if (obj > best_objective + config.min_feature_gain) {
+        best_objective = obj;
+        best_kind = kind;
+      }
+    }
+    if (best_kind == FeatureKind::kLight) {
+      break;
+    }
+    selected.push_back(best_kind);
+    selected_cost += models.FeatureCostMs(best_kind, ctx.gpu_cal, ctx.cpu_cal);
+    objective = best_objective;
+  }
+  return selected;
+}
+
+inline std::vector<FeatureKind> ChooseHeavyFeaturesReference(
+    const TrainedModels& models, const SchedulerConfig& config,
+    const std::vector<double>& light, const std::vector<double>& light_pred,
+    const DecisionContext& ctx) {
+  switch (config.mode) {
+    case LiteReconfigMode::kFull:
+      return SelectFeaturesReference(models, config, light, light_pred, ctx);
+    case LiteReconfigMode::kMinCost:
+      return {};
+    case LiteReconfigMode::kMaxContentResNet:
+      return {FeatureKind::kResNet50};
+    case LiteReconfigMode::kMaxContentMobileNet:
+      return {FeatureKind::kMobileNetV2};
+    case LiteReconfigMode::kForceFeature:
+      return {config.forced_feature};
+  }
+  return {};
 }
 
 inline SchedulerDecision DecideReference(const TrainedModels& models,
@@ -85,8 +153,8 @@ inline SchedulerDecision DecideReference(const TrainedModels& models,
       models.accuracy.at(FeatureKind::kLight).Predict(light, {});
 
   // 1. Which heavy features to use.
-  std::vector<FeatureKind> heavy = scheduler.ChooseHeavyFeatures(
-      light_pred, ctx, ReferenceFeasible(models, config, ctx, light));
+  std::vector<FeatureKind> heavy =
+      ChooseHeavyFeaturesReference(models, config, light, light_pred, ctx);
 
   // 2. Extract the selected features and run their accuracy models.
   double s0 = models.FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);

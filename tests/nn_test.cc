@@ -503,6 +503,146 @@ TEST(DenseKernelTest, Avx2MatchesSingleChainReference) {
   ExpectKernelMatchesReference(DenseForwardAvx2);
 }
 
+// Output masks for a layer `out` wide: none needed, each single output at
+// the edges and in the middle, every output, runs that cross the block edges
+// of both kernels (16 outputs for SSE2, 32 for AVX2) and the vector edges
+// inside them, and scattered outputs at two densities.
+std::vector<std::vector<uint8_t>> OutputMasks(size_t out, Pcg32& rng) {
+  std::vector<std::vector<uint8_t>> masks;
+  masks.emplace_back(out, 0);
+  for (size_t o : {size_t{0}, out / 2, out - 1}) {
+    masks.emplace_back(out, 0);
+    masks.back()[o] = 1;
+  }
+  masks.emplace_back(out, 1);
+  for (size_t edge : {size_t{2}, size_t{4}, size_t{16}, size_t{32}, size_t{64}, size_t{192}}) {
+    for (size_t half : {size_t{1}, size_t{3}, size_t{9}}) {
+      if (edge >= out + half) {
+        continue;
+      }
+      masks.emplace_back(out, 0);
+      for (size_t o = edge >= half ? edge - half : 0; o < std::min(out, edge + half); ++o) {
+        masks.back()[o] = 1;
+      }
+    }
+  }
+  for (uint32_t one_in : {3u, 12u}) {
+    masks.emplace_back(out, 0);
+    for (uint8_t& flag : masks.back()) {
+      flag = rng.UniformInt(one_in) == 0 ? 1 : 0;
+    }
+  }
+  return masks;
+}
+
+// Runs one kernel instantiation with output masks against the single-chain
+// reference: every needed output bit for bit, every other output still the
+// sentinel it held. Each mask meets a -0.0 bias on a needed output inside a
+// partly needed block (when it needs any output but not all), and all-zero
+// inputs in one sample, where only the dense rule keeps that chain exact.
+void ExpectMaskedKernelMatchesReference(void (*kernel)(const DenseArgs&)) {
+  constexpr size_t kOutWidths[] = {1, 2, 3, 5, 8, 9, 15, 17, 31, 33, 64, 97, 204};
+  constexpr size_t kInWidths[] = {1, 7, 35, 100};
+  constexpr double kSentinel = -1234.5;
+  Pcg32 rng(20261);
+  for (size_t out : kOutWidths) {
+    for (size_t in : kInWidths) {
+      Matrix w(out, in);  // row-major, for the reference
+      for (double& v : w.data()) {
+        v = SparseValue(rng);
+      }
+      Matrix input_major = w.Transposed();
+      std::vector<uint32_t> live(in);
+      std::vector<std::vector<uint8_t>> masks = OutputMasks(out, rng);
+      for (size_t m = 0; m < masks.size(); ++m) {
+        const std::vector<uint8_t>& needed = masks[m];
+        std::vector<double> bias(out);
+        for (double& v : bias) {
+          v = rng.UniformInt(5) == 0 ? -10.0 : SparseValue(rng);
+        }
+        std::vector<size_t> picked;
+        for (size_t o = 0; o < out; ++o) {
+          if (needed[o] != 0) {
+            picked.push_back(o);
+          }
+        }
+        if (!picked.empty() && picked.size() < out) {
+          bias[picked[rng.UniformInt(static_cast<uint32_t>(picked.size()))]] = -0.0;
+        }
+        for (int sample = 0; sample < 2; ++sample) {
+          std::vector<double> a(in);
+          for (double& v : a) {
+            v = sample == 0 ? (rng.UniformInt(2) == 0 ? 0.0 : -0.0) : SparseValue(rng);
+          }
+          for (bool relu : {false, true}) {
+            for (const double* b : {static_cast<const double*>(bias.data()),
+                                    static_cast<const double*>(nullptr)}) {
+              SCOPED_TRACE(testing::Message()
+                           << "out " << out << " in " << in << " mask " << m << " sample "
+                           << sample << " relu " << relu << " bias " << (b != nullptr));
+              std::vector<double> got(out, kSentinel);
+              kernel({.weights = &input_major,
+                      .bias = b,
+                      .input = a.data(),
+                      .relu = relu,
+                      .live = live.data(),
+                      .output = got.data(),
+                      .needed = needed.data()});
+              std::vector<double> want = ReferenceDenseLayer(w, b, a, relu);
+              for (size_t o = 0; o < out; ++o) {
+                double expected = needed[o] != 0 ? want[o] : kSentinel;
+                ASSERT_EQ(std::bit_cast<uint64_t>(got[o]), std::bit_cast<uint64_t>(expected))
+                    << "output " << o << " needed " << int{needed[o]} << ": " << got[o]
+                    << " vs " << expected;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseKernelTest, Sse2MaskedOutputsMatchSingleChainReference) {
+  ExpectMaskedKernelMatchesReference(DenseForwardSse2);
+}
+
+TEST(DenseKernelTest, Avx2MaskedOutputsMatchSingleChainReference) {
+  if (!CpuHasAvx2()) {
+    GTEST_SKIP() << "this CPU has no AVX2";
+  }
+  ExpectMaskedKernelMatchesReference(DenseForwardAvx2);
+}
+
+// A masked Predict computes the flagged outputs of the whole net bit for bit
+// and leaves the rest at 0.0; a mask of the wrong width throws.
+TEST(MlpTest, MaskedPredictMatchesUnmaskedOnNeededOutputs) {
+  MlpConfig config;
+  config.layer_dims = {6, 9, 37};
+  Mlp mlp(config);
+  Pcg32 rng(77);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::vector<double> input(6);
+    for (double& v : input) {
+      v = SparseValue(rng);
+    }
+    std::vector<uint8_t> needed(37);
+    for (uint8_t& flag : needed) {
+      flag = rng.UniformInt(4) == 0 ? 1 : 0;
+    }
+    std::vector<double> full = mlp.Predict(input);
+    std::vector<double> masked = mlp.Predict(input, needed);
+    ASSERT_EQ(masked.size(), full.size());
+    for (size_t o = 0; o < full.size(); ++o) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(masked[o]),
+                std::bit_cast<uint64_t>(needed[o] != 0 ? full[o] : 0.0))
+          << "trial " << trial << " output " << o;
+    }
+  }
+  EXPECT_THROW(mlp.Predict(std::vector<double>(6), std::vector<uint8_t>(36)),
+               std::invalid_argument);
+}
+
 TEST(MlpTest, L2ShrinksWeights) {
   Pcg32 rng(37);
   Matrix x(128, 2);

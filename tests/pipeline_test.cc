@@ -54,8 +54,8 @@ TEST(TrainerTest, ProducesCompleteBundle) {
   const BranchSpace& space = BranchSpace::Default();
   EXPECT_EQ(models.space, &space);
   EXPECT_EQ(models.accuracy.size(), static_cast<size_t>(kNumFeatureKinds));
-  EXPECT_EQ(models.mean_branch_accuracy.size(), space.size());
-  for (double v : models.mean_branch_accuracy) {
+  EXPECT_EQ(models.mean_branch_accuracy().size(), space.size());
+  for (double v : models.mean_branch_accuracy()) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, 1.0);
   }
@@ -80,8 +80,8 @@ TEST(TrainerTest, MeanBranchAccuracyPrefersStrongDetector) {
   weak.gof = 1;
   size_t strong_idx = *space.Find(strong);
   size_t weak_idx = *space.Find(weak);
-  EXPECT_GT(models.mean_branch_accuracy[strong_idx],
-            models.mean_branch_accuracy[weak_idx]);
+  EXPECT_GT(models.mean_branch_accuracy()[strong_idx],
+            models.mean_branch_accuracy()[weak_idx]);
 }
 
 TEST(SerializeTest, RoundTripPreservesPredictions) {
@@ -99,7 +99,9 @@ TEST(SerializeTest, RoundTripPreservesPredictions) {
   std::vector<double> pred_b =
       loaded->accuracy.at(FeatureKind::kLight).Predict(light, {});
   EXPECT_EQ(pred_a, pred_b);
-  EXPECT_EQ(loaded->mean_branch_accuracy, models.mean_branch_accuracy);
+  EXPECT_EQ(loaded->mean_branch_accuracy(), models.mean_branch_accuracy());
+  // The accuracy order is derived on load, not stored.
+  EXPECT_EQ(loaded->branches_by_mean_accuracy(), models.branches_by_mean_accuracy());
   EXPECT_EQ(loaded->device, models.device);
   for (size_t b = 0; b < models.latency.branch_count(); b += 31) {
     EXPECT_DOUBLE_EQ(loaded->latency.PredictFrameMs(b, light, 1.0, 1.0),

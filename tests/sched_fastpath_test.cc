@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/features/light.h"
@@ -202,6 +205,164 @@ TEST(SchedFastPathTest, KeptTableDecideMatchesFreshAndReference) {
   EXPECT_EQ(misses, 100 * 4);
 }
 
+// Decisions where few branches fit at the light-only charge s0: the product
+// probes only those and computes only the accuracy rows it reads, and must
+// still match the oracle, which probes every branch and computes every row.
+// Each trial puts the margin-adjusted limit (through the SLO or the
+// allocator budget) between the k-th and (k+1)-th cheapest branch at s0 for
+// k in {0, 1, 2, 3, 6, 12}, on both spaces, with the GPU denied in a quarter
+// of the trials. The current branch is often among the cheapest, or the
+// light-only runner-up among those that fit, and a third of the anchors are
+// crowded, so the fallback, its top-up row in the forced modes, the headroom
+// stage and the hysteresis check all run; the test counts the trials on
+// each of those paths.
+TEST(SchedFastPathTest, FewFittingBranchesMatchReference) {
+  const Dataset& dataset = TinyValidation();
+  Pcg32 rng(HashKeys({0xfe3ull, 0x17ull}));
+  const LiteReconfigMode kModes[] = {
+      LiteReconfigMode::kFull, LiteReconfigMode::kMinCost,
+      LiteReconfigMode::kMaxContentResNet, LiteReconfigMode::kMaxContentMobileNet,
+      LiteReconfigMode::kForceFeature,
+  };
+  constexpr size_t kFitCounts[] = {0, 1, 1, 2, 3, 6, 12};
+
+  int none_fit = 0;
+  int forced_top_up = 0;
+  int hysteresis_kept = 0;
+  int headroom = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const TrainedModels& models = trial % 2 == 0 ? TinyModels() : TinyCpuFamilyModels();
+    const BranchSpace& space = *models.space;
+    SchedulerConfig config;
+    config.mode = kModes[trial % 5];
+    if (config.mode == LiteReconfigMode::kForceFeature) {
+      config.forced_feature =
+          kHeavyFeatures[rng.NextU32() %
+                         (sizeof(kHeavyFeatures) / sizeof(kHeavyFeatures[0]))];
+    }
+    config.charge_feature_overhead = rng.NextU32() % 4 != 0;
+    config.use_switching_cost = rng.NextU32() % 4 != 0;
+    config.use_hysteresis = rng.NextU32() % 4 != 0;
+    LiteReconfigScheduler scheduler(&models, config);
+
+    const SyntheticVideo& video = dataset.videos[trial % dataset.videos.size()];
+    int frame = static_cast<int>(rng.NextU32() % 50);
+    DetectionList anchor = ExecutionKernel::DetectAnchor(
+        video, frame, space.at(rng.NextU32() % space.size()), trial);
+    bool crowded = rng.NextU32() % 3 == 0;
+    if (crowded) {
+      // Tracking dozens of objects on a slow CPU costs more per frame than
+      // detecting them, so short GoFs price cheapest at s0 and a feature's
+      // charge, amortized over each GoF, moves the cheapest branch.
+      int extra = 24 + static_cast<int>(rng.NextU32() % 40);
+      for (int i = 0; i < extra; ++i) {
+        Detection det;
+        det.box = {rng.NextDouble() * 1000.0, rng.NextDouble() * 600.0,
+                   20.0 + rng.NextDouble() * 100.0, 20.0 + rng.NextDouble() * 100.0};
+        det.score = 0.9;
+        anchor.push_back(det);
+      }
+    }
+    std::vector<double> light =
+        ComputeLightFeatures(video.spec().width, video.spec().height, anchor);
+
+    DecisionContext ctx;
+    ctx.video = &video;
+    ctx.frame = frame;
+    ctx.anchor_detections = &anchor;
+    ctx.gpu_cal = crowded ? 0.5 + rng.NextDouble() * 0.5 : 0.5 + rng.NextDouble() * 2.5;
+    ctx.cpu_cal = crowded ? 2.0 + rng.NextDouble() * 1.0 : 0.5 + rng.NextDouble() * 2.5;
+    ctx.prefer_headroom = rng.NextU32() % 4 == 0;
+    ctx.heavy_blend = rng.NextU32() % 2 == 0 ? 0.5 : 0.3 + rng.NextDouble() * 0.6;
+    ctx.frames_remaining = rng.NextU32() % 3 == 0
+                               ? 1 + static_cast<int>(rng.NextU32() % 4)
+                               : video.frame_count() - frame;
+    ctx.gpu_available = rng.NextU32() % 4 != 0;
+    double s0 = models.FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
+
+    DecisionCostTable table;
+    auto costs_at_s0 = [&] {
+      table.Rebuild(models, config, ctx, light);
+      std::vector<std::pair<double, size_t>> costs;
+      for (size_t b = 0; b < table.size(); ++b) {
+        costs.emplace_back(table.CostMs(b, s0), b);
+      }
+      std::sort(costs.begin(), costs.end());
+      return costs;
+    };
+    uint32_t current_pick = rng.NextU32() % 5;
+    switch (current_pick) {
+      case 0:
+        break;  // no current branch
+      case 1:
+        ctx.current_branch = rng.NextU32() % space.size();
+        break;
+      case 4:
+        break;  // the light-only runner-up among the branches that fit, below
+      default:  // one of the eight cheapest branches
+        ctx.current_branch = costs_at_s0()[rng.NextU32() % 8].second;
+        break;
+    }
+    std::vector<std::pair<double, size_t>> costs = costs_at_s0();
+    size_t k = kFitCounts[rng.NextU32() % std::size(kFitCounts)];
+    double lo = k == 0 ? 0.0 : costs[k - 1].first;
+    double hi = costs[k].first;
+    double limit = !std::isfinite(lo)   ? 10.0
+                   : !std::isfinite(hi) ? lo + 1.0
+                                        : lo + (hi - lo) * (0.05 + 0.9 * rng.NextDouble());
+    double cap = limit / config.slo_margin;
+    if (rng.NextU32() % 2 == 0) {
+      ctx.slo_ms = cap;
+    } else {
+      ctx.slo_ms = cap + 1.0 + rng.NextDouble() * 50.0;
+      ctx.budget_ms = cap;
+    }
+
+    if (current_pick == 4) {
+      // The branch the light-only model ranks second among those that fit:
+      // where hysteresis can keep the current branch.
+      table.Rebuild(models, config, ctx, light);
+      std::vector<uint32_t> fits = table.FittingBranches(s0);
+      std::vector<double> light_pred =
+          models.accuracy.at(FeatureKind::kLight).Predict(light, {});
+      std::stable_sort(fits.begin(), fits.end(), [&](uint32_t a, uint32_t b) {
+        return light_pred[a] > light_pred[b];
+      });
+      if (fits.size() >= 2) {
+        ctx.current_branch = fits[1];
+      }
+    }
+
+    SchedulerDecision fast = scheduler.Decide(ctx);
+    ExpectIdenticalDecisions(fast, DecideReference(models, config, ctx), trial);
+
+    table.Rebuild(models, config, ctx, light);
+    std::vector<uint32_t> fits = table.FittingBranches(s0);
+    none_fit += fits.empty() ? 1 : 0;
+    bool forced_mode = config.mode != LiteReconfigMode::kFull &&
+                       config.mode != LiteReconfigMode::kMinCost;
+    if (forced_mode && fast.infeasible && !fits.empty()) {
+      double charged = config.charge_feature_overhead ? fast.scheduler_cost_ms : s0;
+      uint32_t cheapest = static_cast<uint32_t>(table.Cheapest(charged));
+      forced_top_up += std::find(fits.begin(), fits.end(), cheapest) == fits.end() ? 1 : 0;
+    }
+    if (!fast.infeasible && ctx.prefer_headroom) {
+      ++headroom;
+    } else if (!fast.infeasible && config.use_hysteresis &&
+               fast.branch_index == ctx.current_branch) {
+      SchedulerConfig plain = config;
+      plain.use_hysteresis = false;
+      hysteresis_kept +=
+          DecideReference(models, plain, ctx).branch_index != fast.branch_index ? 1 : 0;
+    }
+  }
+  EXPECT_GT(none_fit, 0) << "trials where nothing fits at s0";
+  EXPECT_GT(forced_top_up, 0)
+      << "forced-mode fallbacks to a branch that did not fit at s0";
+  EXPECT_GT(hysteresis_kept, 0) << "trials where hysteresis kept the current branch";
+  EXPECT_GT(headroom, 0) << "feasible trials in the headroom stage";
+}
+
 TEST(SchedFastPathTest, SelectFeaturesMatchesReference) {
   const TrainedModels& models = TinyModels();
   const Dataset& dataset = TinyValidation();
@@ -230,11 +391,11 @@ TEST(SchedFastPathTest, SelectFeaturesMatchesReference) {
       ctx.current_branch = rng.NextU32() % models.space->size();
     }
 
-    DecisionCostTable table =
-        DecisionCostTable::Build(models, SchedulerConfig{}, ctx, light);
+    DecisionCostTable table;
+    table.Rebuild(models, SchedulerConfig{}, ctx, light);
+    double s0 = models.FeatureCostMs(FeatureKind::kLight, ctx.gpu_cal, ctx.cpu_cal);
     std::vector<FeatureKind> fast = scheduler.SelectFeatures(
-        light_pred, ctx,
-        [&table](size_t b, double sched_ms) { return table.Feasible(b, sched_ms); });
+        light_pred, ctx, table.FittingBranches(s0), table);
     std::vector<FeatureKind> reference =
         SelectFeaturesReference(models, SchedulerConfig{}, light, light_pred, ctx);
     ASSERT_EQ(fast.size(), reference.size()) << "trial " << trial;
@@ -262,7 +423,8 @@ TEST(SchedFastPathTest, CostTableReproducesFrameCostExpression) {
   ctx.frame = 0;
   ctx.anchor_detections = &anchor;
   ctx.slo_ms = 33.3;
-  DecisionCostTable table = DecisionCostTable::Build(models, config, ctx, light);
+  DecisionCostTable table;
+  table.Rebuild(models, config, ctx, light);
   ASSERT_EQ(table.size(), models.space->size());
   EXPECT_EQ(table.slo_limit_ms(), ctx.slo_ms * config.slo_margin);
   // Larger scheduler cost can only raise amortized branch cost.
@@ -312,8 +474,8 @@ TEST(SchedFastPathTest, GroupedTableRowsMatchFrameCost) {
         if (rng.NextU32() % 3 != 0) {
           ctx.current_branch = rng.NextU32() % space.size();
         }
-        DecisionCostTable table =
-            DecisionCostTable::Build(*models, config, ctx, light);
+        DecisionCostTable table;
+        table.Rebuild(*models, config, ctx, light);
         ASSERT_EQ(table.size(), space.size());
         double sched_ms = rng.NextDouble() * 5.0;
         for (size_t b = 0; b < table.size(); ++b) {

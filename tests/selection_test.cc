@@ -48,7 +48,7 @@ class SelectionFixture : public ::testing::Test {
       models_.accuracy.emplace(static_cast<FeatureKind>(k),
                                ConstantPredictor(static_cast<FeatureKind>(k), flat));
     }
-    models_.mean_branch_accuracy = flat;
+    models_.SetMeanBranchAccuracy(flat);
     video_.emplace(SyntheticVideo::Generate(
         VideoSpec{/*seed=*/5, 1280, 720, 60, /*fps=*/30.0,
                   SceneArchetype::kSparse}));

@@ -6,12 +6,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/features/light.h"
 #include "src/mbek/kernel.h"
 #include "src/serve/serve_runner.h"
+#include "src/platform/device.h"
 #include "src/platform/gpu_ledger.h"
 #include "src/sched/branch_menu.h"
 #include "src/sched/scheduler.h"
@@ -21,6 +26,7 @@
 #include "src/serve/service.h"
 #include "src/util/rng.h"
 #include "tests/decide_reference.h"
+#include "tests/menu_reference.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -243,7 +249,8 @@ TEST(ServeBranchMenuTest, ParetoAscendingAndBudgetBlind) {
   ctx.frame = 0;
   ctx.anchor_detections = &anchor;
   ctx.slo_ms = 100.0;
-  std::vector<BranchOption> menu = BuildBranchMenu(models, config, ctx, light);
+  DecisionCostTable table;
+  std::vector<BranchOption> menu = BuildBranchMenu(models, config, ctx, light, table);
   ASSERT_FALSE(menu.empty());
   double limit = SloLimitMs(config, ctx);
   for (size_t i = 0; i < menu.size(); ++i) {
@@ -257,11 +264,82 @@ TEST(ServeBranchMenuTest, ParetoAscendingAndBudgetBlind) {
   }
   // The menu prices demand before budgets exist, so budget_ms is ignored.
   ctx.budget_ms = 5.0;
-  std::vector<BranchOption> capped = BuildBranchMenu(models, config, ctx, light);
+  std::vector<BranchOption> capped = BuildBranchMenu(models, config, ctx, light, table);
   ASSERT_EQ(capped.size(), menu.size());
   for (size_t i = 0; i < menu.size(); ++i) {
     EXPECT_EQ(capped[i].branch, menu[i].branch);
     EXPECT_EQ(capped[i].frame_ms, menu[i].frame_ms);
+  }
+}
+
+// The one-pass frontier on a kept table against the sorted frontier on a
+// fresh one, option for option, across contention levels, thermal scales,
+// GPU availability, current branches, GoF tails, SLOs and budgets, on both
+// spaces, and on copies whose mean accuracies are rounded to two decimals so
+// that many branches tie.
+TEST(ServeBranchMenuTest, MatchesSortedFrontierReference) {
+  const Dataset& dataset = TinyValidation();
+  std::vector<TrainedModels> bundles = {TinyModels(), TinyCpuFamilyModels()};
+  for (size_t i = 0; i < 2; ++i) {
+    TrainedModels rounded = bundles[i];
+    std::vector<double> accuracy = rounded.mean_branch_accuracy();
+    for (double& v : accuracy) {
+      v = std::round(v * 100.0) / 100.0;
+    }
+    std::vector<double> distinct = accuracy;
+    std::sort(distinct.begin(), distinct.end());
+    ASSERT_LT(std::unique(distinct.begin(), distinct.end()) - distinct.begin(),
+              static_cast<std::ptrdiff_t>(accuracy.size()));
+    rounded.SetMeanBranchAccuracy(std::move(accuracy));
+    bundles.push_back(std::move(rounded));
+  }
+  Pcg32 rng(HashKeys({0x3e7ull, 0x51ull}));
+  SchedulerConfig config;
+  for (const TrainedModels& models : bundles) {
+    const BranchSpace& space = *models.space;
+    DecisionCostTable table;  // kept across the contexts, as a session keeps it
+    std::optional<size_t> current;
+    size_t options = 0;
+    for (int trial = 0; trial < 150; ++trial) {
+      const SyntheticVideo& video = dataset.videos[trial % dataset.videos.size()];
+      int frame = static_cast<int>(rng.NextU32() % 50);
+      DetectionList anchor = ExecutionKernel::DetectAnchor(
+          video, frame, space.at(rng.NextU32() % space.size()), trial);
+      std::vector<double> light =
+          ComputeLightFeatures(video.spec().width, video.spec().height, anchor);
+      double level = rng.NextDouble() * 0.9;
+      double thermal = rng.NextU32() % 2 == 0 ? 1.0 : 1.0 + rng.NextDouble() * 0.6;
+      DecisionContext ctx;
+      ctx.video = &video;
+      ctx.frame = frame;
+      ctx.anchor_detections = &anchor;
+      ctx.slo_ms = 20.0 + rng.NextDouble() * 80.0;
+      ctx.budget_ms = rng.NextU32() % 2 == 0 ? 0.0 : 5.0 + rng.NextDouble() * 40.0;
+      ctx.gpu_cal = ContentionGenerator(level).GpuInflation() * thermal;
+      ctx.cpu_cal = thermal;
+      ctx.gpu_available = rng.NextU32() % 4 != 0;
+      // The current branch moves every fourth context; in between the table
+      // keeps its switch-cost row.
+      if (trial % 4 == 0) {
+        current = rng.NextU32() % 4 == 0
+                      ? std::nullopt
+                      : std::optional<size_t>(rng.NextU32() % space.size());
+      }
+      ctx.current_branch = current;
+      ctx.frames_remaining = rng.NextU32() % 3 == 0
+                                 ? 1 + static_cast<int>(rng.NextU32() % 10)
+                                 : video.frame_count() - frame;
+      std::vector<BranchOption> menu = BuildBranchMenu(models, config, ctx, light, table);
+      std::vector<BranchOption> want = BuildBranchMenuReference(models, config, ctx, light);
+      ASSERT_EQ(menu.size(), want.size()) << "trial " << trial;
+      for (size_t i = 0; i < menu.size(); ++i) {
+        EXPECT_EQ(menu[i].branch, want[i].branch) << "trial " << trial << " option " << i;
+        EXPECT_EQ(menu[i].frame_ms, want[i].frame_ms) << "trial " << trial << " option " << i;
+        EXPECT_EQ(menu[i].accuracy, want[i].accuracy) << "trial " << trial << " option " << i;
+      }
+      options += menu.size();
+    }
+    EXPECT_GT(options, 150u);
   }
 }
 

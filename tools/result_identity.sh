@@ -59,6 +59,9 @@ cases=(
   "lrc_ramp_predictive|litereconfig_run|--protocol=litereconfig --faults=ramp --predictive=1"
   "approxdet_severe_xavier|litereconfig_run|--protocol=approxdet --device=xavier --lat_req=20 --faults=severe_xavier --predictive=1"
   "ssd_moderate|litereconfig_run|--protocol=ssd --faults=moderate"
+  # A forced-feature mode: every decision extracts ResNet50 and charges it
+  # against a 12 ms SLO.
+  "maxresnet_tight|litereconfig_run|--protocol=maxcontent-resnet --lat_req=12 --faults=moderate"
   "serve_64|serve_run|--streams=64"
   "serve_severe|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe --fault_seed=7"
   "serve_severe_xavier|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe_xavier --fault_seed=7"
