@@ -55,9 +55,7 @@ int main(int argc, char** argv) {
   TrainedModels models = wb.models();
   LiteReconfigScheduler scheduler(&models, SchedulerConfig{});
   ThrottledPlatform platform(DeviceType::kTx2, /*slowdown=*/1.4);
-  DriftConfig drift_config;
-  drift_config.window = 24;
-  DriftMonitor monitor(drift_config);
+  DriftMonitor monitor;
   Pcg32 rng(99);
 
   VideoSpec spec;

@@ -16,7 +16,7 @@ ApproxDetProtocol::ApproxDetProtocol(const TrainedModels* models) : models_(mode
 size_t ApproxDetProtocol::Decide(const std::vector<double>& light, double gpu_cal,
                                  double cpu_cal, double slo_ms,
                                  int frames_remaining, bool* feasible) const {
-  constexpr double kSloMargin = 0.93;
+  constexpr double kApproxDetSloMargin = 0.93;
   const BranchSpace& space = *models_->space;
   double best_acc = -1.0;
   size_t best = 0;
@@ -32,7 +32,7 @@ size_t ApproxDetProtocol::Decide(const std::vector<double>& light, double gpu_ca
       cheapest_ms = frame_ms;
       cheapest = b;
     }
-    if (frame_ms > slo_ms * kSloMargin) {
+    if (frame_ms > slo_ms * kApproxDetSloMargin) {
       continue;
     }
     if (models_->mean_branch_accuracy()[b] > best_acc) {

@@ -5,9 +5,9 @@
 
 namespace litereconfig {
 
-int ClipLabel(const SyntheticVideo& video, int start, int length) {
+int ClipLabel(const SyntheticVideo& video, int start) {
   std::map<int, double> area_by_class;
-  int end = std::min(video.frame_count(), start + length);
+  int end = std::min(video.frame_count(), start + kClsWindowFrames);
   for (int t = start; t < end; ++t) {
     for (const SceneObjectState& obj : video.frame(t).objects) {
       if (obj.occlusion < 0.95) {

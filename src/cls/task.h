@@ -18,8 +18,9 @@ namespace litereconfig {
 inline constexpr int kClsWindowFrames = 16;
 
 // Ground-truth clip label: the class with the largest accumulated visible box
-// area over the window; -1 when the window contains no visible object.
-int ClipLabel(const SyntheticVideo& video, int start, int length = kClsWindowFrames);
+// area over the kClsWindowFrames frames from `start`; -1 when the window
+// contains no visible object.
+int ClipLabel(const SyntheticVideo& video, int start);
 
 // Running top-1 accuracy.
 class Top1Accuracy {

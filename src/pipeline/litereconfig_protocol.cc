@@ -11,11 +11,6 @@ namespace litereconfig {
 
 namespace {
 
-// Predictive robustness: the drift monitor runs per video stream (tens of
-// GoFs), so its window and bias threshold are sized well below the offline
-// defaults — a thermal ramp must be caught before the stream ends.
-constexpr size_t kDriftWindow = 6;
-constexpr double kDriftBiasThreshold = 0.12;
 // After a content-drift re-anchor, the accuracy blend trusts the heavy
 // content-aware models more than the stale light-only baseline.
 constexpr double kReanchoredHeavyBlend = 0.75;
@@ -41,9 +36,8 @@ SchedulerConfig LiteReconfigProtocol::MinCostConfig() {
 
 SchedulerConfig LiteReconfigProtocol::MaxContentConfig(FeatureKind feature) {
   SchedulerConfig config;
-  config.mode = feature == FeatureKind::kMobileNetV2
-                    ? LiteReconfigMode::kMaxContentMobileNet
-                    : LiteReconfigMode::kMaxContentResNet;
+  config.mode = LiteReconfigMode::kForceFeature;
+  config.forced_feature = feature;
   return config;
 }
 
@@ -98,10 +92,7 @@ VideoRunStats LiteReconfigProtocol::RunVideo(const SyntheticVideo& video,
   // faults are injected with the degradation path armed, so the no-fault run
   // is numerically identical to the non-predictive one.
   bool predictive = env.predictive && env.degrade && faults.active();
-  DriftConfig drift_config;
-  drift_config.window = kDriftWindow;
-  drift_config.latency_rel_threshold = kDriftBiasThreshold;
-  DriftMonitor drift(drift_config);
+  DriftMonitor drift;
   double heavy_blend = 0.5;
   // Measured CPU-side calibration (observed / profiled tracker time EWMA).
   // Only *applied* to cpu_cal when the drift monitor flags sustained latency

@@ -34,6 +34,8 @@ class LiteReconfigProtocol : public Protocol {
   // Convenience constructors for the paper's four variants.
   static SchedulerConfig FullConfig();
   static SchedulerConfig MinCostConfig();
+  // MaxContent-<feature>: the forced-feature mode with the feature's cost
+  // charged against the budget.
   static SchedulerConfig MaxContentConfig(FeatureKind feature);
   // Table-4 protocol: one forced feature, overhead excluded from the budget.
   static SchedulerConfig ForcedFeatureConfig(FeatureKind feature);

@@ -9,8 +9,9 @@
 
 namespace litereconfig {
 
-bool EvalResult::MeetsSlo(double slo, double slack) const {
-  return !oom && p95_ms <= slo * slack;
+bool EvalResult::MeetsSlo(double slo) const {
+  constexpr double kSlack = 1.10;
+  return !oom && p95_ms <= slo * kSlack;
 }
 
 EvalResult OnlineRunner::Run(Protocol& protocol, const Dataset& validation,

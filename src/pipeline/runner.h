@@ -89,8 +89,9 @@ struct EvalResult {
   PhaseProfile phases;
 
   // The paper's pass/fail notion: "F" when the protocol misses the SLO (P95
-  // above the objective beyond measurement slack) or cannot run at all.
-  bool MeetsSlo(double slo_ms, double slack = 1.10) const;
+  // above the objective beyond the 10% measurement slack) or cannot run at
+  // all.
+  bool MeetsSlo(double slo_ms) const;
 };
 
 // One-line JSON rendering of an EvalResult, failures included — the

@@ -8,7 +8,7 @@ namespace litereconfig {
 namespace {
 
 // Redundant features add little on top of the best one. Must stay below the
-// scheduler's min_feature_gain, or a second (redundant) feature would always
+// scheduler's kMinFeatureGain, or a second (redundant) feature would always
 // pass the greedy gate whenever the budget allows it.
 constexpr double kComplementarityBonus = 0.0005;
 

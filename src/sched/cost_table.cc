@@ -11,7 +11,7 @@ void DecisionCostTable::Rebuild(const TrainedModels& models,
                                 const std::vector<double>& light) {
   const BranchSpace& space = *models.space;
   const size_t n = space.size();
-  slo_limit_ms_ = SloLimitMs(config, ctx);
+  slo_limit_ms_ = SloLimitMs(ctx);
   effective_gof_.resize(n);
   gof_.resize(n);
   for (size_t b = 0; b < n; ++b) {

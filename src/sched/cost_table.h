@@ -84,7 +84,7 @@ class DecisionCostTable {
   std::vector<uint32_t> FittingBranches(double sched_ms) const;
 
   size_t size() const { return branch_ms_.size(); }
-  // The constraint threshold: slo_ms * slo_margin.
+  // The constraint threshold: SloLimitMs(ctx).
   double slo_limit_ms() const { return slo_limit_ms_; }
   // Rebuilds so far that reused the previous switch-cost row.
   long switch_row_reuses() const { return switch_row_reuses_; }

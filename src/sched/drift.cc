@@ -5,14 +5,12 @@
 
 namespace litereconfig {
 
-DriftMonitor::DriftMonitor(const DriftConfig& config) : config_(config) {}
-
 void DriftMonitor::ObserveLatency(double predicted_ms, double observed_ms) {
   if (predicted_ms <= 0.0) {
     return;
   }
   latency_rel_errors_.push_back((observed_ms - predicted_ms) / predicted_ms);
-  while (latency_rel_errors_.size() > config_.window) {
+  while (latency_rel_errors_.size() > kDriftWindow) {
     latency_rel_errors_.pop_front();
   }
 }
@@ -31,7 +29,7 @@ void DriftMonitor::ObserveDetections(const DetectionList& detections) {
     baseline_.score_mean += mean_score;
     baseline_.count_mean += count;
     ++baseline_.samples;
-    if (baseline_.samples >= config_.window) {
+    if (baseline_.samples >= kDriftWindow) {
       baseline_.score_mean /= static_cast<double>(baseline_.samples);
       baseline_.count_mean /= static_cast<double>(baseline_.samples);
       baseline_frozen_ = true;
@@ -39,23 +37,23 @@ void DriftMonitor::ObserveDetections(const DetectionList& detections) {
     return;
   }
   recent_content_.emplace_back(mean_score, count);
-  while (recent_content_.size() > config_.window) {
+  while (recent_content_.size() > kDriftWindow) {
     recent_content_.pop_front();
   }
 }
 
 DriftStatus DriftMonitor::Check() const {
   DriftStatus status;
-  if (latency_rel_errors_.size() >= config_.window) {
+  if (latency_rel_errors_.size() >= kDriftWindow) {
     double sum = 0.0;
     for (double err : latency_rel_errors_) {
       sum += err;
     }
     status.latency_rel_bias = sum / static_cast<double>(latency_rel_errors_.size());
     status.latency_drift =
-        std::abs(status.latency_rel_bias) > config_.latency_rel_threshold;
+        std::abs(status.latency_rel_bias) > kLatencyBiasThreshold;
   }
-  if (baseline_frozen_ && recent_content_.size() >= config_.window) {
+  if (baseline_frozen_ && recent_content_.size() >= kDriftWindow) {
     double score_sum = 0.0;
     double count_sum = 0.0;
     for (const auto& [score, count] : recent_content_) {

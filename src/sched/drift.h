@@ -23,13 +23,11 @@
 
 namespace litereconfig {
 
-struct DriftConfig {
-  // Observations per window (one per GoF).
-  size_t window = 48;
-  // Sustained |observed - predicted| / predicted above this flags latency drift.
-  double latency_rel_threshold = 0.30;
-};
-
+// Observations per window (one per GoF). The monitor runs per video stream
+// (tens of GoFs), so a thermal ramp must be caught within a few of them.
+inline constexpr size_t kDriftWindow = 6;
+// Sustained |observed - predicted| / predicted above this flags latency drift.
+inline constexpr double kLatencyBiasThreshold = 0.12;
 // Shift of the mean detection confidence (absolute) that flags content drift.
 inline constexpr double kScoreShiftThreshold = 0.12;
 // Shift of the mean confident-object count that flags content drift.
@@ -48,8 +46,6 @@ struct DriftStatus {
 
 class DriftMonitor {
  public:
-  explicit DriftMonitor(const DriftConfig& config = {});
-
   // One observation per GoF: the calibrated per-frame prediction vs. what the
   // platform actually charged.
   void ObserveLatency(double predicted_ms, double observed_ms);
@@ -64,8 +60,6 @@ class DriftMonitor {
   // Accepts the current regime as the new baseline (call after retraining).
   void Rebaseline();
 
-  const DriftConfig& config() const { return config_; }
-
  private:
   struct Window {
     double score_mean = 0.0;
@@ -73,8 +67,7 @@ class DriftMonitor {
     size_t samples = 0;
   };
 
-  DriftConfig config_;
-  // Latency relative errors, most recent config_.window kept.
+  // Latency relative errors, most recent kDriftWindow kept.
   std::deque<double> latency_rel_errors_;
   // Content baseline (frozen) and the rolling current window.
   bool baseline_frozen_ = false;

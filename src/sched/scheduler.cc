@@ -33,12 +33,12 @@ void TrainedModels::SetMeanBranchAccuracy(std::vector<double> mean_accuracy) {
                    });
 }
 
-double SloLimitMs(const SchedulerConfig& config, const DecisionContext& ctx) {
+double SloLimitMs(const DecisionContext& ctx) {
   double slo = ctx.slo_ms;
   if (ctx.budget_ms > 0.0 && ctx.budget_ms < slo) {
     slo = ctx.budget_ms;
   }
-  return slo * config.slo_margin;
+  return slo * kSloMargin;
 }
 
 LiteReconfigScheduler::LiteReconfigScheduler(const TrainedModels* models,
@@ -69,7 +69,7 @@ std::vector<FeatureKind> LiteReconfigScheduler::SelectFeatures(
     // Not even the cheapest branch fits: no budget for content features.
     return selected;
   }
-  while (static_cast<int>(selected.size()) < config_.max_heavy_features) {
+  while (static_cast<int>(selected.size()) < kMaxHeavyFeatures) {
     FeatureKind best_kind = FeatureKind::kLight;
     double best_objective = objective;
     for (FeatureKind kind : kHeavyFeatures) {
@@ -86,7 +86,7 @@ std::vector<FeatureKind> LiteReconfigScheduler::SelectFeatures(
         continue;  // the feature's cost leaves no feasible branch
       }
       double obj = base + models_->ben.BenSubset(candidate, ctx.slo_ms);
-      if (obj > best_objective + config_.min_feature_gain) {
+      if (obj > best_objective + kMinFeatureGain) {
         best_objective = obj;
         best_kind = kind;
       }
@@ -109,10 +109,6 @@ std::vector<FeatureKind> LiteReconfigScheduler::ChooseHeavyFeatures(
       return SelectFeatures(light_pred, ctx, fits, table);
     case LiteReconfigMode::kMinCost:
       return {};
-    case LiteReconfigMode::kMaxContentResNet:
-      return {FeatureKind::kResNet50};
-    case LiteReconfigMode::kMaxContentMobileNet:
-      return {FeatureKind::kMobileNetV2};
     case LiteReconfigMode::kForceFeature:
       return {config_.forced_feature};
   }

@@ -2,12 +2,11 @@
 // the switching-cost-aware constrained branch optimization (Eq. 3).
 //
 // Variants (paper Section 4):
-//   * kFull               — cost-benefit analysis over all content features;
-//   * kMinCost            — content-agnostic: light features only;
-//   * kMaxContentResNet   — always extracts and uses the ResNet50 feature;
-//   * kMaxContentMobileNet— always extracts and uses the MobileNetV2 feature;
-//   * kForceFeature       — always uses one given feature; with
-//     charge_feature_overhead = false this is the Table-4 protocol (the latency
+//   * kFull         — cost-benefit analysis over all content features;
+//   * kMinCost      — content-agnostic: light features only;
+//   * kForceFeature — always extracts and uses one given feature. With its
+//     cost charged this is MaxContent-ResNet/-MobileNet (Table 2); with
+//     charge_feature_overhead = false it is the Table-4 protocol (the latency
 //     objective applies to the MBEK only and the feature overhead is ignored).
 #ifndef SRC_SCHED_SCHEDULER_H_
 #define SRC_SCHED_SCHEDULER_H_
@@ -70,12 +69,18 @@ struct TrainedModels {
 // Minimum predicted-accuracy improvement required to leave the current branch
 // (cost-aware anti-thrashing on top of the C(b0, b) constraint term).
 inline constexpr double kSwitchHysteresis = 0.003;
+// The greedy feature selection adds at most this many heavy features.
+inline constexpr int kMaxHeavyFeatures = 2;
+// Minimum benefit-objective gain required to add another feature.
+inline constexpr double kMinFeatureGain = 0.001;
+// The constraint targets this fraction of the SLO: the P95 guarantee needs
+// headroom above the predicted mean for execution noise and count drift
+// (paper Section 5.5: "using up its latency budget prudently").
+inline constexpr double kSloMargin = 0.90;
 
 enum class LiteReconfigMode {
   kFull,
   kMinCost,
-  kMaxContentResNet,
-  kMaxContentMobileNet,
   kForceFeature,
 };
 
@@ -84,14 +89,6 @@ struct SchedulerConfig {
   FeatureKind forced_feature = FeatureKind::kHoc;  // for kForceFeature
   // Table-4 protocol: do not charge feature costs against the latency budget.
   bool charge_feature_overhead = true;
-  // The greedy selection adds at most this many heavy features.
-  int max_heavy_features = 2;
-  // Minimum benefit-objective gain required to add another feature.
-  double min_feature_gain = 0.001;
-  // The constraint targets this fraction of the SLO: the P95 guarantee needs
-  // headroom above the predicted mean for execution noise and count drift
-  // (paper Section 5.5: "using up its latency budget prudently").
-  double slo_margin = 0.90;
 
   // Ablation switches (all on in the real system; see bench_ablation):
   // include the C(b0, b) switching-cost term in the constraint (paper S3.5);
@@ -138,8 +135,8 @@ struct DecisionContext {
 
 // The margin-adjusted feasibility threshold the DecisionCostTable (and the
 // reference scheduler in tests/decide_reference.h) constrain against:
-// min(slo, allocator budget) * margin.
-double SloLimitMs(const SchedulerConfig& config, const DecisionContext& ctx);
+// min(slo, allocator budget) * kSloMargin.
+double SloLimitMs(const DecisionContext& ctx);
 
 struct SchedulerDecision {
   size_t branch_index = 0;

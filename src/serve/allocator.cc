@@ -7,17 +7,17 @@ namespace litereconfig {
 namespace {
 
 // Converts a granted menu level into the budget fed to the scheduler: the
-// constraint is budget * slo_margin, so the cap is placed halfway between the
+// constraint is budget * kSloMargin, so the cap is placed halfway between the
 // granted option and the next (unaffordable) one — robust to the round-trip
 // through the margin multiplication — and divided back by the margin.
-double LevelToBudget(const StreamDemand& demand, size_t level, double margin) {
+double LevelToBudget(const StreamDemand& demand, size_t level) {
   const std::vector<BranchOption>& menu = demand.menu;
   if (level + 1 >= menu.size()) {
     // Top of the menu: the stream's own SLO is the only remaining cap.
     return demand.slo_ms;
   }
   double limit = 0.5 * (menu[level].frame_ms + menu[level + 1].frame_ms);
-  return limit / margin;
+  return limit / kSloMargin;
 }
 
 }  // namespace
@@ -43,7 +43,6 @@ std::optional<AllocatorMode> AllocatorModeFromName(std::string_view name) {
 }
 
 std::vector<double> AllocateBudgets(AllocatorMode mode, double capacity_ms,
-                                    double slo_margin,
                                     const std::vector<StreamDemand>& demands) {
   size_t n = demands.size();
   std::vector<double> budgets(n, 0.0);
@@ -54,12 +53,10 @@ std::vector<double> AllocateBudgets(AllocatorMode mode, double capacity_ms,
     // A lone stream owns the device: unconstrained (single-tenant behaviour).
     return budgets;
   }
-  double margin = slo_margin > 0.0 ? slo_margin : 1.0;
-
   if (mode == AllocatorMode::kEqualSplit) {
     double share = capacity_ms / static_cast<double>(n);
     for (size_t i = 0; i < n; ++i) {
-      budgets[i] = std::min(demands[i].slo_ms, share / margin);
+      budgets[i] = std::min(demands[i].slo_ms, share / kSloMargin);
     }
     return budgets;
   }
@@ -120,7 +117,7 @@ std::vector<double> AllocateBudgets(AllocatorMode mode, double capacity_ms,
       budgets[i] = 0.0;  // nothing feasible; the scheduler degrades on its own
       continue;
     }
-    budgets[i] = LevelToBudget(demands[i], level[i], margin);
+    budgets[i] = LevelToBudget(demands[i], level[i]);
   }
   return budgets;
 }

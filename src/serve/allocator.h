@@ -47,13 +47,12 @@ struct StreamDemand {
   std::vector<BranchOption> menu;
 };
 
-// Splits `capacity_ms` of per-frame compute across the demands. `slo_margin`
-// is the scheduler's: budgets are divided by it so that budget * margin lands
+// Splits `capacity_ms` of per-frame compute across the demands. Budgets are
+// divided by the scheduler's kSloMargin so that budget * kSloMargin lands
 // exactly on the menu cost the allocator granted. Returns one budget_ms per
 // demand (0 = unconstrained, used when a stream is alone or nothing is
 // feasible anyway).
 std::vector<double> AllocateBudgets(AllocatorMode mode, double capacity_ms,
-                                    double slo_margin,
                                     const std::vector<StreamDemand>& demands);
 
 }  // namespace litereconfig

@@ -147,9 +147,6 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
 
   SwitchingCostModel switching(models_->device);
   AdmissionController admission(config_.admission);
-  // The allocator speaks the scheduler's margin: a granted budget has to land
-  // exactly on the menu cost it paid for after the margin multiply.
-  double slo_margin = config_.scheduler.slo_margin;
 
   // Device-wide fault schedule: one plan for the whole service, frozen into
   // the round snapshot so every stream sees the same faulted device state.
@@ -272,7 +269,7 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
         still_pending.push_back(pending);
         continue;
       }
-      double limit = pending.request.slo_ms * slo_margin;
+      double limit = pending.request.slo_ms * kSloMargin;
       double interval = 1000.0 / pending.request.video.fps;
       ShareEstimate alone =
           CheapestShareAt(*models_, limit, 0.0, interval, gpu_available);
@@ -485,7 +482,7 @@ ServeResult StreamingService::Run(const std::vector<StreamRequest>& requests) {
     std::vector<double> granted = AllocateBudgets(
         config_.allocator.mode,
         frame_interval * std::max(0.0, 1.0 - coast_total / frame_interval),
-        slo_margin, running);
+        running);
     for (size_t i = 0, r = 0; i < live.size(); ++i) {
       live[i].budget_ms = live[i].coast ? 0.0 : granted[r++];
     }

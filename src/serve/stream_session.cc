@@ -52,7 +52,7 @@ StreamSession::StreamSession(const TrainedModels* models,
       effective_class_(request.slo_class) {}
 
 double StreamSession::SloLimit() const {
-  return request_.slo_ms * scheduler_.config().slo_margin;
+  return request_.slo_ms * kSloMargin;
 }
 
 double StreamSession::AnalyticGpuCal(double level) {

@@ -1,13 +1,10 @@
 #include "src/vision/metrics.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "src/util/thread_pool.h"
 
 namespace litereconfig {
-
-ApEvaluator::ApEvaluator(double iou_threshold) : iou_threshold_(iou_threshold) {}
 
 void ApEvaluator::AddFrame(const GroundTruthList& ground_truth,
                            const DetectionList& detections) {
@@ -26,7 +23,7 @@ void ApEvaluator::AddFrame(const GroundTruthList& ground_truth,
   claimed_.assign(ground_truth.size(), false);
   for (size_t i : order_) {
     const Detection& det = detections[i];
-    double best_iou = iou_threshold_;
+    double best_iou = kIouThreshold;
     size_t best = ground_truth.size();
     for (size_t g = 0; g < ground_truth.size(); ++g) {
       if (claimed_[g] || ground_truth[g].class_id != det.class_id) {
@@ -47,7 +44,6 @@ void ApEvaluator::AddFrame(const GroundTruthList& ground_truth,
 }
 
 void ApEvaluator::Merge(const ApEvaluator& other) {
-  assert(iou_threshold_ == other.iou_threshold_);
   frame_count_ += other.frame_count_;
   for (const auto& [class_id, other_data] : other.classes_) {
     ClassData& data = classes_[class_id];
@@ -121,7 +117,6 @@ double ApEvaluator::MergedMeanAveragePrecision(
   };
   std::map<int, ClassRuns> joined;
   for (const ApEvaluator* part : parts) {
-    assert(part->iou_threshold_ == parts.front()->iou_threshold_);
     for (const auto& [class_id, data] : part->classes_) {
       ClassRuns& cls = joined[class_id];
       cls.runs.push_back(&data.detections);

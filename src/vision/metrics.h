@@ -2,7 +2,7 @@
 //
 // This follows the standard ImageNet-VID / PASCAL evaluation: detections of each
 // class are ranked globally by confidence, greedily matched per frame against the
-// not-yet-claimed ground truth with IoU >= threshold, and AP is the area under the
+// not-yet-claimed ground truth with IoU >= 0.5, and AP is the area under the
 // interpolated precision-recall curve. mAP averages AP over classes that appear in
 // the ground truth. A detection only competes within its own frame and class, so
 // AddFrame matches each frame on arrival, in the frame's stable score order, and
@@ -22,8 +22,6 @@ namespace litereconfig {
 
 class ApEvaluator {
  public:
-  explicit ApEvaluator(double iou_threshold = 0.5);
-
   // Adds and matches one evaluated frame. Detections and ground truth must
   // describe the same frame; frames are independent for matching purposes.
   void AddFrame(const GroundTruthList& ground_truth, const DetectionList& detections);
@@ -31,8 +29,7 @@ class ApEvaluator {
   // Appends another evaluator's frames after this one's, as if other's AddFrame
   // calls had been replayed here in order. Merging per-video evaluators in video
   // order therefore reproduces the sequential single-evaluator accumulation
-  // bit-for-bit — the parallel evaluation engine relies on this. Both
-  // evaluators must use the same IoU threshold.
+  // bit-for-bit — the parallel evaluation engine relies on this.
   void Merge(const ApEvaluator& other);
 
   // AP for one class; 0 if the class never appears in the ground truth.
@@ -48,7 +45,7 @@ class ApEvaluator {
   // calling MeanAveragePrecision() returns, without building that evaluator:
   // each class joins its records from the parts in part order and is ranked
   // in its own ThreadPool::Shared() task, up to `threads` at a time. The APs
-  // are summed in class order. All parts must use the same IoU threshold.
+  // are summed in class order.
   static double MergedMeanAveragePrecision(std::span<const ApEvaluator* const> parts,
                                            int threads);
 
@@ -69,7 +66,9 @@ class ApEvaluator {
   static double RankedAveragePrecision(std::vector<MatchedDetection> records,
                                        size_t total_ground_truth);
 
-  double iou_threshold_;
+  // A detection matches a ground-truth box at this IoU or above.
+  static constexpr double kIouThreshold = 0.5;
+
   size_t frame_count_ = 0;
   std::map<int, ClassData> classes_;
   // AddFrame scratch, reused across frames.

@@ -124,7 +124,7 @@ TEST(CpuFamilyMenuTest, ParetoFrontierStaysValidWithCpuFamily) {
       DecisionCostTable table;
       std::vector<BranchOption> menu =
           BuildBranchMenu(extended, config, ctx, kLightProbe, table);
-      double limit = slo * config.slo_margin;
+      double limit = slo * kSloMargin;
       for (size_t i = 0; i < menu.size(); ++i) {
         EXPECT_TRUE(std::isfinite(menu[i].frame_ms));
         EXPECT_LE(menu[i].frame_ms, limit);

@@ -59,7 +59,7 @@ inline double FrameCostMs(const TrainedModels& models, const SchedulerConfig& co
 inline auto ReferenceFeasible(const TrainedModels& models, const SchedulerConfig& config,
                               const DecisionContext& ctx,
                               const std::vector<double>& light) {
-  return [&models, &config, &ctx, &light, slo_limit = SloLimitMs(config, ctx)](
+  return [&models, &config, &ctx, &light, slo_limit = SloLimitMs(ctx)](
              size_t b, double sched_ms) {
     return FrameCostMs(models, config, ctx, light, b, sched_ms) <= slo_limit;
   };
@@ -90,7 +90,7 @@ inline std::vector<FeatureKind> SelectFeaturesReference(
   if (objective < 0.0) {
     return selected;
   }
-  while (static_cast<int>(selected.size()) < config.max_heavy_features) {
+  while (static_cast<int>(selected.size()) < kMaxHeavyFeatures) {
     FeatureKind best_kind = FeatureKind::kLight;
     double best_objective = objective;
     for (FeatureKind kind : kHeavyFeatures) {
@@ -107,7 +107,7 @@ inline std::vector<FeatureKind> SelectFeaturesReference(
         continue;
       }
       double obj = base + models.ben.BenSubset(candidate, ctx.slo_ms);
-      if (obj > best_objective + config.min_feature_gain) {
+      if (obj > best_objective + kMinFeatureGain) {
         best_objective = obj;
         best_kind = kind;
       }
@@ -131,10 +131,6 @@ inline std::vector<FeatureKind> ChooseHeavyFeaturesReference(
       return SelectFeaturesReference(models, config, light, light_pred, ctx);
     case LiteReconfigMode::kMinCost:
       return {};
-    case LiteReconfigMode::kMaxContentResNet:
-      return {FeatureKind::kResNet50};
-    case LiteReconfigMode::kMaxContentMobileNet:
-      return {FeatureKind::kMobileNetV2};
     case LiteReconfigMode::kForceFeature:
       return {config.forced_feature};
   }
@@ -170,7 +166,7 @@ inline SchedulerDecision DecideReference(const TrainedModels& models,
   SchedulerDecision decision;
   decision.heavy_features = std::move(heavy);
   decision.scheduler_cost_ms = s0 + heavy_cost;
-  double slo_limit = SloLimitMs(config, ctx);
+  double slo_limit = SloLimitMs(ctx);
   double best_acc = -1.0;
   size_t best_branch = 0;
   double cheapest_ms = std::numeric_limits<double>::infinity();

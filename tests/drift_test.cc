@@ -6,12 +6,6 @@
 namespace litereconfig {
 namespace {
 
-DriftConfig SmallConfig() {
-  DriftConfig config;
-  config.window = 16;
-  return config;
-}
-
 DetectionList MakeDetections(int count, double score, Pcg32* rng = nullptr) {
   DetectionList dets;
   for (int i = 0; i < count; ++i) {
@@ -24,14 +18,14 @@ DetectionList MakeDetections(int count, double score, Pcg32* rng = nullptr) {
 }
 
 TEST(DriftMonitorTest, NoDriftBeforeWindowsFill) {
-  DriftMonitor monitor(SmallConfig());
+  DriftMonitor monitor;
   monitor.ObserveLatency(10.0, 20.0);
   monitor.ObserveDetections(MakeDetections(3, 0.9));
   EXPECT_FALSE(monitor.Check().Any());
 }
 
 TEST(DriftMonitorTest, UnbiasedLatencyIsQuiet) {
-  DriftMonitor monitor(SmallConfig());
+  DriftMonitor monitor;
   Pcg32 rng(3);
   for (int i = 0; i < 64; ++i) {
     monitor.ObserveLatency(10.0, 10.0 * rng.LogNormal(0.0, 0.05));
@@ -42,8 +36,8 @@ TEST(DriftMonitorTest, UnbiasedLatencyIsQuiet) {
 }
 
 TEST(DriftMonitorTest, SustainedLatencyBiasFlags) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 32; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < 2 * kDriftWindow; ++i) {
     monitor.ObserveLatency(10.0, 15.0);  // +50% sustained
   }
   DriftStatus status = monitor.Check();
@@ -52,8 +46,8 @@ TEST(DriftMonitorTest, SustainedLatencyBiasFlags) {
 }
 
 TEST(DriftMonitorTest, NegativeBiasAlsoFlags) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 32; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < 2 * kDriftWindow; ++i) {
     monitor.ObserveLatency(10.0, 6.0);
   }
   EXPECT_TRUE(monitor.Check().latency_drift);
@@ -61,19 +55,19 @@ TEST(DriftMonitorTest, NegativeBiasAlsoFlags) {
 
 TEST(DriftMonitorTest, LatencyWindowForgets) {
   // A past bias must wash out once recent observations are unbiased.
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 16; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveLatency(10.0, 16.0);
   }
   EXPECT_TRUE(monitor.Check().latency_drift);
-  for (int i = 0; i < 16; ++i) {
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveLatency(10.0, 10.0);
   }
   EXPECT_FALSE(monitor.Check().latency_drift);
 }
 
 TEST(DriftMonitorTest, StableContentIsQuiet) {
-  DriftMonitor monitor(SmallConfig());
+  DriftMonitor monitor;
   Pcg32 rng(5);
   for (int i = 0; i < 64; ++i) {
     monitor.ObserveDetections(MakeDetections(4, 0.8, &rng));
@@ -82,11 +76,11 @@ TEST(DriftMonitorTest, StableContentIsQuiet) {
 }
 
 TEST(DriftMonitorTest, ScoreShiftFlagsContentDrift) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 16; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(4, 0.9));  // baseline
   }
-  for (int i = 0; i < 16; ++i) {
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(4, 0.55));  // harder content
   }
   DriftStatus status = monitor.Check();
@@ -95,11 +89,11 @@ TEST(DriftMonitorTest, ScoreShiftFlagsContentDrift) {
 }
 
 TEST(DriftMonitorTest, CountShiftFlagsContentDrift) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 16; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(2, 0.8));
   }
-  for (int i = 0; i < 16; ++i) {
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(8, 0.8));  // crowd arrived
   }
   DriftStatus status = monitor.Check();
@@ -108,11 +102,11 @@ TEST(DriftMonitorTest, CountShiftFlagsContentDrift) {
 }
 
 TEST(DriftMonitorTest, LowScoreDetectionsIgnored) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 16; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(4, 0.8));
   }
-  for (int i = 0; i < 16; ++i) {
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     DetectionList dets = MakeDetections(4, 0.8);
     DetectionList noise = MakeDetections(10, 0.1);  // below threshold
     dets.insert(dets.end(), noise.begin(), noise.end());
@@ -122,25 +116,25 @@ TEST(DriftMonitorTest, LowScoreDetectionsIgnored) {
 }
 
 TEST(DriftMonitorTest, RebaselineAcceptsNewRegime) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 16; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(2, 0.9));
   }
-  for (int i = 0; i < 16; ++i) {
+  for (size_t i = 0; i < kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(7, 0.5));
   }
   ASSERT_TRUE(monitor.Check().content_drift);
   monitor.Rebaseline();
   EXPECT_FALSE(monitor.Check().Any());
-  for (int i = 0; i < 32; ++i) {
+  for (size_t i = 0; i < 2 * kDriftWindow; ++i) {
     monitor.ObserveDetections(MakeDetections(7, 0.5));
   }
   EXPECT_FALSE(monitor.Check().content_drift);
 }
 
 TEST(DriftMonitorTest, ZeroPredictionIgnored) {
-  DriftMonitor monitor(SmallConfig());
-  for (int i = 0; i < 32; ++i) {
+  DriftMonitor monitor;
+  for (size_t i = 0; i < 2 * kDriftWindow; ++i) {
     monitor.ObserveLatency(0.0, 100.0);
   }
   EXPECT_FALSE(monitor.Check().latency_drift);

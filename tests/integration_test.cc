@@ -37,7 +37,8 @@ TEST(IntegrationTest, LiteReconfigMeetsTightSloOnXavier) {
   eval.device = DeviceType::kXavier;
   eval.slo_ms = 33.3;
   EvalResult result = RunLite(LiteReconfigProtocol::FullConfig(), eval);
-  EXPECT_TRUE(result.MeetsSlo(33.3, 1.25)) << "p95=" << result.p95_ms;
+  EXPECT_FALSE(result.oom);
+  EXPECT_LE(result.p95_ms, 33.3 * 1.25);
 }
 
 TEST(IntegrationTest, AccuracyGrowsWithSlo) {

@@ -346,7 +346,9 @@ TEST(DetlintTreeTest, WalksOnlySourcesAndReportsRelativePaths) {
     std::ofstream(root / "src" / "notes.md") << "srand(42);\n";
     std::ofstream(root / "docs" / "bad.cc") << "srand(42);\n";
   }
-  LintReport report = LintTree(root.string(), {"src"});
+  ProjectOptions options;
+  options.layer = false;  // the fixture has no layers.txt
+  ProjectReport report = LintProject(root.string(), {"src"}, options);
   EXPECT_EQ(report.files_scanned, 2);
   ASSERT_EQ(report.violations.size(), 1u);
   EXPECT_EQ(report.violations[0].file, "src/dirty.cc");

@@ -382,10 +382,12 @@ TEST_F(ProtocolFixture, RunnerAggregatesMetrics) {
 TEST_F(ProtocolFixture, VariantConfigsHaveExpectedModes) {
   EXPECT_EQ(LiteReconfigProtocol::FullConfig().mode, LiteReconfigMode::kFull);
   EXPECT_EQ(LiteReconfigProtocol::MinCostConfig().mode, LiteReconfigMode::kMinCost);
-  EXPECT_EQ(LiteReconfigProtocol::MaxContentConfig(FeatureKind::kResNet50).mode,
-            LiteReconfigMode::kMaxContentResNet);
-  EXPECT_EQ(LiteReconfigProtocol::MaxContentConfig(FeatureKind::kMobileNetV2).mode,
-            LiteReconfigMode::kMaxContentMobileNet);
+  for (FeatureKind kind : {FeatureKind::kResNet50, FeatureKind::kMobileNetV2}) {
+    SchedulerConfig max_content = LiteReconfigProtocol::MaxContentConfig(kind);
+    EXPECT_EQ(max_content.mode, LiteReconfigMode::kForceFeature);
+    EXPECT_EQ(max_content.forced_feature, kind);
+    EXPECT_TRUE(max_content.charge_feature_overhead);
+  }
   SchedulerConfig forced =
       LiteReconfigProtocol::ForcedFeatureConfig(FeatureKind::kHog);
   EXPECT_EQ(forced.mode, LiteReconfigMode::kForceFeature);

@@ -63,13 +63,12 @@ TEST(SchedFastPathTest, DecideMatchesReferenceAcrossRandomizedConfigs) {
 
   const LiteReconfigMode kModes[] = {
       LiteReconfigMode::kFull, LiteReconfigMode::kMinCost,
-      LiteReconfigMode::kMaxContentResNet, LiteReconfigMode::kMaxContentMobileNet,
       LiteReconfigMode::kForceFeature,
   };
 
   for (int trial = 0; trial < 200; ++trial) {
     SchedulerConfig config;
-    config.mode = kModes[trial % 5];
+    config.mode = kModes[trial % std::size(kModes)];
     if (config.mode == LiteReconfigMode::kForceFeature) {
       config.forced_feature =
           kHeavyFeatures[rng.NextU32() %
@@ -78,7 +77,6 @@ TEST(SchedFastPathTest, DecideMatchesReferenceAcrossRandomizedConfigs) {
     config.charge_feature_overhead = rng.NextU32() % 2 == 0;
     config.use_switching_cost = rng.NextU32() % 2 == 0;
     config.use_hysteresis = rng.NextU32() % 2 == 0;
-    config.max_heavy_features = 1 + static_cast<int>(rng.NextU32() % 3);
     LiteReconfigScheduler scheduler(&models, config);
 
     const SyntheticVideo& video =
@@ -132,14 +130,14 @@ TEST(SchedFastPathTest, KeptTableDecideMatchesFreshAndReference) {
 
   const LiteReconfigMode kModes[] = {
       LiteReconfigMode::kFull, LiteReconfigMode::kMinCost,
-      LiteReconfigMode::kMaxContentResNet, LiteReconfigMode::kForceFeature,
+      LiteReconfigMode::kForceFeature,
   };
 
   long hits = 0;
   long misses = 0;
   for (int trial = 0; trial < 100; ++trial) {
     SchedulerConfig charged;
-    charged.mode = kModes[trial % 4];
+    charged.mode = kModes[trial % std::size(kModes)];
     if (charged.mode == LiteReconfigMode::kForceFeature) {
       charged.forced_feature =
           kHeavyFeatures[rng.NextU32() %
@@ -221,7 +219,6 @@ TEST(SchedFastPathTest, FewFittingBranchesMatchReference) {
   Pcg32 rng(HashKeys({0xfe3ull, 0x17ull}));
   const LiteReconfigMode kModes[] = {
       LiteReconfigMode::kFull, LiteReconfigMode::kMinCost,
-      LiteReconfigMode::kMaxContentResNet, LiteReconfigMode::kMaxContentMobileNet,
       LiteReconfigMode::kForceFeature,
   };
   constexpr size_t kFitCounts[] = {0, 1, 1, 2, 3, 6, 12};
@@ -234,7 +231,7 @@ TEST(SchedFastPathTest, FewFittingBranchesMatchReference) {
     const TrainedModels& models = trial % 2 == 0 ? TinyModels() : TinyCpuFamilyModels();
     const BranchSpace& space = *models.space;
     SchedulerConfig config;
-    config.mode = kModes[trial % 5];
+    config.mode = kModes[trial % std::size(kModes)];
     if (config.mode == LiteReconfigMode::kForceFeature) {
       config.forced_feature =
           kHeavyFeatures[rng.NextU32() %
@@ -310,7 +307,7 @@ TEST(SchedFastPathTest, FewFittingBranchesMatchReference) {
     double limit = !std::isfinite(lo)   ? 10.0
                    : !std::isfinite(hi) ? lo + 1.0
                                         : lo + (hi - lo) * (0.05 + 0.9 * rng.NextDouble());
-    double cap = limit / config.slo_margin;
+    double cap = limit / kSloMargin;
     if (rng.NextU32() % 2 == 0) {
       ctx.slo_ms = cap;
     } else {
@@ -339,8 +336,7 @@ TEST(SchedFastPathTest, FewFittingBranchesMatchReference) {
     table.Rebuild(models, config, ctx, light);
     std::vector<uint32_t> fits = table.FittingBranches(s0);
     none_fit += fits.empty() ? 1 : 0;
-    bool forced_mode = config.mode != LiteReconfigMode::kFull &&
-                       config.mode != LiteReconfigMode::kMinCost;
+    bool forced_mode = config.mode == LiteReconfigMode::kForceFeature;
     if (forced_mode && fast.infeasible && !fits.empty()) {
       double charged = config.charge_feature_overhead ? fast.scheduler_cost_ms : s0;
       uint32_t cheapest = static_cast<uint32_t>(table.Cheapest(charged));
@@ -426,7 +422,7 @@ TEST(SchedFastPathTest, CostTableReproducesFrameCostExpression) {
   DecisionCostTable table;
   table.Rebuild(models, config, ctx, light);
   ASSERT_EQ(table.size(), models.space->size());
-  EXPECT_EQ(table.slo_limit_ms(), ctx.slo_ms * config.slo_margin);
+  EXPECT_EQ(table.slo_limit_ms(), ctx.slo_ms * kSloMargin);
   // Larger scheduler cost can only raise amortized branch cost.
   for (size_t b = 0; b < table.size(); ++b) {
     EXPECT_LE(table.CostMs(b, 1.0), table.CostMs(b, 5.0)) << "branch " << b;

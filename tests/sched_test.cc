@@ -241,20 +241,18 @@ TEST_F(SchedulerFixture, LooserSloAllowsHeavierBranch) {
 }
 
 TEST_F(SchedulerFixture, MaxContentVariantsAlwaysUseTheirFeature) {
-  SchedulerConfig resnet_config;
-  resnet_config.mode = LiteReconfigMode::kMaxContentResNet;
-  LiteReconfigScheduler resnet(&models(), resnet_config);
+  // MaxContent-<feature>: the forced-feature mode with the feature's cost
+  // charged (the SchedulerConfig default).
   const SyntheticVideo& video = TinyValidation().videos[0];
-  SchedulerDecision decision = resnet.Decide(MakeContext(video, 100.0));
-  ASSERT_EQ(decision.heavy_features.size(), 1u);
-  EXPECT_EQ(decision.heavy_features[0], FeatureKind::kResNet50);
-
-  SchedulerConfig mobile_config;
-  mobile_config.mode = LiteReconfigMode::kMaxContentMobileNet;
-  LiteReconfigScheduler mobile(&models(), mobile_config);
-  decision = mobile.Decide(MakeContext(video, 100.0));
-  ASSERT_EQ(decision.heavy_features.size(), 1u);
-  EXPECT_EQ(decision.heavy_features[0], FeatureKind::kMobileNetV2);
+  for (FeatureKind kind : {FeatureKind::kResNet50, FeatureKind::kMobileNetV2}) {
+    SchedulerConfig config;
+    config.mode = LiteReconfigMode::kForceFeature;
+    config.forced_feature = kind;
+    LiteReconfigScheduler scheduler(&models(), config);
+    SchedulerDecision decision = scheduler.Decide(MakeContext(video, 100.0));
+    ASSERT_EQ(decision.heavy_features.size(), 1u);
+    EXPECT_EQ(decision.heavy_features[0], kind);
+  }
 }
 
 TEST_F(SchedulerFixture, MinCostNeverExtractsHeavyFeatures) {
@@ -287,7 +285,8 @@ TEST_F(SchedulerFixture, FullModeSchedulerCostBoundedByMaxContent) {
   // most expensive MaxContent variant's (paper Figure 3 observation).
   LiteReconfigScheduler full(&models(), SchedulerConfig{});
   SchedulerConfig mobile_config;
-  mobile_config.mode = LiteReconfigMode::kMaxContentMobileNet;
+  mobile_config.mode = LiteReconfigMode::kForceFeature;
+  mobile_config.forced_feature = FeatureKind::kMobileNetV2;
   LiteReconfigScheduler mobile(&models(), mobile_config);
   SchedulerConfig min_config;
   min_config.mode = LiteReconfigMode::kMinCost;

@@ -118,10 +118,10 @@ std::vector<BranchOption> Menu(std::vector<std::pair<double, double>> rows) {
 
 TEST(ServeAllocatorTest, LoneOrAbsentStreamsAreUnconstrained) {
   const AllocatorMode mode = AllocatorMode::kCostBenefit;
-  EXPECT_TRUE(AllocateBudgets(mode, 33.3, 0.9, {}).empty());
+  EXPECT_TRUE(AllocateBudgets(mode, 33.3, {}).empty());
   StreamDemand demand;
   demand.menu = Menu({{5.0, 0.5}});
-  std::vector<double> budgets = AllocateBudgets(mode, 33.3, 0.9, {demand});
+  std::vector<double> budgets = AllocateBudgets(mode, 33.3, {demand});
   ASSERT_EQ(budgets.size(), 1u);
   EXPECT_EQ(budgets[0], 0.0);  // single tenant: no cap
 }
@@ -132,9 +132,9 @@ TEST(ServeAllocatorTest, EqualSplitGivesShareOverMargin) {
   StreamDemand b;
   b.slo_ms = 8.0;  // tighter than the share: own SLO wins
   std::vector<double> budgets =
-      AllocateBudgets(AllocatorMode::kEqualSplit, 30.0, 0.9, {a, b});
+      AllocateBudgets(AllocatorMode::kEqualSplit, 30.0, {a, b});
   ASSERT_EQ(budgets.size(), 2u);
-  EXPECT_DOUBLE_EQ(budgets[0], 15.0 / 0.9);
+  EXPECT_DOUBLE_EQ(budgets[0], 15.0 / kSloMargin);
   EXPECT_DOUBLE_EQ(budgets[1], 8.0);
 }
 
@@ -142,7 +142,6 @@ TEST(ServeAllocatorTest, CostBenefitSeedsAtEqualShareThenUpgrades) {
   // capacity 30, 3 streams, share 10. Seeding affords {8, 9, 6}; the 7 ms of
   // slack buys stream1's 3 ms upgrade (best accuracy/ms) but not stream0's
   // 6 ms one afterwards (only 4 ms left).
-  const double margin = 0.9;
   StreamDemand s0;
   s0.slo_ms = 100.0;
   s0.menu = Menu({{4.0, 0.3}, {8.0, 0.5}, {14.0, 0.6}});
@@ -152,13 +151,13 @@ TEST(ServeAllocatorTest, CostBenefitSeedsAtEqualShareThenUpgrades) {
   StreamDemand s2;
   s2.slo_ms = 100.0;
   s2.menu = Menu({{6.0, 0.1}});
-  std::vector<double> budgets = AllocateBudgets(
-      AllocatorMode::kCostBenefit, 30.0, margin, {s0, s1, s2});
+  std::vector<double> budgets =
+      AllocateBudgets(AllocatorMode::kCostBenefit, 30.0, {s0, s1, s2});
   ASSERT_EQ(budgets.size(), 3u);
   // Stream 0 stays at its equal-share level (8 ms): the budget admits the
   // 8 ms option but not the 14 ms one.
-  EXPECT_GE(budgets[0] * margin, 8.0);
-  EXPECT_LT(budgets[0] * margin, 14.0);
+  EXPECT_GE(budgets[0] * kSloMargin, 8.0);
+  EXPECT_LT(budgets[0] * kSloMargin, 14.0);
   // Streams 1 and 2 top out; their own SLO is the only remaining cap.
   EXPECT_DOUBLE_EQ(budgets[1], 100.0);
   EXPECT_DOUBLE_EQ(budgets[2], 100.0);
@@ -168,7 +167,6 @@ TEST(ServeAllocatorTest, CostBenefitNeverBelowEqualShareSeeding) {
   // For every stream, the granted budget must admit at least the best option
   // its equal share affords — the structural guarantee that cost-benefit
   // cannot lose to equal-split on any stream.
-  const double margin = 0.9;
   std::vector<StreamDemand> demands(4);
   demands[0].menu = Menu({{3.0, 0.1}, {7.0, 0.4}, {20.0, 0.7}});
   demands[1].menu = Menu({{2.0, 0.2}, {9.5, 0.3}});
@@ -176,8 +174,8 @@ TEST(ServeAllocatorTest, CostBenefitNeverBelowEqualShareSeeding) {
   demands[3].menu = Menu({{1.0, 0.05}});
   for (StreamDemand& d : demands) d.slo_ms = 200.0;
   double frame_interval = 40.0;
-  std::vector<double> budgets = AllocateBudgets(
-      AllocatorMode::kCostBenefit, frame_interval, margin, demands);
+  std::vector<double> budgets =
+      AllocateBudgets(AllocatorMode::kCostBenefit, frame_interval, demands);
   double share = frame_interval / static_cast<double>(demands.size());
   double total_granted = 0.0;
   for (size_t i = 0; i < demands.size(); ++i) {
@@ -189,7 +187,7 @@ TEST(ServeAllocatorTest, CostBenefitNeverBelowEqualShareSeeding) {
       ++seed_level;
     }
     // ...must fit under the granted budget.
-    double limit = budgets[i] * margin;
+    double limit = budgets[i] * kSloMargin;
     EXPECT_GE(limit, menu[seed_level].frame_ms) << "stream " << i;
     // Tally what the budget actually admits for the capacity check below.
     size_t granted = 0;
@@ -213,10 +211,11 @@ TEST(ServeAllocatorTest, StrictClassWinsContestedUpgrade) {
   best_effort.menu = Menu({{9.0, 0.2}, {11.0, 0.5}});
   StreamDemand strict = best_effort;
   strict.slo_class = SloClass::kStrict;
-  std::vector<double> budgets = AllocateBudgets(
-      AllocatorMode::kCostBenefit, 20.0, 1.0, {best_effort, strict});
+  std::vector<double> budgets =
+      AllocateBudgets(AllocatorMode::kCostBenefit, 20.0, {best_effort, strict});
   ASSERT_EQ(budgets.size(), 2u);
-  EXPECT_LT(budgets[0], 11.0);          // best-effort stays at the 9 ms option
+  // Best-effort stays at the 9 ms option.
+  EXPECT_LT(budgets[0] * kSloMargin, 11.0);
   EXPECT_DOUBLE_EQ(budgets[1], 50.0);   // strict tops out
 }
 
@@ -226,8 +225,8 @@ TEST(ServeAllocatorTest, EmptyMenuFallsBackToUnconstrained) {
   feasible.menu = Menu({{5.0, 0.5}});
   StreamDemand starved;
   starved.slo_ms = 40.0;  // nothing feasible this round
-  std::vector<double> budgets = AllocateBudgets(
-      AllocatorMode::kCostBenefit, 30.0, 0.9, {feasible, starved});
+  std::vector<double> budgets =
+      AllocateBudgets(AllocatorMode::kCostBenefit, 30.0, {feasible, starved});
   ASSERT_EQ(budgets.size(), 2u);
   EXPECT_EQ(budgets[1], 0.0);
 }
@@ -252,7 +251,7 @@ TEST(ServeBranchMenuTest, ParetoAscendingAndBudgetBlind) {
   DecisionCostTable table;
   std::vector<BranchOption> menu = BuildBranchMenu(models, config, ctx, light, table);
   ASSERT_FALSE(menu.empty());
-  double limit = SloLimitMs(config, ctx);
+  double limit = SloLimitMs(ctx);
   for (size_t i = 0; i < menu.size(); ++i) {
     EXPECT_LT(menu[i].branch, models.space->size());
     EXPECT_LE(menu[i].frame_ms, limit);
@@ -519,7 +518,7 @@ TEST(ServeBudgetTest, BudgetCappedDecideMatchesReference) {
         << "trial " << trial;
     // A binding budget really binds: the chosen branch fits under it.
     if (!fast.infeasible && ctx.budget_ms > 0.0) {
-      EXPECT_LE(fast.predicted_frame_ms, SloLimitMs(config, ctx) + 1e-9)
+      EXPECT_LE(fast.predicted_frame_ms, SloLimitMs(ctx) + 1e-9)
           << "trial " << trial;
     }
   }

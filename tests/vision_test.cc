@@ -123,7 +123,7 @@ TEST(ApEvaluatorTest, WrongClassIsFalsePositive) {
 }
 
 TEST(ApEvaluatorTest, LowIouDoesNotMatch) {
-  ApEvaluator eval(0.5);
+  ApEvaluator eval;
   eval.AddFrame(OneGt(0, 0, 10, 10, 0), {Det(8, 8, 10, 10, 0, 0.9)});
   EXPECT_DOUBLE_EQ(eval.AveragePrecision(0), 0.0);
 }

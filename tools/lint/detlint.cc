@@ -20,7 +20,6 @@
 //
 // With no subdirs, scans src/ tools/ bench/ tests/ examples/ under the root.
 // Registered as ctest targets over the real tree, and run by the CI lint job.
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -112,53 +111,30 @@ bool ChangedFiles(const std::string& root, const std::string& base,
 
 int RunFix(const std::string& root, const std::vector<std::string>& subdirs,
            bool dry_run) {
-  namespace fs = std::filesystem;
-  std::vector<fs::path> paths;
-  for (const std::string& subdir : subdirs) {
-    fs::path base = fs::path(root) / subdir;
-    if (!fs::exists(base)) {
-      continue;
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) {
-        continue;
-      }
-      std::string ext = entry.path().extension().string();
-      if (ext == ".h" || ext == ".cc") {
-        paths.push_back(entry.path());
-      }
-    }
-  }
-  std::sort(paths.begin(), paths.end());
+  std::vector<litereconfig::SourceFile> sources =
+      litereconfig::ReadSources(root, subdirs);
   std::set<std::string> known_files;
-  for (const fs::path& path : paths) {
-    known_files.insert(fs::relative(path, root).generic_string());
+  for (const litereconfig::SourceFile& source : sources) {
+    known_files.insert(source.path);
   }
   int changed_files = 0;
   int total_edits = 0;
-  for (const fs::path& path : paths) {
-    std::string rel = fs::relative(path, root).generic_string();
-    std::string content;
-    {
-      std::ifstream stream(path);
-      std::ostringstream buffer;
-      buffer << stream.rdbuf();
-      content = buffer.str();
-    }
+  for (const litereconfig::SourceFile& source : sources) {
     litereconfig::FixResult result =
-        litereconfig::FixFileContent(rel, content, known_files);
+        litereconfig::FixFileContent(source.path, source.content, known_files);
     if (!result.changed) {
       continue;
     }
     ++changed_files;
     total_edits += static_cast<int>(result.edits.size());
     for (const litereconfig::FixEdit& edit : result.edits) {
-      std::cout << rel << ":" << edit.line << ":\n"
+      std::cout << source.path << ":" << edit.line << ":\n"
                 << "  - " << edit.before << "\n"
                 << "  + " << edit.after << "\n";
     }
     if (!dry_run) {
-      std::ofstream stream(path, std::ios::trunc);
+      std::ofstream stream(std::filesystem::path(root) / source.path,
+                           std::ios::trunc);
       stream << result.content;
     }
   }

@@ -19,18 +19,6 @@ namespace litereconfig {
 
 namespace {
 
-bool IsIdentChar(char c) { return IsIdentifierChar(c); }
-
-std::string LTrim(const std::string& s) {
-  size_t i = s.find_first_not_of(" \t");
-  return i == std::string::npos ? std::string() : s.substr(i);
-}
-
-std::string RTrim(const std::string& s) {
-  size_t i = s.find_last_not_of(" \t\r");
-  return i == std::string::npos ? std::string() : s.substr(0, i + 1);
-}
-
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.rfind(prefix, 0) == 0;
 }
@@ -100,35 +88,8 @@ const std::map<std::string, const char*> kRawSyncIncludes = {
     {"shared_mutex", "raw-sync"},
 };
 
-// Finds `token` in `code` respecting identifier boundaries; returns npos when
-// absent. For require_call tokens the match must look like a free-function
-// call (followed by '(', not reached via '.', '->', or '::').
-size_t FindToken(const std::string& code, const std::string& token,
-                 bool require_call, size_t from) {
-  size_t pos = code.find(token, from);
-  while (pos != std::string::npos) {
-    char prev = pos == 0 ? ' ' : code[pos - 1];
-    size_t end = pos + token.size();
-    char next = end < code.size() ? code[end] : ' ';
-    bool boundary_ok = !IsIdentChar(prev) && !IsIdentChar(next);
-    if (boundary_ok && require_call) {
-      if (prev == '.' || prev == ':' || prev == '>') {
-        boundary_ok = false;
-      } else {
-        size_t paren = code.find_first_not_of(" \t", end);
-        boundary_ok = paren != std::string::npos && code[paren] == '(';
-      }
-    }
-    if (boundary_ok) {
-      return pos;
-    }
-    pos = code.find(token, pos + 1);
-  }
-  return std::string::npos;
-}
-
 bool ContainsWord(const std::string& code, const std::string& word) {
-  return FindToken(code, word, /*require_call=*/false, 0) != std::string::npos;
+  return FindTokenFrom(code, word, /*require_call=*/false, 0) != std::string::npos;
 }
 
 // --- declaration scans ---------------------------------------------------
@@ -154,9 +115,9 @@ std::vector<std::string> UnorderedDeclNames(const std::string& code) {
       }
       if (i < code.size()) {
         size_t name_start = code.find_first_not_of(" \t*&", i + 1);
-        if (name_start != std::string::npos && IsIdentChar(code[name_start])) {
+        if (name_start != std::string::npos && IsIdentifierChar(code[name_start])) {
           size_t name_end = name_start;
-          while (name_end < code.size() && IsIdentChar(code[name_end])) {
+          while (name_end < code.size() && IsIdentifierChar(code[name_end])) {
             ++name_end;
           }
           names.push_back(code.substr(name_start, name_end - name_start));
@@ -176,13 +137,13 @@ std::vector<std::string> FloatDeclNames(const std::string& code) {
   std::vector<std::string> names;
   for (const char* marker : {"double", "float"}) {
     const std::string token = marker;
-    size_t pos = FindToken(code, token, /*require_call=*/false, 0);
+    size_t pos = FindTokenFrom(code, token, /*require_call=*/false, 0);
     while (pos != std::string::npos) {
       size_t name_start = code.find_first_not_of(" \t*&", pos + token.size());
-      if (name_start != std::string::npos && IsIdentChar(code[name_start]) &&
+      if (name_start != std::string::npos && IsIdentifierChar(code[name_start]) &&
           std::isdigit(static_cast<unsigned char>(code[name_start])) == 0) {
         size_t name_end = name_start;
-        while (name_end < code.size() && IsIdentChar(code[name_end])) {
+        while (name_end < code.size() && IsIdentifierChar(code[name_end])) {
           ++name_end;
         }
         size_t after = code.find_first_not_of(" \t", name_end);
@@ -190,7 +151,7 @@ std::vector<std::string> FloatDeclNames(const std::string& code) {
           names.push_back(code.substr(name_start, name_end - name_start));
         }
       }
-      pos = FindToken(code, token, /*require_call=*/false, pos + token.size());
+      pos = FindTokenFrom(code, token, /*require_call=*/false, pos + token.size());
     }
   }
   return names;
@@ -210,12 +171,12 @@ void CheckParallelAccum(
     const std::function<void(size_t, const char*, const std::string&)>& report) {
   for (const char* marker : {"ParallelFor", "ParallelMap"}) {
     const std::string token = marker;
-    size_t pos = FindToken(stripped, token, /*require_call=*/false, 0);
+    size_t pos = FindTokenFrom(stripped, token, /*require_call=*/false, 0);
     while (pos != std::string::npos) {
       size_t open = stripped.find_first_not_of(" \t", pos + token.size());
       if (open == std::string::npos || stripped[open] != '(') {
-        pos = FindToken(stripped, token, /*require_call=*/false,
-                        pos + token.size());
+        pos = FindTokenFrom(stripped, token, /*require_call=*/false,
+                            pos + token.size());
         continue;
       }
       int depth = 0;
@@ -251,7 +212,7 @@ void CheckParallelAccum(
           continue;  // indexed write into a per-index slot: order-independent
         }
         size_t name_end = j;
-        while (j > open && IsIdentChar(stripped[j - 1])) {
+        while (j > open && IsIdentifierChar(stripped[j - 1])) {
           --j;
         }
         if (j == name_end) {
@@ -280,14 +241,14 @@ void CheckParallelAccum(
                      "'// detlint: allow(parallel-accum) <reason>'");
         }
       }
-      pos = FindToken(stripped, token, /*require_call=*/false, close);
+      pos = FindTokenFrom(stripped, token, /*require_call=*/false, close);
     }
   }
 }
 
 // If `code` holds a range-for, returns the range expression ("for (x : expr)").
 std::string RangeForExpr(const std::string& code) {
-  size_t pos = FindToken(code, "for", /*require_call=*/false, 0);
+  size_t pos = FindTokenFrom(code, "for", /*require_call=*/false, 0);
   if (pos == std::string::npos) {
     return std::string();
   }
@@ -342,14 +303,10 @@ bool IsMutableStaticDecl(const std::string& code) {
 
 // --- header guards -------------------------------------------------------
 
-std::string ExpectedGuard(const std::string& rel_path) {
-  return ExpectedHeaderGuard(rel_path);
-}
-
 void CheckHeaderGuard(const std::string& rel_path,
                       const std::vector<std::string>& raw_lines,
                       std::vector<LintViolation>* out) {
-  const std::string expected = ExpectedGuard(rel_path);
+  const std::string expected = ExpectedHeaderGuard(rel_path);
   int ifndef_line = 0;
   std::string guard;
   int endif_line = 0;
@@ -493,7 +450,7 @@ void RunLegacyRules(FileModel& model, std::vector<LintViolation>* out) {
     };
 
     for (const BannedToken& banned : kBannedTokens) {
-      if (FindToken(code, banned.token, banned.require_call, 0) !=
+      if (FindTokenFrom(code, banned.token, banned.require_call, 0) !=
           std::string::npos) {
         flag(banned.rule, std::string(banned.token) + ": " + banned.message);
       }
@@ -565,40 +522,6 @@ void RunLegacyRules(FileModel& model, std::vector<LintViolation>* out) {
   if (is_header) {
     CheckHeaderGuard(repo_relative_path, raw_lines, out);
   }
-}
-
-LintReport LintTree(const std::string& root,
-                    const std::vector<std::string>& subdirs) {
-  namespace fs = std::filesystem;
-  LintReport report;
-  std::vector<fs::path> files;
-  for (const std::string& subdir : subdirs) {
-    fs::path base = fs::path(root) / subdir;
-    if (!fs::exists(base)) {
-      continue;
-    }
-    for (const auto& entry : fs::recursive_directory_iterator(base)) {
-      if (!entry.is_regular_file()) {
-        continue;
-      }
-      std::string ext = entry.path().extension().string();
-      if (ext == ".h" || ext == ".cc") {
-        files.push_back(entry.path());
-      }
-    }
-  }
-  std::sort(files.begin(), files.end());
-  for (const fs::path& path : files) {
-    std::ifstream stream(path);
-    std::ostringstream buffer;
-    buffer << stream.rdbuf();
-    std::string rel = fs::relative(path, root).generic_string();
-    ++report.files_scanned;
-    for (LintViolation& violation : LintFileContent(rel, buffer.str())) {
-      report.violations.push_back(std::move(violation));
-    }
-  }
-  return report;
 }
 
 ProjectReport LintProjectSources(std::vector<SourceFile> sources,
@@ -695,9 +618,8 @@ ProjectReport LintProjectSources(std::vector<SourceFile> sources,
   return report;
 }
 
-ProjectReport LintProject(const std::string& root,
-                          const std::vector<std::string>& subdirs,
-                          ProjectOptions options) {
+std::vector<SourceFile> ReadSources(const std::string& root,
+                                    const std::vector<std::string>& subdirs) {
   namespace fs = std::filesystem;
   std::vector<fs::path> paths;
   for (const std::string& subdir : subdirs) {
@@ -724,6 +646,14 @@ ProjectReport LintProject(const std::string& root,
     buffer << stream.rdbuf();
     sources.push_back({fs::relative(path, root).generic_string(), buffer.str()});
   }
+  return sources;
+}
+
+ProjectReport LintProject(const std::string& root,
+                          const std::vector<std::string>& subdirs,
+                          ProjectOptions options) {
+  namespace fs = std::filesystem;
+  std::vector<SourceFile> sources = ReadSources(root, subdirs);
   if (options.layer && !options.has_layers) {
     fs::path layers = fs::path(root) / "tools" / "lint" / "layers.txt";
     if (fs::exists(layers)) {

@@ -87,16 +87,11 @@ std::vector<LintViolation> LintFileContent(const std::string& repo_relative_path
 // in model.escapes (the building block behind both entry points above/below).
 void RunLegacyRules(FileModel& model, std::vector<LintViolation>* out);
 
-struct LintReport {
-  std::vector<LintViolation> violations;
-  int files_scanned = 0;
-};
-
-// Recursively lints every .h/.cc file under root/<subdir> for each listed
-// subdir with the legacy rules only. Files are visited in sorted path order
-// so output is deterministic. Kept for compatibility; detlint's CLI runs
-// LintProject.
-LintReport LintTree(const std::string& root, const std::vector<std::string>& subdirs);
+// Every .h/.cc file under root/<subdir> for each listed subdir, in sorted path
+// order, with repo-relative paths: what LintProject lints and detlint --fix
+// rewrites.
+std::vector<SourceFile> ReadSources(const std::string& root,
+                                    const std::vector<std::string>& subdirs);
 
 // --- the multi-pass project analyzer ------------------------------------
 
@@ -133,9 +128,9 @@ struct ProjectReport {
 ProjectReport LintProjectSources(std::vector<SourceFile> sources,
                                  const ProjectOptions& options);
 
-// Reads every .h/.cc under root/<subdir>s, loads root/tools/lint/layers.txt
-// when present (unless options already carries a spec), and delegates to
-// LintProjectSources.
+// Reads the sources under root/<subdir>s (ReadSources), loads
+// root/tools/lint/layers.txt when present (unless options already carries a
+// spec), and delegates to LintProjectSources.
 ProjectReport LintProject(const std::string& root,
                           const std::vector<std::string>& subdirs,
                           ProjectOptions options);

@@ -4,20 +4,11 @@
 #include <vector>
 
 #include "tools/lint/detlint_lib.h"
+#include "tools/lint/source_model.h"
 
 namespace litereconfig {
 
 namespace {
-
-std::string RTrim(const std::string& s) {
-  size_t i = s.find_last_not_of(" \t\r");
-  return i == std::string::npos ? std::string() : s.substr(0, i + 1);
-}
-
-std::string LTrim(const std::string& s) {
-  size_t i = s.find_first_not_of(" \t");
-  return i == std::string::npos ? std::string() : s.substr(i);
-}
 
 // Lexically normalizes "a/b/../c" and "./c" segments.
 std::string NormalizePath(const std::string& path) {

@@ -72,14 +72,14 @@ std::vector<std::string> RngRefParams(const std::string& params) {
   return names;
 }
 
-// The paren-balanced extents of ParallelFor / ParallelMap / Defer call sites.
+// The paren-balanced extents of ParallelFor / ParallelMap call sites.
 // From the token, identifier/template/member punctuation is skipped forward to
-// the opening '(' so `pool.ParallelFor(`, `ThreadPool::Shared().Defer(` and
-// declaration forms all resolve to their argument extent.
+// the opening '(' so `pool.ParallelFor(`, `ThreadPool::Shared().ParallelMap(`
+// and declaration forms all resolve to their argument extent.
 std::vector<Extent> ParallelExtents(const FileModel& model) {
   const std::string& s = model.masked.stripped;
   std::vector<Extent> extents;
-  for (const char* keyword : {"ParallelFor", "ParallelMap", "Defer"}) {
+  for (const char* keyword : {"ParallelFor", "ParallelMap"}) {
     size_t pos = FindTokenFrom(s, keyword, /*require_call=*/false, 0);
     while (pos != std::string::npos) {
       size_t i = pos + std::string(keyword).size();

@@ -9,7 +9,7 @@
 // long-lived streams:
 //
 //   rng-parallel-capture   a Pcg32 object declared outside a ParallelFor /
-//                          ParallelMap / Defer extent is referenced inside it.
+//                          ParallelMap extent is referenced inside it.
 //                          Which thread draws first is a race; parallel bodies
 //                          must seed their own substream from entity ids.
 //   rng-conditional-draw   a member or reference-parameter stream is used

@@ -160,6 +160,16 @@ std::string TrimWhitespace(const std::string& s) {
   return s.substr(begin, end - begin + 1);
 }
 
+std::string LTrim(const std::string& s) {
+  size_t i = s.find_first_not_of(" \t");
+  return i == std::string::npos ? std::string() : s.substr(i);
+}
+
+std::string RTrim(const std::string& s) {
+  size_t i = s.find_last_not_of(" \t\r");
+  return i == std::string::npos ? std::string() : s.substr(0, i + 1);
+}
+
 MaskedSource StripWithMask(const std::string& content) {
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar, kRaw };
   State state = State::kCode;

@@ -192,6 +192,10 @@ size_t MatchParen(const std::string& code, size_t open);
 size_t MatchBrace(const std::string& code, size_t open);
 
 std::string TrimWhitespace(const std::string& s);
+// `s` without leading spaces and tabs.
+std::string LTrim(const std::string& s);
+// `s` without trailing spaces, tabs and carriage returns.
+std::string RTrim(const std::string& s);
 
 }  // namespace litereconfig
 

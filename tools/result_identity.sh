@@ -62,6 +62,8 @@ cases=(
   # A forced-feature mode: every decision extracts ResNet50 and charges it
   # against a 12 ms SLO.
   "maxresnet_tight|litereconfig_run|--protocol=maxcontent-resnet --lat_req=12 --faults=moderate"
+  # The other forced feature: MobileNetV2 on most decisions, with faults.
+  "maxmobile_moderate|litereconfig_run|--protocol=maxcontent-mobilenet --lat_req=100 --faults=moderate"
   "serve_64|serve_run|--streams=64"
   "serve_severe|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe --fault_seed=7"
   "serve_severe_xavier|serve_run|--streams=12 --arrival_seed=1 --interarrival=0.25 --slo=25 --frames=200 --faults=severe_xavier --fault_seed=7"

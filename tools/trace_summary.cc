@@ -1,6 +1,7 @@
-// Summarizes a decision trace produced by litereconfig_run --trace: branch
-// usage histogram, feature usage, switch behaviour, and prediction quality
-// (predicted vs realized latency).
+// Summarizes a decision trace produced by litereconfig_run or serve_run
+// --trace: branch usage histogram, feature usage, switch behaviour, and
+// prediction quality (predicted vs realized latency). Only "decision" records
+// count as decisions; every other event is tallied by name.
 #include <algorithm>
 #include <fstream>
 #include <iostream>
@@ -56,63 +57,30 @@ int Run(int argc, char** argv) {
   std::map<std::string, int> feature_counts;
   RunningStat actual;
   RunningStat prediction_error;
+  // Records per event name, and fault events per failure kind (carried in
+  // branch_id).
+  std::map<std::string, int> event_counts;
   std::map<std::string, int> fault_counts;
   int switches = 0;
   int infeasible = 0;
   int frames = 0;
-  int decisions = 0;
-  // Robustness accounting: deadline misses, recovery episodes (maximal runs of
-  // consecutive missed decisions within one video), and the predictive layer's
-  // model-maintenance events.
+  // Robustness accounting: deadline misses and recovery episodes (maximal
+  // runs of consecutive missed decisions within one video).
   int misses = 0;
   int recovery_episodes = 0;
   int episode_gofs = 0;
-  int recalibrations = 0;
-  int reanchors = 0;
-  int replans = 0;
-  // Serving pressure-ladder events (multi-tenant traces only).
-  int renegotiations = 0;
-  int evictions = 0;
-  // GPU-denial accounting: family demotion/restoration edges plus the share of
-  // decisions served by the CPU-only family (branch ids read "c<shape>_...").
-  int demotions = 0;
-  int restorations = 0;
+  // The share of decisions served by the CPU-only family (branch ids read
+  // "c<shape>_...").
   int cpu_decisions = 0;
   int cpu_frames = 0;
   uint64_t episode_video = 0;
   bool in_episode = false;
   for (const DecisionRecord& record : records) {
+    ++event_counts[record.event];
     if (record.event == "fault") {
-      // Fault events carry the failure kind in branch_id.
       ++fault_counts[record.branch_id];
-      continue;
     }
-    if (record.event == "recalibrate") {
-      ++recalibrations;
-      continue;
-    }
-    if (record.event == "reanchor") {
-      ++reanchors;
-      continue;
-    }
-    if (record.event == "replan") {
-      ++replans;
-      continue;
-    }
-    if (record.event == "renegotiate") {
-      ++renegotiations;
-      continue;
-    }
-    if (record.event == "evict") {
-      ++evictions;
-      continue;
-    }
-    if (record.event == "demote") {
-      ++demotions;
-      continue;
-    }
-    if (record.event == "restore") {
-      ++restorations;
+    if (record.event != "decision") {
       continue;
     }
     if (in_episode && record.video_seed != episode_video) {
@@ -129,7 +97,6 @@ int Run(int argc, char** argv) {
     } else {
       in_episode = false;
     }
-    ++decisions;
     if (!record.branch_id.empty() && record.branch_id[0] == 'c') {
       ++cpu_decisions;
       cpu_frames += record.gof_length;
@@ -147,6 +114,21 @@ int Run(int argc, char** argv) {
     infeasible += record.infeasible ? 1 : 0;
     frames += record.gof_length;
   }
+  // The predictive layer's model-maintenance events, the serving pressure
+  // ladder (multi-tenant traces only), and GPU-denial family demotion and
+  // restoration edges.
+  auto count_of = [](const std::map<std::string, int>& counts, const char* name) {
+    auto it = counts.find(name);
+    return it != counts.end() ? it->second : 0;
+  };
+  const int decisions = count_of(event_counts, "decision");
+  const int recalibrations = count_of(event_counts, "recalibrate");
+  const int reanchors = count_of(event_counts, "reanchor");
+  const int replans = count_of(event_counts, "replan");
+  const int renegotiations = count_of(event_counts, "renegotiate");
+  const int evictions = count_of(event_counts, "evict");
+  const int demotions = count_of(event_counts, "demote");
+  const int restorations = count_of(event_counts, "restore");
 
   std::cout << decisions << " decisions over " << frames << " frames; "
             << switches << " switches, " << infeasible << " infeasible.\n"
@@ -209,8 +191,7 @@ int Run(int argc, char** argv) {
   // they were served. Demote/restore edges bracket CPU-fallback episodes; a
   // window with no CPU family in the branch space falls back to coasting,
   // which writes no decision records.
-  auto denied_it = fault_counts.find("gpu_denied");
-  int denial_windows = denied_it != fault_counts.end() ? denied_it->second : 0;
+  const int denial_windows = count_of(fault_counts, "gpu_denied");
   if (denial_windows > 0 || demotions > 0 || restorations > 0 ||
       cpu_decisions > 0) {
     std::cout << "\nGPU denial:\n"
