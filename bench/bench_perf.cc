@@ -1,15 +1,17 @@
-// The two same-process speed floors against the test oracles (CI perf job).
+// The three same-process speed floors (CI perf job).
 //
 // Times the scheduler hot path (Decide in kFull mode against the reference
-// scheduler in tests/decide_reference.h) and the accuracy-MLP forward
-// (Mlp::Predict against the single-chain oracle in tests/mlp_reference.h),
-// then writes the machine-readable BENCH_perf.json into the working directory
-// (the repo root in CI).
+// scheduler in tests/decide_reference.h), the accuracy-MLP forward
+// (Mlp::Predict against the single-chain oracle in tests/mlp_reference.h) and
+// the embedding tail (detmath's lane Tanh and Pcg32::FillNormal against one
+// scalar Tanh and Normal per output), then writes the machine-readable
+// BENCH_perf.json into the working directory (the repo root in CI).
 //
-// Exit status is the gate: Decide must be at least 2x its reference and the
-// forward at least 1.5x its oracle. Both sides of each ratio run on the same
-// host in the same process, so the floors hold on any machine. End-to-end
-// speed is perfbench's (perfbench/run.py), on the production workloads.
+// Exit status is the gate: Decide must be at least 2x its reference, the
+// forward at least 1.5x its oracle and the embedding tail at least 1.5x its
+// scalar loop. Both sides of each ratio run on the same host in the same
+// process, so the floors hold on any machine. End-to-end speed is
+// perfbench's (perfbench/run.py), on the production workloads.
 //
 // Usage: bench_perf [--threads=N] [--out=PATH]
 #include <algorithm>
@@ -22,6 +24,7 @@
 #include "bench/bench_util.h"
 #include "src/mbek/kernel.h"
 #include "src/pipeline/trainer.h"
+#include "src/util/detmath.h"
 #include "src/util/rng.h"
 #include "src/video/dataset.h"
 #include "tests/decide_reference.h"
@@ -108,6 +111,39 @@ double TimeMlpForward(const Mlp& mlp, const std::vector<std::vector<double>>& in
   return total_us / static_cast<double>(iters);
 }
 
+// Mean microseconds per embedding tail over `iters` calls: the 1,024
+// outputs of one ResNet50 extraction through tanh plus Normal noise
+// (src/features/embedding.cc), on the lane forms (detmath's Tanh over the
+// span, then FillNormal) when `lanes`, one scalar Tanh and Normal per output
+// otherwise. Both sides see the same values and the same generator seeds.
+double TimeEmbeddingTail(const std::vector<double>& values, int iters, bool lanes) {
+  std::vector<double> out(values.size());
+  std::vector<double> noise(values.size());
+  double sink = 0.0;
+  WallTimer timer;
+  for (int i = 0; i < iters; ++i) {
+    Pcg32 rng(static_cast<uint64_t>(i));
+    if (lanes) {
+      std::copy(values.begin(), values.end(), out.begin());
+      Tanh(out);
+      rng.FillNormal(noise, 0.0, 0.04);
+      for (size_t o = 0; o < out.size(); ++o) {
+        out[o] += noise[o];
+      }
+    } else {
+      for (size_t o = 0; o < out.size(); ++o) {
+        out[o] = Tanh(values[o]) + rng.Normal(0.0, 0.04);
+      }
+    }
+    sink += out.back();
+  }
+  double total_us = timer.ElapsedMicros();
+  if (std::isnan(sink)) {
+    std::cout << "";
+  }
+  return total_us / static_cast<double>(iters);
+}
+
 int Run(int argc, char** argv) {
   int threads = BenchThreads(argc, argv);
   std::string out_path = "BENCH_perf.json";
@@ -160,6 +196,23 @@ int Run(int argc, char** argv) {
     mlp_ref_us = r == 0 ? ref : std::min(mlp_ref_us, ref);
   }
 
+  // The embedding tail at ResNet50's width, on pre-tanh values spread as
+  // the projection's are, best of interleaved reps.
+  std::vector<double> tail_values(1024);
+  Pcg32 tail_rng(HashKeys({0x7a11ull, 0x2e54e7ull}));
+  for (double& v : tail_values) {
+    v = tail_rng.Uniform(-3.0, 3.0);
+  }
+  constexpr int kTailIters = 400;
+  double tail_lanes_us = 0.0;
+  double tail_scalar_us = 0.0;
+  for (int r = 0; r < 5; ++r) {
+    double lanes = TimeEmbeddingTail(tail_values, kTailIters, /*lanes=*/true);
+    double scalar = TimeEmbeddingTail(tail_values, kTailIters, /*lanes=*/false);
+    tail_lanes_us = r == 0 ? lanes : std::min(tail_lanes_us, lanes);
+    tail_scalar_us = r == 0 ? scalar : std::min(tail_scalar_us, scalar);
+  }
+
   struct Section {
     const char* key;  // the BENCH_perf.json section
     const char* name;
@@ -171,6 +224,8 @@ int Run(int argc, char** argv) {
   const Section sections[] = {
       {"decide_full", "Decide (kFull)", decide_fast_us, decide_ref_us, 2.0},
       {"mlp_forward", "Mlp forward (heavy shape)", mlp_fast_us, mlp_ref_us, 1.5},
+      {"embedding_tail", "Embedding tail (lane Tanh + FillNormal)", tail_lanes_us,
+       tail_scalar_us, 1.5},
   };
   TablePrinter table({"section", "fast us", "reference us", "speedup", "floor"});
   std::ofstream json(out_path);

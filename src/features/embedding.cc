@@ -7,6 +7,7 @@
 
 #include "src/nn/dense.h"
 #include "src/nn/matrix.h"
+#include "src/util/detmath.h"
 #include "src/util/rng.h"
 #include "src/video/classes.h"
 #include "src/video/latent.h"
@@ -95,8 +96,9 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
   std::vector<double> latent = ComputeFrameLatent(video, t);
   ApplyMask(latent, mask);
   // Both layers are one +0.0-start chain per output in input order, run by
-  // the dense kernel; tanh and the noise follow in separate output-order
-  // passes, so the RNG stream is untouched.
+  // the dense kernel. tanh and the noise run on detmath's lane forms, each
+  // element bit-identical to its scalar form, and the noise draws its
+  // uniforms in output order as one Normal call per output would.
   std::array<uint32_t, std::max(kFrameLatentDim, kHiddenDim)> live{};
   std::vector<double> hidden(kHiddenDim);
   DenseForward({.weights = &weights.w1,
@@ -104,18 +106,24 @@ std::vector<double> ProjectLatent(const SyntheticVideo& video, int t,
                 .live = live.data(),
                 .output = hidden.data()});
   for (double& h : hidden) {
-    h = std::tanh(3.0 * h);
+    h = 3.0 * h;
   }
+  Tanh(hidden);
   std::vector<double> out(static_cast<size_t>(out_dim));
   DenseForward({.weights = &weights.w2,
                 .input = hidden.data(),
                 .live = live.data(),
                 .output = out.data()});
-  Pcg32 noise(HashKeys({video.spec().seed, static_cast<uint64_t>(t), weight_seed,
-                        0x4e4e4eull}));
-  for (int i = 0; i < out_dim; ++i) {
-    out[static_cast<size_t>(i)] =
-        std::tanh(2.0 * out[static_cast<size_t>(i)]) + noise.Normal(0.0, noise_sigma);
+  for (double& o : out) {
+    o = 2.0 * o;
+  }
+  Tanh(out);
+  std::array<double, kMobileNetDim> noise_values{};  // the widest backbone's outputs
+  std::span<double> noise = std::span(noise_values).first(out.size());
+  Pcg32(HashKeys({video.spec().seed, static_cast<uint64_t>(t), weight_seed, 0x4e4e4eull}))
+      .FillNormal(noise, 0.0, noise_sigma);
+  for (size_t i = 0; i < out.size(); ++i) {
+    out[i] += noise[i];
   }
   return out;
 }

@@ -10,12 +10,6 @@ namespace litereconfig {
 
 namespace {
 
-// GCC/Clang vector extensions: two doubles (one SSE2 register) and four (one
-// AVX2 register). Each lane of an operation is the scalar IEEE operation on
-// that lane.
-typedef double Double2 __attribute__((vector_size(16)));
-typedef double Double4 __attribute__((vector_size(32)));
-
 // Vectors per block: each pass over the inputs advances this many independent
 // vector chains, enough to cover the add latency.
 constexpr size_t kBlockVectors = 8;
@@ -163,17 +157,10 @@ __attribute__((target("avx2"))) void DenseForwardAvx2(const DenseArgs& args) {
   Forward<Double4>(args);
 }
 
-bool CpuHasAvx2() {
-  __builtin_cpu_init();
-  return __builtin_cpu_supports("avx2");
-}
-
 #else
 
 // Off x86 there is no AVX2: CpuHasAvx2() is false, so nothing calls this.
 void DenseForwardAvx2(const DenseArgs& args) { Forward<Double2>(args); }
-
-bool CpuHasAvx2() { return false; }
 
 #endif
 

@@ -24,6 +24,7 @@
 #include <cstdint>
 
 #include "src/nn/matrix.h"
+#include "src/util/simd.h"
 
 namespace litereconfig {
 
@@ -38,15 +39,14 @@ struct DenseArgs {
 };
 
 // Runs the kernel at the widest vector the CPU offers: four lanes (AVX2) when
-// it has AVX2, otherwise two (SSE2, the x86-64 baseline), chosen once per
-// process.
+// CpuHasAvx2() (src/util/simd.h), otherwise two (SSE2, the x86-64 baseline),
+// chosen once per process.
 void DenseForward(const DenseArgs& args);
 
 // The two instantiations, for tests. DenseForwardAvx2 may only be called when
 // CpuHasAvx2().
 void DenseForwardSse2(const DenseArgs& args);
 void DenseForwardAvx2(const DenseArgs& args);
-bool CpuHasAvx2();
 
 }  // namespace litereconfig
 

@@ -50,9 +50,11 @@ uint64_t TrainConfig::Fingerprint() const {
                    static_cast<uint64_t>(hidden_width), static_cast<uint64_t>(epochs),
                    static_cast<uint64_t>(device),
                    static_cast<uint64_t>(holdout_fraction * 1000.0), kLabelSalt,
-                   // v4: per-video contention calibration changed the Ben
-                   // tabulation, so older cached bundles are stale.
-                   /*format version=*/4ull});
+                   // v5: the content features' tanh and Box-Muller noise
+                   // moved from the host's libm to detmath, which moves the
+                   // last bits of the training data, so older cached bundles
+                   // are stale.
+                   /*format version=*/5ull});
 }
 
 std::vector<SnippetData> OfflineTrainer::BuildSnippetData(const TrainConfig& config,

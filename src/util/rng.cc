@@ -1,6 +1,10 @@
 #include "src/util/rng.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+
+#include "src/util/detmath.h"
 
 namespace litereconfig {
 
@@ -44,33 +48,70 @@ uint32_t Pcg32::UniformInt(uint32_t n) {
 
 bool Pcg32::Bernoulli(double p) { return NextDouble() < p; }
 
+void Pcg32::NextUniformPair(double* u1, double* u2) {
+  do {
+    *u1 = NextDouble();
+  } while (*u1 <= 1e-300);
+  *u2 = NextDouble();
+}
+
 double Pcg32::Normal() {
   if (has_cached_normal_) {
     has_cached_normal_ = false;
     return cached_normal_;
   }
   double u1 = 0.0;
-  do {
-    u1 = NextDouble();
-  } while (u1 <= 1e-300);
-  double u2 = NextDouble();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
+  double u2 = 0.0;
+  NextUniformPair(&u1, &u2);
+  double z_cos = 0.0;
+  BoxMuller(u1, u2, &z_cos, &cached_normal_);
   has_cached_normal_ = true;
-  return r * std::cos(theta);
+  return z_cos;
 }
 
 double Pcg32::Normal(double mean, double stddev) { return mean + stddev * Normal(); }
 
-double Pcg32::LogNormal(double mu, double sigma) { return std::exp(Normal(mu, sigma)); }
+void Pcg32::FillNormal(std::span<double> out, double mean, double stddev) {
+  size_t i = 0;
+  if (has_cached_normal_ && !out.empty()) {
+    has_cached_normal_ = false;
+    out[i++] = mean + stddev * cached_normal_;
+  }
+  // Normal's uniform pairs, drawn in its order a chunk at a time, then
+  // transformed by the lane form of its Box-Muller step.
+  constexpr size_t kChunk = 64;
+  std::array<double, kChunk> u1{};
+  std::array<double, kChunk> u2{};
+  std::array<double, kChunk> z_cos{};
+  std::array<double, kChunk> z_sin{};
+  while (i < out.size()) {
+    size_t pairs = std::min(kChunk, (out.size() - i + 1) / 2);
+    for (size_t p = 0; p < pairs; ++p) {
+      NextUniformPair(&u1[p], &u2[p]);
+    }
+    BoxMuller(std::span(u1).first(pairs), std::span(u2).first(pairs),
+              std::span(z_cos).first(pairs), std::span(z_sin).first(pairs));
+    for (size_t p = 0; p < pairs; ++p) {
+      out[i++] = mean + stddev * z_cos[p];
+      if (i == out.size()) {
+        // An odd count: the last pair's second value waits, as in Normal.
+        cached_normal_ = z_sin[p];
+        has_cached_normal_ = true;
+        break;
+      }
+      out[i++] = mean + stddev * z_sin[p];
+    }
+  }
+}
+
+double Pcg32::LogNormal(double mu, double sigma) { return Exp(Normal(mu, sigma)); }
 
 double Pcg32::Exponential(double rate) {
   double u = 0.0;
   do {
     u = NextDouble();
   } while (u <= 1e-300);
-  return -std::log(u) / rate;
+  return -Log(u) / rate;
 }
 
 int Pcg32::Poisson(double lambda) {
@@ -81,7 +122,7 @@ int Pcg32::Poisson(double lambda) {
     double v = Normal(lambda, std::sqrt(lambda));
     return v < 0.0 ? 0 : static_cast<int>(v + 0.5);
   }
-  double limit = std::exp(-lambda);
+  double limit = Exp(-lambda);
   double prod = NextDouble();
   int n = 0;
   while (prod > limit) {

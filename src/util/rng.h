@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <span>
 
 namespace litereconfig {
 
@@ -59,7 +60,9 @@ inline uint64_t HashKeys(std::initializer_list<uint64_t> keys) {
   return h.Get();
 }
 
-// Minimal PCG32 (XSH-RR) generator with convenience distributions.
+// Minimal PCG32 (XSH-RR) generator with convenience distributions. Their
+// transcendental steps run on detmath (src/util/detmath.h), so no draw
+// depends on the host's libm.
 class Pcg32 {
  public:
   explicit Pcg32(uint64_t seed, uint64_t stream = 0x9E3779B97F4A7C15ull);
@@ -75,6 +78,11 @@ class Pcg32 {
   // Standard normal via Box-Muller (second value cached).
   double Normal();
   double Normal(double mean, double stddev);
+  // out[i] = Normal(mean, stddev) for each i in order, bit for bit and with
+  // the same generator state after: the same uniforms in the same order, a
+  // pending second value first, and an odd count leaves one pending. The
+  // transform runs on detmath's lane form.
+  void FillNormal(std::span<double> out, double mean, double stddev);
   // Log-normal with the given *underlying* normal parameters.
   double LogNormal(double mu, double sigma);
   double Exponential(double rate);
@@ -82,6 +90,10 @@ class Pcg32 {
   int Poisson(double lambda);
 
  private:
+  // Box-Muller's uniform pair in Normal's draw order: u1, redrawn while
+  // <= 1e-300 so that its log is finite, then u2.
+  void NextUniformPair(double* u1, double* u2);
+
   uint64_t state_;
   uint64_t inc_;
   bool has_cached_normal_ = false;

@@ -6,8 +6,9 @@
 // A backbone masks the frame latent, then hidden[h] = tanh(3 * sum) over
 // w1[h][i] * latent[i] and out[o] = tanh(2 * sum) over w2[o][h] * hidden[h],
 // plus Normal observation noise drawn in output order. Every sum is one chain
-// from +0.0 in index order, over row-major weights of one hash per entry.
-// Tests compare the two bit for bit.
+// from +0.0 in index order, over row-major weights of one hash per entry, and
+// every tanh and Normal is one scalar call (detmath's scalar Tanh). Tests
+// compare the two bit for bit.
 #ifndef TESTS_EMBEDDING_REFERENCE_H_
 #define TESTS_EMBEDDING_REFERENCE_H_
 
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "src/features/embedding.h"
+#include "src/util/detmath.h"
 #include "src/util/rng.h"
 #include "src/video/latent.h"
 
@@ -65,7 +67,7 @@ inline std::vector<double> Project(const Backbone& b, const std::vector<double>&
       sum += b.w1[static_cast<size_t>(h * kFrameLatentDim + i)] *
              latent[static_cast<size_t>(i)];
     }
-    hidden[static_cast<size_t>(h)] = std::tanh(3.0 * sum);
+    hidden[static_cast<size_t>(h)] = Tanh(3.0 * sum);
   }
   std::vector<double> out(static_cast<size_t>(b.out_dim));
   for (int o = 0; o < b.out_dim; ++o) {
@@ -79,7 +81,7 @@ inline std::vector<double> Project(const Backbone& b, const std::vector<double>&
   Pcg32 noise(HashKeys({video.spec().seed, static_cast<uint64_t>(t), b.weight_seed,
                         0x4e4e4eull}));
   for (double& v : out) {
-    v = std::tanh(2.0 * v) + noise.Normal(0.0, b.noise_sigma);
+    v = Tanh(2.0 * v) + noise.Normal(0.0, b.noise_sigma);
   }
   return out;
 }

@@ -199,15 +199,17 @@ void MixScene(HashState& h, const SyntheticVideo& video) {
 // Every archetype's generated scenes, pinned by hash: three seeds, 300 frames
 // each. The determinism tests compare two videos of the same build, so only
 // this test sees a change that moves a state (a draw order, an FP expression,
-// the overlap pass's object range). The expected values predate the
-// one-buffer scene storage.
+// the overlap pass's object range). Scene plans draw Normal and LogNormal,
+// so the expected values are those of detmath's Log, SinCos and Exp
+// (src/util/detmath.h); the generator's own sin, cos and hypot calls are
+// still the host's libm.
 TEST(VideoTest, GeneratedScenesArePinned) {
   const uint64_t pinned[] = {
-      0x4bd42ff7d2f6ccf9ull,  // kSlowLarge
-      0xe1072edc877e74deull,  // kFastSmall
-      0x5696d6a6f6539f93ull,  // kCrowded
-      0x03e7db605a6f96dcull,  // kSparse
-      0x4e4ce6c1896c9119ull,  // kHighClutter
+      0x2a055063b89055a0ull,  // kSlowLarge
+      0x4ab9eff4ae5bf50cull,  // kFastSmall
+      0x47ef68a3a33077ecull,  // kCrowded
+      0x0e98996c1600e4eaull,  // kSparse
+      0x4c0a37cb96444d7bull,  // kHighClutter
   };
   ASSERT_EQ(std::size(pinned), static_cast<size_t>(kNumArchetypes));
   for (int a = 0; a < kNumArchetypes; ++a) {

@@ -9,6 +9,13 @@
 # results (a refactor or an optimisation) passes only when every file is
 # identical.
 #
+# The caches are paired by device (models_<device>_<fingerprint>.bin). Under
+# one fingerprint they must be identical too. A change that bumps the
+# fingerprint (the format version in TrainConfig::Fingerprint) declares that
+# the caches are retrained on purpose: each pair is reported as re-baselined,
+# with the count of bytes that differ, and does not fail the run. Every
+# JSON, trace and stdout file must still be identical.
+#
 # Usage: tools/result_identity.sh [BASE] [WORK_DIR]
 #   BASE      a git revision, checked out into a temporary git worktree, or a
 #             directory holding a source checkout to use as is
@@ -100,8 +107,8 @@ run_side base
 run_side head
 
 status=0
-base_files=$(cd "$work/base-out" && ls)
-head_files=$(cd "$work/head-out" && ls)
+base_files=$(cd "$work/base-out" && ls --ignore='models_*.bin')
+head_files=$(cd "$work/head-out" && ls --ignore='models_*.bin')
 if [[ $base_files != "$head_files" ]]; then
   echo "DIFFERENT file sets:"
   diff <(echo "$base_files") <(echo "$head_files") || true
@@ -115,7 +122,38 @@ for f in $base_files; do
     status=1
   fi
 done
+rebaselined=0
+for device in tx2 xavier; do
+  base_cache=$(cd "$work/base-out" && ls models_"$device"_*.bin 2>/dev/null || true)
+  head_cache=$(cd "$work/head-out" && ls models_"$device"_*.bin 2>/dev/null || true)
+  if [[ $(wc -w <<<"$base_cache") -ne 1 || $(wc -w <<<"$head_cache") -ne 1 ]]; then
+    echo "DIFFERENT  $device cache sets: base '$base_cache', head '$head_cache'"
+    status=1
+  elif [[ $base_cache == "$head_cache" ]]; then
+    if cmp -s "$work/base-out/$base_cache" "$work/head-out/$head_cache"; then
+      echo "identical  $base_cache"
+    else
+      echo "DIFFERENT  $base_cache (same fingerprint: bump the format version if the change is deliberate)"
+      status=1
+    fi
+  else
+    a=$work/base-out/$base_cache
+    b=$work/head-out/$head_cache
+    size_a=$(stat -c %s "$a")
+    size_b=$(stat -c %s "$b")
+    size=$((size_a > size_b ? size_a : size_b))
+    # cmp -l lists each differing byte of the common length, and exits 1.
+    listed=$(cmp -l "$a" "$b" 2>/dev/null | wc -l || true)
+    differ=$((listed + size - (size_a < size_b ? size_a : size_b)))
+    echo "cache re-baselined: $base_cache -> $head_cache, $differ of $size bytes differ"
+    rebaselined=1
+  fi
+done
 if [[ $status -eq 0 ]]; then
-  echo "result identity: every output is byte-identical to $base"
+  if [[ $rebaselined -eq 1 ]]; then
+    echo "result identity: every output is byte-identical to $base; the caches are re-baselined"
+  else
+    echo "result identity: every output is byte-identical to $base"
+  fi
 fi
 exit $status
