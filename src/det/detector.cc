@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 
 #include "src/util/rng.h"
 #include "src/video/classes.h"
@@ -77,7 +76,7 @@ DetectionList DetectorSim::Detect(const SyntheticVideo& video, int t,
                                   const DetectorConfig& config,
                                   const DetectorQuality& quality, uint64_t run_salt) {
   const VideoSpec& spec = video.spec();
-  const FrameTruth& frame = video.frame(t);
+  const FrameObjects objects = video.frame(t).objects;
   double scale = static_cast<double>(config.shape) / spec.height;
   double clutter = GetArchetypeParams(spec.archetype).clutter;
   Pcg32 rng(HashKeys({spec.seed, static_cast<uint64_t>(t),
@@ -86,19 +85,24 @@ DetectionList DetectorSim::Detect(const SyntheticVideo& video, int t,
                       run_salt, 0xde7ull}));
 
   // Salience ranking: larger, higher-contrast, less-occluded objects come first.
-  std::vector<size_t> order(frame.objects.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const SceneObjectState& oa = frame.objects[a];
-    const SceneObjectState& ob = frame.objects[b];
-    double sa = oa.gt.box.Area() * (1.0 - oa.occlusion) * (0.5 + oa.texture);
-    double sb = ob.gt.box.Area() * (1.0 - ob.occlusion) * (0.5 + ob.texture);
-    return sa > sb;
+  // Each object's key is computed once, before the stable sort.
+  struct Ranked {
+    double salience;
+    size_t k;
+  };
+  std::vector<Ranked> order(objects.size());
+  for (size_t k = 0; k < objects.size(); ++k) {
+    order[k] = {objects.box(k).Area() * (1.0 - objects.pose(k).occlusion) *
+                    (0.5 + objects.object(k).texture),
+                k};
+  }
+  std::stable_sort(order.begin(), order.end(), [](const Ranked& a, const Ranked& b) {
+    return a.salience > b.salience;
   });
 
   DetectionList detections;
   for (size_t rank = 0; rank < order.size(); ++rank) {
-    const SceneObjectState& obj = frame.objects[order[rank]];
+    const SceneObjectState obj = objects[order[rank].k];
     double p =
         DetectionProbability(video, obj, config, quality, static_cast<int>(rank));
     if (!rng.Bernoulli(p)) {

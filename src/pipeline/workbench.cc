@@ -36,6 +36,24 @@ std::string CacheDir() {
   return dir;
 }
 
+const Dataset& LazyDataset::GetOrBuild() const {
+  {
+    MutexLock lock(mutex_);
+    if (dataset_ != nullptr) {
+      return *dataset_;
+    }
+  }
+  // Built with no lock held, so this lock never nests another. A racing first
+  // read may build its own copy; the first one stored is the one every read
+  // returns.
+  auto built = std::make_unique<Dataset>(BuildDataset(spec_, split_));
+  MutexLock lock(mutex_);
+  if (dataset_ == nullptr) {
+    dataset_ = std::move(built);
+  }
+  return *dataset_;
+}
+
 TrainConfig Workbench::DefaultTrainConfig(DeviceType device) {
   TrainConfig config;
   config.device = device;
@@ -48,8 +66,8 @@ DatasetSpec Workbench::DefaultValidationSpec() {
 
 Workbench::Workbench(DeviceType device)
     : train_config_(DefaultTrainConfig(device)),
-      train_(BuildDataset(train_config_.train_spec, DatasetSplit::kTrain)),
-      validation_(BuildDataset(DefaultValidationSpec(), DatasetSplit::kVal)) {
+      train_(train_config_.train_spec, DatasetSplit::kTrain),
+      validation_(DefaultValidationSpec(), DatasetSplit::kVal) {
   const BranchSpace& space = BranchSpace::Default();
   uint64_t fingerprint = train_config_.Fingerprint();
   std::string path = CacheDir() + "/models_" +

@@ -1,6 +1,7 @@
 // The shared experiment workbench used by the benches and examples.
 //
-// Holds one trained model bundle per device plus the train/validation datasets.
+// Holds one trained model bundle per device plus the train/validation datasets,
+// each built on first use.
 // The offline pass is expensive, so trained bundles are cached on disk (keyed by
 // the TrainConfig fingerprint) under $LITERECONFIG_CACHE_DIR, defaulting to
 // ./.litereconfig-cache — the first bench trains, the rest load.
@@ -14,6 +15,8 @@
 
 #include "src/pipeline/runner.h"
 #include "src/pipeline/trainer.h"
+#include "src/util/annotations.h"
+#include "src/util/mutex.h"
 #include "src/video/dataset.h"
 
 namespace litereconfig {
@@ -35,6 +38,23 @@ std::vector<EvalResult> RunProtocolGrid(const Dataset& validation,
                                         const std::vector<GridCell>& cells,
                                         int threads = 0);
 
+// A dataset split built on its first read and kept. A split is a pure function
+// of its spec, so building it late moves no result.
+class LazyDataset {
+ public:
+  LazyDataset(const DatasetSpec& spec, DatasetSplit split) : spec_(spec), split_(split) {}
+
+  // The split, built by the first call. Every call, concurrent first calls
+  // included, returns the same object.
+  const Dataset& GetOrBuild() const;
+
+ private:
+  const DatasetSpec spec_;
+  const DatasetSplit split_;
+  mutable Mutex mutex_;
+  mutable std::unique_ptr<Dataset> dataset_ LR_GUARDED_BY(mutex_);
+};
+
 class Workbench {
  public:
   // Process-wide workbench for a device; trains (or loads) on first use.
@@ -48,8 +68,10 @@ class Workbench {
   // needs no cache invalidation.
   const TrainedModels& cpu_family_models() const;
 
-  const Dataset& train() const { return train_; }
-  const Dataset& validation() const { return validation_; }
+  // The splits are built on first use: runs that never read one never pay
+  // for it.
+  const Dataset& train() const { return train_.GetOrBuild(); }
+  const Dataset& validation() const { return validation_.GetOrBuild(); }
   const TrainConfig& train_config() const { return train_config_; }
 
   // The bench-scale configurations (also used by the examples).
@@ -60,8 +82,8 @@ class Workbench {
   Workbench(DeviceType device);
 
   TrainConfig train_config_;
-  Dataset train_;
-  Dataset validation_;
+  LazyDataset train_;
+  LazyDataset validation_;
   TrainedModels models_;
   // Lazily-derived CPU-family extension of models_ (guarded by a mutex in
   // cpu_family_models; null until first requested).

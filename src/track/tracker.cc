@@ -21,13 +21,15 @@ constexpr TrackerTraits kTraits[kNumTrackerTypes] = {
 constexpr std::string_view kNames[kNumTrackerTypes] = {"medianflow", "kcf", "csrt",
                                                        "optical_flow"};
 
-const SceneObjectState* FindObject(const FrameTruth& frame, int64_t object_id) {
-  for (const SceneObjectState& obj : frame.objects) {
-    if (obj.gt.object_id == object_id) {
-      return &obj;
+// Index of the object with `object_id` among the frame's objects, or
+// objects.size() when it is not on screen.
+size_t FindObject(const FrameObjects& objects, int64_t object_id) {
+  for (size_t k = 0; k < objects.size(); ++k) {
+    if (objects.object(k).object_id == object_id) {
+      return k;
     }
   }
-  return nullptr;
+  return objects.size();
 }
 
 }  // namespace
@@ -72,7 +74,7 @@ void TrackerSim::StepInto(const SyntheticVideo& video, int t,
                           const TrackerConfig& config, TrackBatch& batch,
                           uint64_t run_salt, DetectionList& out) {
   const VideoSpec& spec = video.spec();
-  const FrameTruth& frame = video.frame(t);
+  const FrameObjects objects = video.frame(t).objects;
   const TrackerTraits& traits = GetTrackerTraits(config.type);
   double ds = static_cast<double>(config.downsample);
   out.clear();
@@ -92,9 +94,10 @@ void TrackerSim::StepInto(const SyntheticVideo& video, int t,
     h.Mix(run_salt);
     h.Mix(0x77acull);
     Pcg32 rng(h.Get());
-    const SceneObjectState* obj =
-        batch.object_id[i] >= 0 ? FindObject(frame, batch.object_id[i]) : nullptr;
-    if (batch.lost[i] != 0 || obj == nullptr) {
+    const size_t k = batch.object_id[i] >= 0
+                         ? FindObject(objects, batch.object_id[i])
+                         : objects.size();
+    if (batch.lost[i] != 0 || k == objects.size()) {
       // A lost track (or a tracked false positive, or an exited object) keeps
       // emitting its stale box with decaying confidence.
       batch.score[i] *= 0.97;
@@ -106,12 +109,13 @@ void TrackerSim::StepInto(const SyntheticVideo& video, int t,
       out.push_back(det);
       continue;
     }
-    double speed = obj->Speed();
+    const ObjectPose& pose = objects.pose(k);
+    double speed = pose.Speed();
     // Loss hazard: fast motion, heavy downsampling, and occlusion all raise it;
     // robust trackers discount the occlusion term.
     double hazard = traits.loss_hazard * (1.0 + speed / 25.0) *
                     (0.5 + 0.5 * ds) *
-                    (1.0 + 3.0 * obj->occlusion * (1.0 - traits.occlusion_robustness));
+                    (1.0 + 3.0 * pose.occlusion * (1.0 - traits.occlusion_robustness));
     if (rng.Bernoulli(std::min(0.5, hazard))) {
       batch.lost[i] = 1;
       batch.score[i] *= 0.9;
@@ -131,11 +135,12 @@ void TrackerSim::StepInto(const SyntheticVideo& video, int t,
     batch.scale_error[i] *= rng.LogNormal(0.0, 0.004 * std::sqrt(ds) *
                                                    (1.0 + traits.drift * 10.0));
     batch.score[i] *= 0.998;
+    const Box truth = objects.box(k);
     Detection det;
-    det.box = Box::FromCenter(obj->gt.box.CenterX() + batch.offset_x[i],
-                              obj->gt.box.CenterY() + batch.offset_y[i],
-                              obj->gt.box.w * batch.scale_error[i],
-                              obj->gt.box.h * batch.scale_error[i])
+    det.box = Box::FromCenter(truth.CenterX() + batch.offset_x[i],
+                              truth.CenterY() + batch.offset_y[i],
+                              truth.w * batch.scale_error[i],
+                              truth.h * batch.scale_error[i])
                   .ClippedTo(spec.width, spec.height);
     det.class_id = batch.class_id[i];
     det.score = batch.score[i];

@@ -13,11 +13,8 @@ namespace {
 constexpr int kMaxObjects = 12;
 constexpr int kWaypointInterval = 24;
 
+// How one object moves; its constants go to the video's SceneObject list.
 struct ObjectPlan {
-  int class_id = 0;
-  int64_t object_id = 0;
-  double w = 0.0;
-  double h = 0.0;
   double x = 0.0;  // top-left at entry
   double y = 0.0;
   double vx = 0.0;
@@ -28,20 +25,22 @@ struct ObjectPlan {
   int occl_start = -1;
   int occl_end = -1;
   double occl_peak = 0.0;
-  double r = 0.5, g = 0.5, b = 0.5;
-  double texture = 0.5;
 };
 
 }  // namespace
+
+double ObjectPose::Speed() const { return std::hypot(vx, vy); }
 
 double SceneObjectState::Speed() const { return std::hypot(vx, vy); }
 
 void FrameTruth::VisibleGroundTruth(GroundTruthList& out) const {
   out.clear();
   out.reserve(objects.size());
-  for (const SceneObjectState& obj : objects) {
-    if (obj.occlusion < 0.95 && !obj.gt.box.Empty()) {
-      out.push_back(obj.gt);
+  for (size_t k = 0; k < objects.size(); ++k) {
+    const Box box = objects.box(k);
+    if (objects.pose(k).occlusion < 0.95 && !box.Empty()) {
+      const SceneObject& object = objects.object(k);
+      out.push_back({box, object.class_id, object.object_id});
     }
   }
 }
@@ -70,23 +69,25 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
       std::clamp(1 + rng.Poisson(params.object_count_mean), 1, kMaxObjects);
   std::vector<ObjectPlan> plans;
   plans.reserve(static_cast<size_t>(num_objects));
+  video.objects_.reserve(static_cast<size_t>(num_objects));
   for (int i = 0; i < num_objects; ++i) {
     ObjectPlan plan;
-    plan.object_id = static_cast<int64_t>(spec.seed % 100000) * 100 + i;
-    plan.class_id = params.class_pool[rng.UniformInt(8)];
-    const ClassPriors& priors = GetClassPriors(plan.class_id);
-    plan.h = spec.height * priors.size_fraction * params.size_scale *
-             rng.LogNormal(0.0, 0.25);
-    plan.h = std::clamp(plan.h, 8.0, 0.9 * spec.height);
-    plan.w = plan.h * priors.aspect_ratio * rng.LogNormal(0.0, 0.15);
-    plan.w = std::clamp(plan.w, 8.0, 0.95 * spec.width);
+    SceneObject object;
+    object.object_id = static_cast<int64_t>(spec.seed % 100000) * 100 + i;
+    object.class_id = params.class_pool[rng.UniformInt(8)];
+    const ClassPriors& priors = GetClassPriors(object.class_id);
+    object.h = spec.height * priors.size_fraction * params.size_scale *
+               rng.LogNormal(0.0, 0.25);
+    object.h = std::clamp(object.h, 8.0, 0.9 * spec.height);
+    object.w = object.h * priors.aspect_ratio * rng.LogNormal(0.0, 0.15);
+    object.w = std::clamp(object.w, 8.0, 0.95 * spec.width);
     double speed = spec.width * priors.speed_fraction * params.speed_scale *
                    rng.LogNormal(0.0, 0.30);
     double theta = rng.Uniform(0.0, 2.0 * M_PI);
     plan.vx = speed * std::cos(theta);
     plan.vy = speed * std::sin(theta);
-    plan.x = rng.Uniform(0.0, std::max(1.0, spec.width - plan.w));
-    plan.y = rng.Uniform(0.0, std::max(1.0, spec.height - plan.h));
+    plan.x = rng.Uniform(0.0, std::max(1.0, spec.width - object.w));
+    plan.y = rng.Uniform(0.0, std::max(1.0, spec.height - object.h));
     plan.enter_frame =
         rng.Bernoulli(0.2) ? static_cast<int>(rng.UniformInt(
                                  static_cast<uint32_t>(spec.frame_count / 2 + 1)))
@@ -107,11 +108,12 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
       plan.occl_end = plan.occl_start + len;
       plan.occl_peak = rng.Uniform(0.6, 0.95);
     }
-    plan.r = std::clamp(priors.r + rng.Normal(0.0, 0.06), 0.0, 1.0);
-    plan.g = std::clamp(priors.g + rng.Normal(0.0, 0.06), 0.0, 1.0);
-    plan.b = std::clamp(priors.b + rng.Normal(0.0, 0.06), 0.0, 1.0);
-    plan.texture = rng.Uniform(0.2, 1.0);
+    object.r = std::clamp(priors.r + rng.Normal(0.0, 0.06), 0.0, 1.0);
+    object.g = std::clamp(priors.g + rng.Normal(0.0, 0.06), 0.0, 1.0);
+    object.b = std::clamp(priors.b + rng.Normal(0.0, 0.06), 0.0, 1.0);
+    object.texture = rng.Uniform(0.2, 1.0);
     plans.push_back(plan);
+    video.objects_.push_back(object);
   }
 
   // Integrate trajectories frame by frame.
@@ -124,19 +126,20 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
     vys[i] = plans[i].vy;
   }
   // Each plan is on screen over [enter_frame, min(exit_frame, frame_count)):
-  // reserve the scene buffer once.
-  size_t total_states = 0;
+  // reserve the pose buffer once.
+  size_t total_poses = 0;
   for (const ObjectPlan& plan : plans) {
-    total_states += static_cast<size_t>(
+    total_poses += static_cast<size_t>(
         std::max(0, std::min(plan.exit_frame, spec.frame_count) - plan.enter_frame));
   }
-  video.states_.reserve(total_states);
+  video.poses_.reserve(total_poses);
   video.offsets_.reserve(static_cast<size_t>(spec.frame_count) + 1);
   for (int t = 0; t < spec.frame_count; ++t) {
     double phase_mult = video.PhaseSpeedMultiplier(t);
-    const size_t frame_begin = video.states_.size();
+    const size_t frame_begin = video.poses_.size();
     for (size_t i = 0; i < plans.size(); ++i) {
       const ObjectPlan& plan = plans[i];
+      const SceneObject& object = video.objects_[i];
       if (t < plan.enter_frame || t >= plan.exit_frame) {
         continue;
       }
@@ -158,42 +161,39 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
       double step_vy = vys[i] * phase_mult;
       xs[i] += step_vx;
       ys[i] += step_vy;
-      if (xs[i] < 0.0 || xs[i] + plan.w > spec.width) {
+      if (xs[i] < 0.0 || xs[i] + object.w > spec.width) {
         vxs[i] = -vxs[i];
-        xs[i] = std::clamp(xs[i], 0.0, std::max(0.0, spec.width - plan.w));
+        xs[i] = std::clamp(xs[i], 0.0, std::max(0.0, spec.width - object.w));
       }
-      if (ys[i] < 0.0 || ys[i] + plan.h > spec.height) {
+      if (ys[i] < 0.0 || ys[i] + object.h > spec.height) {
         vys[i] = -vys[i];
-        ys[i] = std::clamp(ys[i], 0.0, std::max(0.0, spec.height - plan.h));
+        ys[i] = std::clamp(ys[i], 0.0, std::max(0.0, spec.height - object.h));
       }
 
-      SceneObjectState state;
-      state.gt.box = Box{xs[i], ys[i], plan.w, plan.h};
-      state.gt.class_id = plan.class_id;
-      state.gt.object_id = plan.object_id;
-      state.vx = step_vx;
-      state.vy = step_vy;
-      state.r = plan.r;
-      state.g = plan.g;
-      state.b = plan.b;
-      state.texture = plan.texture;
+      ObjectPose pose;
+      pose.x = xs[i];
+      pose.y = ys[i];
+      pose.vx = step_vx;
+      pose.vy = step_vy;
+      pose.object = static_cast<uint32_t>(i);
       // Scripted occlusion: triangular ramp to the peak.
       if (plan.occl_start >= 0 && t >= plan.occl_start && t < plan.occl_end) {
         double mid = (plan.occl_start + plan.occl_end) / 2.0;
         double half = std::max(1.0, (plan.occl_end - plan.occl_start) / 2.0);
         double ramp = 1.0 - std::abs(t - mid) / half;
-        state.occlusion = plan.occl_peak * std::clamp(ramp, 0.0, 1.0);
+        pose.occlusion = plan.occl_peak * std::clamp(ramp, 0.0, 1.0);
       }
-      video.states_.push_back(state);
+      video.poses_.push_back(pose);
     }
     // Overlap-induced occlusion: a later-listed object passing over an earlier one
     // hides the fraction of the earlier object's area it covers. Only this
-    // frame's states, just appended, take part.
-    std::span<SceneObjectState> objects = std::span(video.states_).subspan(frame_begin);
-    for (size_t a = 0; a < objects.size(); ++a) {
-      for (size_t b = a + 1; b < objects.size(); ++b) {
-        const Box& ba = objects[a].gt.box;
-        const Box& bb = objects[b].gt.box;
+    // frame's poses, just appended, take part.
+    std::span<ObjectPose> poses = std::span(video.poses_).subspan(frame_begin);
+    const FrameObjects objects(poses, video.objects_);
+    for (size_t a = 0; a < poses.size(); ++a) {
+      const Box ba = objects.box(a);
+      for (size_t b = a + 1; b < poses.size(); ++b) {
+        const Box bb = objects.box(b);
         double ix0 = std::max(ba.x, bb.x);
         double iy0 = std::max(ba.y, bb.y);
         double ix1 = std::min(ba.x + ba.w, bb.x + bb.w);
@@ -201,12 +201,12 @@ SyntheticVideo SyntheticVideo::Generate(const VideoSpec& spec) {
         double inter = std::max(0.0, ix1 - ix0) * std::max(0.0, iy1 - iy0);
         if (inter > 0.0 && ba.Area() > 0.0) {
           double frac = inter / ba.Area();
-          objects[a].occlusion =
-              std::min(1.0, std::max(objects[a].occlusion, 0.85 * frac));
+          poses[a].occlusion =
+              std::min(1.0, std::max(poses[a].occlusion, 0.85 * frac));
         }
       }
     }
-    video.offsets_.push_back(video.states_.size());
+    video.offsets_.push_back(video.poses_.size());
   }
   return video;
 }

@@ -272,6 +272,63 @@ TEST(TrackerTest, SlowContentIsEasierToTrack) {
   EXPECT_GT(slow, fast);
 }
 
+bool OnScreen(const SyntheticVideo& video, int t, int64_t object_id) {
+  const FrameObjects objects = video.frame(t).objects;
+  for (size_t k = 0; k < objects.size(); ++k) {
+    if (objects.object(k).object_id == object_id) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The tracker's miss path: once its object has left the screen, a track that
+// was following it re-emits its last box with a decaying score.
+TEST(TrackerTest, ObjectLeavingMidGofIsReportedLost) {
+  // The first seeded object that leaves before its video ends, and the first
+  // frame it is gone; it is tracked from three frames earlier.
+  SyntheticVideo video;
+  Detection anchor;
+  int exit_frame = -1;
+  for (uint64_t seed = 1; seed <= 40 && exit_frame < 0; ++seed) {
+    video = MakeVideo(seed, SceneArchetype::kCrowded);
+    for (int t = 3; t < video.frame_count() && exit_frame < 0; ++t) {
+      for (const SceneObjectState& obj : video.frame(t - 3).objects) {
+        if (OnScreen(video, t - 1, obj.gt.object_id) &&
+            !OnScreen(video, t, obj.gt.object_id)) {
+          anchor.box = obj.gt.box;
+          anchor.class_id = obj.gt.class_id;
+          anchor.score = 0.9;
+          anchor.object_id = obj.gt.object_id;
+          exit_frame = t;
+          break;
+        }
+      }
+    }
+  }
+  ASSERT_GE(exit_frame, 3) << "no seeded object leaves early";
+  TrackBatch tracks;
+  tracks.Reset({anchor}, kKeepAll);
+  TrackerConfig config{TrackerType::kCsrt, 1};
+  DetectionList out;
+  for (int t = exit_frame - 2; t < exit_frame; ++t) {
+    TrackerSim::StepInto(video, t, config, tracks, /*run_salt=*/0, out);
+  }
+  ASSERT_EQ(tracks.lost[0], 0) << "the track was lost before its object left";
+  const Detection last = out.at(0);
+  for (int t = exit_frame; t < exit_frame + 2; ++t) {
+    const double score = tracks.score[0];
+    TrackerSim::StepInto(video, t, config, tracks, /*run_salt=*/0, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].object_id, anchor.object_id);
+    EXPECT_EQ(out[0].box.x, last.box.x);
+    EXPECT_EQ(out[0].box.y, last.box.y);
+    EXPECT_EQ(out[0].box.w, last.box.w);
+    EXPECT_EQ(out[0].box.h, last.box.h);
+    EXPECT_EQ(out[0].score, score * 0.97);
+  }
+}
+
 TEST(TrackerTest, LostTrackEmitsStaleBoxWithDecayingScore) {
   SyntheticVideo video = MakeVideo(10, SceneArchetype::kSparse);
   Detection track;

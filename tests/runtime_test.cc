@@ -13,6 +13,7 @@
 #include "src/pipeline/workbench.h"
 #include "src/runtime/gof_executor.h"
 #include "src/util/stats.h"
+#include "src/util/thread_pool.h"
 #include "tests/test_support.h"
 
 namespace litereconfig {
@@ -290,6 +291,43 @@ TEST(WorkbenchTest, CacheDirIsCreated) {
   std::string dir = CacheDir();
   EXPECT_FALSE(dir.empty());
   EXPECT_TRUE(std::filesystem::exists(dir));
+}
+
+// Workbench's splits are LazyDatasets: every read returns one object, even
+// when several threads race to read first, and it equals a fresh build.
+TEST(WorkbenchTest, LazySplitReturnsOneObjectAcrossConcurrentFirstReads) {
+  const DatasetSpec spec = Workbench::DefaultValidationSpec();
+  const LazyDataset validation(spec, DatasetSplit::kVal);
+  ThreadPool pool(4);
+  const std::vector<const Dataset*> reads =
+      pool.ParallelMap(8, [&](size_t) { return &validation.GetOrBuild(); });
+  for (const Dataset* read : reads) {
+    EXPECT_EQ(read, reads[0]);
+  }
+  EXPECT_EQ(&validation.GetOrBuild(), reads[0]);
+
+  const Dataset expected = BuildDataset(spec, DatasetSplit::kVal);
+  const Dataset& built = validation.GetOrBuild();
+  ASSERT_EQ(built.videos.size(), expected.videos.size());
+  for (size_t v = 0; v < expected.videos.size(); ++v) {
+    const SyntheticVideo& a = built.videos[v];
+    const SyntheticVideo& b = expected.videos[v];
+    EXPECT_EQ(a.spec().seed, b.spec().seed);
+    EXPECT_EQ(a.spec().archetype, b.spec().archetype);
+    ASSERT_EQ(a.frame_count(), b.frame_count());
+    ASSERT_EQ(a.pose_count(), b.pose_count());
+    for (int t = 0; t < a.frame_count(); ++t) {
+      const FrameObjects fa = a.frame(t).objects;
+      const FrameObjects fb = b.frame(t).objects;
+      ASSERT_EQ(fa.size(), fb.size());
+      for (size_t k = 0; k < fa.size(); ++k) {
+        EXPECT_EQ(fa.object(k).object_id, fb.object(k).object_id);
+        EXPECT_EQ(fa.pose(k).x, fb.pose(k).x);
+        EXPECT_EQ(fa.pose(k).y, fb.pose(k).y);
+        EXPECT_EQ(fa.pose(k).occlusion, fb.pose(k).occlusion);
+      }
+    }
+  }
 }
 
 TEST(TailContinuationTest, NoOversizedTailSamplesAtTightSlo) {

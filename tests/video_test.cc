@@ -234,22 +234,73 @@ TEST(VideoTest, GeneratedScenesArePinned) {
   EXPECT_EQ(copied.Get(), expected.Get());
 }
 
+// The frame view joins each pose with its object's constants: every state it
+// assembles, by index or by iteration, is that pair, the accessors read the
+// same values, an object shows at most once per frame, and the frames'
+// objects add up to the video's poses.
+TEST(VideoTest, FrameViewJoinsPosesWithObjectConstants) {
+  for (int a = 0; a < kNumArchetypes; ++a) {
+    for (uint64_t seed : {5ull, 77ull}) {
+      SyntheticVideo video = SyntheticVideo::Generate(
+          Spec(seed, static_cast<SceneArchetype>(a), /*frames=*/200));
+      size_t total = 0;
+      for (int t = 0; t < video.frame_count(); ++t) {
+        const FrameObjects objects = video.frame(t).objects;
+        std::set<int64_t> ids;
+        size_t k = 0;
+        for (const SceneObjectState& state : objects) {
+          const ObjectPose& pose = objects.pose(k);
+          ASSERT_LT(pose.object, video.objects().size());
+          const SceneObject& object = video.objects()[pose.object];
+          EXPECT_EQ(&objects.object(k), &object);
+          EXPECT_TRUE(ids.insert(object.object_id).second) << object.object_id;
+          // The box accessor, the iterated state and the indexed state.
+          for (const Box& b : {objects.box(k), state.gt.box, objects[k].gt.box}) {
+            EXPECT_EQ(b.x, pose.x);
+            EXPECT_EQ(b.y, pose.y);
+            EXPECT_EQ(b.w, object.w);
+            EXPECT_EQ(b.h, object.h);
+          }
+          EXPECT_EQ(state.gt.class_id, object.class_id);
+          EXPECT_EQ(state.gt.object_id, object.object_id);
+          EXPECT_EQ(state.vx, pose.vx);
+          EXPECT_EQ(state.vy, pose.vy);
+          EXPECT_EQ(state.occlusion, pose.occlusion);
+          EXPECT_EQ(state.r, object.r);
+          EXPECT_EQ(state.g, object.g);
+          EXPECT_EQ(state.b, object.b);
+          EXPECT_EQ(state.texture, object.texture);
+          EXPECT_EQ(state.Speed(), pose.Speed());
+          ++k;
+        }
+        EXPECT_EQ(k, objects.size());
+        total += objects.size();
+      }
+      EXPECT_EQ(total, video.pose_count());
+    }
+  }
+}
+
 TEST(FrameTruthTest, VisibleGroundTruthExcludesFullyHidden) {
-  SceneObjectState visible;
-  visible.gt.box = Box{0, 0, 10, 10};
+  SceneObject square;
+  square.w = 10;
+  square.h = 10;
+  ObjectPose visible;
   visible.occlusion = 0.3;
-  SceneObjectState hidden;
-  hidden.gt.box = Box{20, 20, 10, 10};
+  ObjectPose hidden;
+  hidden.x = 20;
+  hidden.y = 20;
   hidden.occlusion = 0.99;
-  const SceneObjectState objects[] = {visible, hidden};
-  const FrameTruth frame{objects};
+  const SceneObject objects[] = {square};
+  const ObjectPose poses[] = {visible, hidden};
+  const FrameTruth frame{FrameObjects(poses, objects)};
   EXPECT_EQ(frame.VisibleGroundTruth().size(), 1u);
   // The reused-list form drops whatever the list held before.
-  GroundTruthList truth(3, hidden.gt);
+  GroundTruthList truth(3, frame.objects[1].gt);
   frame.VisibleGroundTruth(truth);
   ASSERT_EQ(truth.size(), 1u);
-  EXPECT_EQ(truth[0].box.x, visible.gt.box.x);
-  EXPECT_EQ(truth[0].box.y, visible.gt.box.y);
+  EXPECT_EQ(truth[0].box.x, visible.x);
+  EXPECT_EQ(truth[0].box.y, visible.y);
 }
 
 TEST(LatentTest, DimensionMatches) {
